@@ -177,12 +177,15 @@ def _cmd_enumerate(config: RunConfig) -> int:
 
 def _cmd_csp(config: RunConfig) -> int:
     if config.family == "csp-syt":
-        report = syt_csp_report(config.shape(), modulus=config.parameters.get("modulus"))
+        report = syt_csp_report(
+            config.shape(), modulus=config.parameters.get("modulus"), cap=config.cap
+        )
     elif config.family == "csp-cst":
-        report = cst_csp_report(config.shape(), config.bound())
+        report = cst_csp_report(config.shape(), config.bound(), cap=config.cap)
     elif config.family == "csp-content":
         report = content_csp_report(
-            config.shape(), config.content(), config.parameters.get("power", 1)
+            config.shape(), config.content(), config.parameters.get("power", 1),
+            cap=config.cap,
         )
     elif config.family == "csp-handshake":
         report = handshake_csp_report(config.parameters["n"])

@@ -1,123 +1,54 @@
 """Jeu-de-taquin promotion, demotion, evacuation, and (semi)standardization.
 
-Promotion follows the dot-sliding algorithm: delete every occurrence of the
-bound k, slide each dot to the northwest (swapping with the greater of its
-north/west neighbors, north on ties), then increment everything and fill the
-vacated corner with 1s.  Demotion runs the same procedure backward, with the
-mirrored tie break (south on ties).
+Every operation here is built from the one slide :func:`tableaux._slide`,
+which moves a hole until nothing can fill it.  Holes are processed in a
+fixed order, and a hole that has not slid yet is never disturbed by the
+others:
 
-Row-strict promotion is conjugation by transposition; evacuation is the
-rotate-complement-rectify construction on the bounding rectangle.
+- promotion deletes every k, slides the holes northwest in increasing
+  column order (pulling in the larger of the north/west neighbours, north on
+  ties), then increments everything and fills the holes with 1s;
+- demotion deletes every 1, slides the holes southeast in decreasing column
+  order (pulling in the smaller of the south/east neighbours, south on
+  ties), then fills the holes with k;
+- evacuation rotates the tableau by 180 degrees and complements its entries
+  inside the bounding box, then slides the empty cells southeast in reverse
+  row-major order, removing each one from the end of the row where it stops.
+
+Row-strict promotion is conjugation by transposition.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .tableaux import Composition, Partition, Tableau, descent_set
-
-_HOLE = None
+from .tableaux import Composition, Tableau, _slide, descent_set
 
 
-def _home_region_nw(grid: list[list]) -> set[tuple[int, int]]:
-    """Holes forming a top-left-justified order ideal (the finished dots)."""
-    home: set[tuple[int, int]] = set()
-    grown = True
-    while grown:
-        grown = False
-        for r, row in enumerate(grid):
-            for c, val in enumerate(row):
-                if val is not _HOLE or (r, c) in home:
-                    continue
-                if (r == 0 or (r - 1, c) in home) and (c == 0 or (r, c - 1) in home):
-                    home.add((r, c))
-                    grown = True
-    return home
-
-
-def _home_region_se(grid: list[list], shape: Partition) -> set[tuple[int, int]]:
-    """Holes forming a bottom-justified filter (finished demotion dots)."""
-    home: set[tuple[int, int]] = set()
-    grown = True
-    while grown:
-        grown = False
-        for r, row in enumerate(grid):
-            for c, val in enumerate(row):
-                if val is not _HOLE or (r, c) in home:
-                    continue
-                below_ok = r + 1 >= len(shape) or c >= shape[r + 1] or (r + 1, c) in home
-                east_ok = c + 1 >= shape[r] or (r, c + 1) in home
-                if below_ok and east_ok:
-                    home.add((r, c))
-                    grown = True
-    return home
+def _holes(grid: list[list]) -> list[tuple[int, int]]:
+    """The (col, row) of every hole, sorted; deleting the ks or the 1s of a
+    column-strict tableau leaves at most one hole per column."""
+    return sorted((c, r) for r, row in enumerate(grid) for c, val in enumerate(row) if val is None)
 
 
 def promote(t: Tableau, k: int) -> Tableau:
     """One step of jeu-de-taquin promotion on CST(shape, k)."""
     if not t.is_column_strict(k):
         raise ValueError(f"not a column-strict tableau with entries <= {k}")
-    grid: list[list] = [list(row) for row in t.rows]
-    for row in grid:
-        for c, val in enumerate(row):
-            if val == k:
-                row[c] = _HOLE
-    while True:
-        home = _home_region_nw(grid)
-        pending = [
-            (c, r)
-            for r, row in enumerate(grid)
-            for c, val in enumerate(row)
-            if val is _HOLE and (r, c) not in home
-        ]
-        if not pending:
-            break
-        c, r = min(pending)  # westernmost dot, then northmost
-        while True:
-            north = grid[r - 1][c] if r > 0 else _HOLE
-            west = grid[r][c - 1] if c > 0 else _HOLE
-            if north is _HOLE and west is _HOLE:
-                break
-            if west is _HOLE or (north is not _HOLE and north >= west):
-                grid[r][c], grid[r - 1][c] = north, _HOLE
-                r -= 1
-            else:
-                grid[r][c], grid[r][c - 1] = west, _HOLE
-                c -= 1
-    rows = tuple(tuple(1 if val is _HOLE else val + 1 for val in row) for row in grid)
-    return Tableau(rows)
+    grid: list[list] = [[None if val == k else val for val in row] for row in t.rows]
+    for c, r in _holes(grid):
+        _slide(grid, r, c, False)
+    return Tableau([[1 if val is None else val + 1 for val in row] for row in grid])
 
 
 def demote(t: Tableau, k: int) -> Tableau:
     """The inverse of :func:`promote`."""
     if not t.is_column_strict(k):
         raise ValueError(f"not a column-strict tableau with entries <= {k}")
-    shape = t.shape
-    grid: list[list] = [[_HOLE if val == 1 else val - 1 for val in row] for row in t.rows]
-    while True:
-        home = _home_region_se(grid, shape)
-        pending = [
-            (c, r)
-            for r, row in enumerate(grid)
-            for c, val in enumerate(row)
-            if val is _HOLE and (r, c) not in home
-        ]
-        if not pending:
-            break
-        c, r = max(pending)  # easternmost dot, then southmost
-        while True:
-            south = grid[r + 1][c] if r + 1 < len(shape) and c < shape[r + 1] else _HOLE
-            east = grid[r][c + 1] if c + 1 < shape[r] else _HOLE
-            if south is _HOLE and east is _HOLE:
-                break
-            if east is _HOLE or (south is not _HOLE and south <= east):
-                grid[r][c], grid[r + 1][c] = south, _HOLE
-                r += 1
-            else:
-                grid[r][c], grid[r][c + 1] = east, _HOLE
-                c += 1
-    rows = tuple(tuple(k if val is _HOLE else val for val in row) for row in grid)
-    return Tableau(rows)
+    grid: list[list] = [[None if val == 1 else val - 1 for val in row] for row in t.rows]
+    for c, r in reversed(_holes(grid)):
+        _slide(grid, r, c, True)
+    return Tableau([[k if val is None else val for val in row] for row in grid])
 
 
 def promote_power(t: Tableau, k: int, d: int) -> Tableau:
@@ -140,38 +71,18 @@ def evacuate(t: Tableau, k: Optional[int] = None) -> Tableau:
     shape = t.shape
     if not shape:
         return t
-    nrows, ncols = len(shape), shape[0]
-    # Rotated complement sits in the southeast corner of the nrows x ncols box.
-    grid: list[list] = [[_HOLE] * ncols for _ in range(nrows)]
-    for r in range(nrows):
-        for c in range(shape[r]):
-            grid[nrows - 1 - r][ncols - 1 - c] = k + 1 - t.rows[r][c]
-    gone: set[tuple[int, int]] = set()
-    remaining = {(r, c) for r in range(nrows) for c in range(ncols) if grid[r][c] is _HOLE}
-    while remaining:
-        r, c = max(
-            (rc for rc in remaining
-             if (rc[0] + 1, rc[1]) not in remaining and (rc[0], rc[1] + 1) not in remaining),
-        )
-        remaining.discard((r, c))
-        while True:
-            east = grid[r][c + 1] if c + 1 < ncols and (r, c + 1) not in gone else _HOLE
-            south = grid[r + 1][c] if r + 1 < nrows and (r + 1, c) not in gone else _HOLE
-            if east is _HOLE and south is _HOLE:
-                gone.add((r, c))
-                break
-            if east is _HOLE or (south is not _HOLE and south <= east):
-                grid[r][c], grid[r + 1][c] = south, _HOLE
-                r += 1
-            else:
-                grid[r][c], grid[r][c + 1] = east, _HOLE
-                c += 1
-    rows = []
-    for r in range(nrows):
-        row = [grid[r][c] for c in range(ncols) if (r, c) not in gone]
-        if row:
-            rows.append(tuple(row))
-    out = Tableau(rows)
+    ncols = shape[0]
+    # The rotated complement fills the southeast of the box; the empty cells
+    # before it in each row form an order ideal.
+    grid: list[list] = [
+        [None] * (ncols - len(row)) + [k + 1 - val for val in reversed(row)]
+        for row in reversed(t.rows)
+    ]
+    for r in reversed(range(len(grid))):
+        for c in reversed(range(ncols - shape[-1 - r])):
+            rr, _ = _slide(grid, r, c, True)
+            grid[rr].pop()  # the hole always stops at the end of a row
+    out = Tableau(grid)
     if out.shape != shape:
         raise AssertionError(f"evacuation changed the shape: {shape} -> {out.shape}")
     return out

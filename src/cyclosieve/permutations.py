@@ -7,8 +7,7 @@ values i, i+1 while ``w * simple(i, n)`` swaps positions i, i+1.
 
 from __future__ import annotations
 
-from itertools import permutations as _itertools_permutations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .tableaux import Partition, Tableau
 
@@ -78,11 +77,6 @@ def long_element(n: int) -> Permutation:
 def long_cycle(n: int) -> Permutation:
     """The n-cycle (1, 2, ..., n) sending i to i+1."""
     return Permutation(tuple(range(2, n + 1)) + (1,))
-
-
-def all_permutations(n: int) -> Iterator[Permutation]:
-    for values in _itertools_permutations(range(1, n + 1)):
-        yield Permutation(values)
 
 
 def left_right_descents(w: Permutation) -> tuple[frozenset[int], frozenset[int]]:
@@ -183,10 +177,6 @@ def rsk_inverse(p: Tableau, q: Tableau) -> Permutation:
             row[lo - 1], value = value, row[lo - 1]
         letters.append(value)
     return Permutation(letters[::-1])
-
-
-def shape_of(w: Permutation) -> Partition:
-    return rsk(w)[0].shape
 
 
 def reading_word(t: Tableau) -> Permutation:

@@ -22,26 +22,11 @@ from functools import cache
 from typing import Iterator, Optional
 
 from .cyclotomic import as_integer, eval_at_root
-from .qpolys import kostka_foulkes
+from .qpolys import _beta_set, _partition_from_beta, kostka_foulkes
 from .tableaux import Composition, Partition
 
 Cell = tuple[int, int]  # 0-indexed (row, col) internally
 Ribbon = tuple[Cell, ...]  # cells ordered from tail (NE) to head (SW)
-
-
-def _beta_set(shape: Partition, length: int) -> tuple[int, ...]:
-    shape = Partition(shape)
-    if length < len(shape):
-        raise ValueError("beta-set length too small")
-    parts = tuple(shape) + (0,) * (length - len(shape))
-    return tuple(parts[i] + (length - 1 - i) for i in range(length))
-
-
-def _partition_from_beta(beta: list[int]) -> Partition:
-    beta = sorted(beta, reverse=True)
-    length = len(beta)
-    parts = [beta[i] - (length - 1 - i) for i in range(length)]
-    return Partition([p for p in parts if p > 0])
 
 
 def _runner_length(shape: Partition, m: int) -> int:

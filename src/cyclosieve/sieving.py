@@ -226,7 +226,9 @@ def promotion_action(
     )
 
 
-def syt_csp_report(shape: Partition, modulus: Optional[int] = None) -> CSPReport:
+def syt_csp_report(
+    shape: Partition, modulus: Optional[int] = None, cap: Optional[int] = None
+) -> CSPReport:
     """Promotion on standard tableaux against the q-hook length formula.
 
     The modulus defaults to n when the promotion order divides it (always
@@ -235,7 +237,7 @@ def syt_csp_report(shape: Partition, modulus: Optional[int] = None) -> CSPReport
     """
     shape = Partition(shape)
     n = shape.size
-    action = syt_promotion_action(shape)
+    action = syt_promotion_action(shape, cap=cap)
     if modulus is None:
         modulus = n if action.order and n % action.order == 0 else action.order
     return verify_csp(
@@ -247,12 +249,12 @@ def syt_csp_report(shape: Partition, modulus: Optional[int] = None) -> CSPReport
     )
 
 
-def cst_csp_report(shape: Partition, bound: int) -> CSPReport:
+def cst_csp_report(shape: Partition, bound: int, cap: Optional[int] = None) -> CSPReport:
     """Promotion on bounded column-strict tableaux against the shifted
     principal specialization of the Schur function."""
     shape = Partition(shape)
-    action = promotion_action(shape, bound)
-    poly = schur_principal_specialization(shape, bound).shift(-kappa(shape)) \
+    action = promotion_action(shape, bound, cap=cap)
+    poly = schur_principal_specialization(shape, bound, cap=cap).shift(-kappa(shape)) \
         if len(shape) <= bound else IntPolynomial.zero()
     return verify_csp(
         action,
@@ -264,11 +266,13 @@ def cst_csp_report(shape: Partition, bound: int) -> CSPReport:
     )
 
 
-def content_csp_report(shape: Partition, alpha: Composition, power: int) -> CSPReport:
+def content_csp_report(
+    shape: Partition, alpha: Composition, power: int, cap: Optional[int] = None
+) -> CSPReport:
     """Fixed content: |X^(j^(d m))| against |K_{shape,alpha}(zeta^m)|."""
     shape = Partition(shape)
     alpha = Composition(alpha)
-    action = promotion_action(shape, len(alpha), alpha, power)
+    action = promotion_action(shape, len(alpha), alpha, power, cap=cap)
     modulus = len(alpha) // power
     return verify_csp(
         action,

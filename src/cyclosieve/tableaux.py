@@ -272,20 +272,28 @@ def descent_set(t: Tableau) -> frozenset[int]:
     return frozenset(out)
 
 
-def _slide_hole_southeast(grid: list[list[Optional[int]]], hole: tuple[int, int]) -> tuple[int, int]:
-    """Forward jeu-de-taquin: slide one hole until nothing lies east or south."""
-    r, c = hole
+def _slide(grid: list[list[Optional[int]]], r: int, c: int, forward: bool) -> tuple[int, int]:
+    """Jeu-de-taquin: slide the hole at (r, c) until nothing can fill it.
+
+    ``grid`` holds ragged rows of values, with ``None`` for holes.  A forward
+    slide moves the hole southeast, pulling in the smaller of its south and
+    east neighbours (south on ties); a backward slide moves it northwest,
+    pulling in the larger of its north and west neighbours (north on ties).
+    Returns the cell where the hole stops.
+    """
+    step = 1 if forward else -1
     while True:
-        east = grid[r][c + 1] if c + 1 < len(grid[r]) else None
-        south = grid[r + 1][c] if r + 1 < len(grid) and c < len(grid[r + 1]) else None
-        if east is None and south is None:
+        rr, cc = r + step, c + step
+        vert = grid[rr][c] if 0 <= rr < len(grid) and c < len(grid[rr]) else None
+        horiz = grid[r][cc] if 0 <= cc < len(grid[r]) else None
+        if vert is None and horiz is None:
             return (r, c)
-        if east is None or (south is not None and south <= east):
-            grid[r][c], grid[r + 1][c] = south, None
-            r += 1
+        if horiz is not None and (vert is None or (vert > horiz if forward else vert < horiz)):
+            grid[r][c], grid[r][cc] = horiz, None
+            c = cc
         else:
-            grid[r][c], grid[r][c + 1] = east, None
-            c += 1
+            grid[r][c], grid[rr][c] = vert, None
+            r = rr
 
 
 def extended_descent_set(t: Tableau) -> frozenset[int]:
@@ -301,7 +309,7 @@ def extended_descent_set(t: Tableau) -> frozenset[int]:
     n = t.size
     grid: list[list[Optional[int]]] = [list(row) for row in t.rows]
     grid[0][0] = None
-    r, c = _slide_hole_southeast(grid, (0, 0))
+    r, c = _slide(grid, 0, 0, True)
     if r > 0 and grid[r - 1][c] == n:
         base.add(n)
     elif not (c > 0 and grid[r][c - 1] == n) and n > 1:

@@ -47,6 +47,10 @@ class TestExitCodes:
 
     def test_cap_exceeded_is_two(self, capsys):
         assert run(["enumerate", "syt", "--shape", "4,4,4", "--cap", "5"]) == 2
+        assert run(["csp", "syt", "--shape", "4,4,4", "--cap", "5"]) == 2
+        assert run(["csp", "cst", "--shape", "3,3", "--bound", "4", "--cap", "5"]) == 2
+        assert run(["csp", "content", "--shape", "2,2", "--content", "1,1,1,1",
+                    "--power", "2", "--cap", "1"]) == 2
 
 
 class TestJsonOutput:
@@ -108,5 +112,7 @@ class TestFamilies:
     def test_env_cap_override(self, monkeypatch, capsys):
         monkeypatch.setenv("CYCLOSIEVE_CAP", "5")
         assert run(["enumerate", "syt", "--shape", "4,4,4"]) == 2
+        assert run(["csp", "syt", "--shape", "2^4"]) == 2
         monkeypatch.setenv("CYCLOSIEVE_CAP", "1000")
         assert run(["enumerate", "syt", "--shape", "4,4,4"]) == 0
+        assert run(["csp", "syt", "--shape", "2^4"]) == 0

@@ -25,6 +25,38 @@ from cyclosieve import (
 T_EXAMPLE = Tableau([(1, 1, 3, 4), (3, 3, 4, 6), (4, 5, 5), (6,)])
 
 
+def bender_knuth(t: Tableau, i: int) -> Tableau:
+    """The Bender-Knuth involution t_i, computed without any sliding.
+
+    An i is free when no i+1 sits below it, an i+1 when no i sits above it.
+    The free cells of each row are contiguous; a free i's followed by b free
+    (i+1)'s become b i's followed by a (i+1)'s.
+    """
+    rows = t.rows
+
+    def free(r: int, c: int) -> bool:
+        if rows[r][c] == i:
+            return not (r + 1 < len(rows) and c < len(rows[r + 1]) and rows[r + 1][c] == i + 1)
+        return rows[r][c] == i + 1 and not (r > 0 and rows[r - 1][c] == i)
+
+    out = []
+    for r, row in enumerate(rows):
+        cols = [c for c in range(len(row)) if free(r, c)]
+        b = sum(1 for c in cols if row[c] == i + 1)
+        new = list(row)
+        for j, c in enumerate(cols):
+            new[c] = i if j < b else i + 1
+        out.append(new)
+    return Tableau(out)
+
+
+def apply_bender_knuth(t: Tableau, word) -> Tableau:
+    """Apply t_w for the letters w of ``word``, first letter first."""
+    for i in word:
+        t = bender_knuth(t, i)
+    return t
+
+
 class TestPromotionExamples:
     def test_worked_display_bound_6(self):
         assert promote(T_EXAMPLE, 6).rows == ((1, 1, 2, 4), (2, 4, 5, 5), (4, 6, 6), (5,))
@@ -59,6 +91,20 @@ class TestRoundTripAndContent:
     def test_demote_is_double_promote_on_order_3_orbit(self):
         for t in enumerate_cst(Partition((2, 2)), 3):
             assert demote(t, 3) == promote(promote(t, 3), 3)
+
+
+class TestBenderKnuthOracle:
+    def test_promotion_demotion_evacuation_from_involutions(self):
+        """On every CST with |shape| <= 7 and k <= 5:
+        promotion = t_1 ... t_{k-1} (t_{k-1} applied first), demotion is the
+        reverse composition, and evacuation = t_1 (t_2 t_1) ... (t_{k-1} ... t_1)."""
+        for lam in all_partitions_up_to(7):
+            for k in range(1, 6):
+                evac_word = [i for top in range(k - 1, 0, -1) for i in range(1, top + 1)]
+                for t in enumerate_cst(lam, k):
+                    assert promote(t, k) == apply_bender_knuth(t, range(k - 1, 0, -1))
+                    assert demote(t, k) == apply_bender_knuth(t, range(1, k))
+                    assert evacuate(t, k) == apply_bender_knuth(t, evac_word)
 
 
 class TestExtendedDescentRotation:
