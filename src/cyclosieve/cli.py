@@ -214,12 +214,16 @@ def _cmd_kl(config: RunConfig) -> int:
             print("pairs:", len(triples))
         return EXIT_PASS
     if config.family == "kl-verify-promotion":
-        report = verify_promotion_identity(config.shape(), allow_large=allow_large)
+        report = verify_promotion_identity(
+            config.shape(), allow_large=allow_large, cap=config.cap
+        )
         return _emit_dict(report.to_dict(), config.as_json)
     if config.family == "kl-mu-invariance":
-        report = mu_promotion_invariance(config.shape(), allow_large=allow_large)
+        report = mu_promotion_invariance(
+            config.shape(), allow_large=allow_large, cap=config.cap
+        )
         return _emit_dict(report.to_dict(), config.as_json)
-    report = vanishing_criterion_check(config.parameters["rank"])
+    report = vanishing_criterion_check(config.parameters["rank"], allow_large=allow_large)
     return _emit_dict(report.to_dict(), config.as_json)
 
 
@@ -238,7 +242,7 @@ def _cmd_ribbon(config: RunConfig) -> int:
         else:
             print(value)
         return EXIT_PASS
-    report = kf_root_of_unity_check(shape, config.content(), size)
+    report = kf_root_of_unity_check(shape, config.content(), size, cap=config.cap)
     return _emit_dict(report.to_dict(), config.as_json)
 
 
@@ -309,6 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_kl)
     p = kl_sub.add_parser("immanants")
     add_common(p, rank=True)
+    p.add_argument("--allow-large", action="store_true", help="permit rank 7")
     p.set_defaults(func=_cmd_kl)
 
     p_rib = sub.add_parser("ribbon", help="ribbon tableau counts and KF checks")

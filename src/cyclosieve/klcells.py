@@ -206,7 +206,8 @@ def kl_table(n: int, allow_large: bool = False) -> KLTable:
     """Build (and memoize) the KL table for S_n; rank 7 sits behind a flag."""
     if n > DEFAULT_RANK_CAP and not allow_large:
         raise ValueError(
-            f"rank {n} exceeds the default cap {DEFAULT_RANK_CAP}; pass allow_large=True"
+            f"rank {n} exceeds the default cap {DEFAULT_RANK_CAP}; pass allow_large=True "
+            "(--allow-large on the command line)"
         )
     if n > 7:
         raise ValueError("ranks above 7 are not supported")
@@ -381,7 +382,9 @@ def _kl_basis_long_cycle_coefficient(shape: Partition, table: KLTable) -> int:
     return result
 
 
-def verify_promotion_identity(shape: Partition, allow_large: bool = False) -> PromotionMatrixReport:
+def verify_promotion_identity(
+    shape: Partition, allow_large: bool = False, cap: Optional[int] = None
+) -> PromotionMatrixReport:
     """Check rho(c_n) = (-1)^(a-1) J on the cellular module of a rectangle.
 
     Also checks the induced formula for the affine generator (1, n) against
@@ -393,8 +396,8 @@ def verify_promotion_identity(shape: Partition, allow_large: bool = False) -> Pr
         raise ValueError("the promotion identity concerns rectangular shapes")
     n = shape.size
     a = len(shape)
+    basis = enumerate_syt(shape, cap=cap)
     table = kl_table(n, allow_large=allow_large)
-    basis = enumerate_syt(shape)
     idx = {t: i for i, t in enumerate(basis)}
     dim = len(basis)
     sign = (-1) ** (a - 1)
@@ -472,12 +475,14 @@ class MuInvarianceReport:
         }
 
 
-def mu_promotion_invariance(shape: Partition, allow_large: bool = False) -> MuInvarianceReport:
+def mu_promotion_invariance(
+    shape: Partition, allow_large: bool = False, cap: Optional[int] = None
+) -> MuInvarianceReport:
     """Exhaustively compare mu[P,Q] with mu[j(P),j(Q)] over a shape."""
     shape = Partition(shape)
     n = shape.size
+    basis = enumerate_syt(shape, cap=cap)
     table = kl_table(n, allow_large=allow_large)
-    basis = enumerate_syt(shape)
     mu_of = {}
     t0 = basis[0]
     words = {t: rsk_inverse(t, t0) for t in basis}
@@ -637,11 +642,13 @@ def _compositions(total: int, max_len: int) -> list[Composition]:
     return out
 
 
-def vanishing_criterion_check(n: int, table: Optional[KLTable] = None) -> VanishingReport:
+def vanishing_criterion_check(
+    n: int, table: Optional[KLTable] = None, allow_large: bool = False
+) -> VanishingReport:
     """Imm_w(x_{alpha,1^n}) = 0 iff the recording tableau is not
     alpha-semistandardizable, checked over all w and alpha."""
     if table is None:
-        table = kl_table(n)
+        table = kl_table(n, allow_large=allow_large)
     ones = Composition((1,) * n)
     mismatches = []
     cases = 0

@@ -285,9 +285,9 @@ def _charge_word(t: Tableau) -> tuple[int, ...]:
 
 
 @cache
-def _kostka_foulkes_sorted(shape: Partition, mu: Partition) -> IntPolynomial:
+def _kostka_foulkes_sorted(shape: Partition, mu: Partition, cap: Optional[int]) -> IntPolynomial:
     coeffs: dict[int, int] = {}
-    for t in enumerate_cst(shape, len(mu), Composition(mu)):
+    for t in enumerate_cst(shape, len(mu), Composition(mu), cap=cap):
         c = charge(_charge_word(t))
         coeffs[c] = coeffs.get(c, 0) + 1
     if not coeffs:
@@ -298,7 +298,7 @@ def _kostka_foulkes_sorted(shape: Partition, mu: Partition) -> IntPolynomial:
     return IntPolynomial(out)
 
 
-def kostka_foulkes(shape: Partition, alpha: Composition) -> IntPolynomial:
+def kostka_foulkes(shape: Partition, alpha: Composition, cap: Optional[int] = None) -> IntPolynomial:
     """K_{shape, alpha}(q), the charge generating function.
 
     Kostka-Foulkes polynomials do not depend on the ordering of alpha, so the
@@ -308,7 +308,7 @@ def kostka_foulkes(shape: Partition, alpha: Composition) -> IntPolynomial:
     alpha = Composition(alpha)
     if alpha.size != shape.size:
         raise ValueError("content size must match shape size")
-    return _kostka_foulkes_sorted(shape, alpha.sorted_partition())
+    return _kostka_foulkes_sorted(shape, alpha.sorted_partition(), cap)
 
 
 def _beta_set(shape: Partition, length: int) -> tuple[int, ...]:

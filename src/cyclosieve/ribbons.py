@@ -305,7 +305,9 @@ def reduced_content(alpha: Composition, d: int) -> Optional[Composition]:
     return Composition(parts)
 
 
-def kf_root_of_unity_check(shape: Partition, alpha: Composition, d: int) -> KFRootReport:
+def kf_root_of_unity_check(
+    shape: Partition, alpha: Composition, d: int, cap: Optional[int] = None
+) -> KFRootReport:
     """Compare |K_{shape,alpha}| at an order-d root of unity with the
     d-ribbon tableau count of the reduced content.
 
@@ -320,7 +322,7 @@ def kf_root_of_unity_check(shape: Partition, alpha: Composition, d: int) -> KFRo
     alpha = Composition(alpha)
     if d < 1:
         raise ValueError("the root order must be positive")
-    value = as_integer(eval_at_root(kostka_foulkes(shape, alpha), d, 1))
+    value = as_integer(eval_at_root(kostka_foulkes(shape, alpha, cap), d, 1))
     reduced = reduced_content(alpha, d)
     if reduced is None:
         note = (

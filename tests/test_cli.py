@@ -37,6 +37,8 @@ class TestExitCodes:
     def test_usage_error_is_two(self, capsys):
         assert run(["csp", "cst", "--shape", "2,2"]) == 2  # missing --bound
         assert run(["nonsense"]) == 2
+        assert run(["kl", "immanants", "--rank", "7"]) == 2
+        assert "--allow-large" in capsys.readouterr().err
 
     def test_unordered_parts_are_normalized(self, capsys):
         assert parse_shape("1,2") == Partition((2, 1))
@@ -50,6 +52,10 @@ class TestExitCodes:
         assert run(["csp", "syt", "--shape", "4,4,4", "--cap", "5"]) == 2
         assert run(["csp", "cst", "--shape", "3,3", "--bound", "4", "--cap", "5"]) == 2
         assert run(["csp", "content", "--shape", "2,2", "--content", "1,1,1,1",
+                    "--power", "2", "--cap", "1"]) == 2
+        assert run(["kl", "verify-promotion", "--shape", "2,2", "--cap", "1"]) == 2
+        assert run(["kl", "mu-invariance", "--shape", "2,2", "--cap", "1"]) == 2
+        assert run(["ribbon", "kf-check", "--shape", "2,2", "--content", "1,1,1,1",
                     "--power", "2", "--cap", "1"]) == 2
 
 
@@ -101,6 +107,7 @@ class TestFamilies:
         assert run(["kl", "mu-invariance", "--shape", "2,2"]) == 0
         assert run(["kl", "mu-invariance", "--shape", "3,1"]) == 1
         assert run(["kl", "immanants", "--rank", "3"]) == 0
+        assert run(["kl", "immanants", "--rank", "3", "--allow-large"]) == 0
 
     def test_ribbon_subcommands(self, capsys):
         assert run(["ribbon", "count", "--shape", "2,2", "--power", "2",
@@ -113,6 +120,15 @@ class TestFamilies:
         monkeypatch.setenv("CYCLOSIEVE_CAP", "5")
         assert run(["enumerate", "syt", "--shape", "4,4,4"]) == 2
         assert run(["csp", "syt", "--shape", "2^4"]) == 2
+        kf_check = ["ribbon", "kf-check", "--shape", "2,2", "--content", "1,1,1,1",
+                    "--power", "2"]
+        monkeypatch.setenv("CYCLOSIEVE_CAP", "1")
+        assert run(["kl", "verify-promotion", "--shape", "2,2"]) == 2
+        assert run(["kl", "mu-invariance", "--shape", "2,2"]) == 2
+        assert run(kf_check) == 2
         monkeypatch.setenv("CYCLOSIEVE_CAP", "1000")
         assert run(["enumerate", "syt", "--shape", "4,4,4"]) == 0
         assert run(["csp", "syt", "--shape", "2^4"]) == 0
+        assert run(["kl", "verify-promotion", "--shape", "2,2"]) == 0
+        assert run(["kl", "mu-invariance", "--shape", "2,2"]) == 0
+        assert run(kf_check) == 0

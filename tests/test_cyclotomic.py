@@ -15,6 +15,16 @@ from cyclosieve import (
 
 small_polys = st.lists(st.integers(-9, 9), min_size=0, max_size=8).map(IntPolynomial)
 orders = st.integers(1, 12)
+# Long polynomials wrap around q^m - 1; monomials take the rotation paths.
+ring_polys = st.one_of(
+    st.lists(st.integers(-9, 9), min_size=0, max_size=30).map(IntPolynomial),
+    st.builds(IntPolynomial.monomial, st.integers(0, 30), st.integers(-9, 9)),
+)
+
+
+def reduced(m, p):
+    """The reference: reduce modulo Phi_m after every operation."""
+    return p.divmod(cyclotomic_polynomial(m))[1]
 
 
 class TestCyclotomicPolynomial:
@@ -113,3 +123,49 @@ class TestArithmetic:
             for d in range(m):
                 total = total + zeta(m, d)
             assert as_integer(total) == 0
+
+
+class TestAgainstReducedReference:
+    @given(ring_polys, ring_polys, orders)
+    @settings(max_examples=150, deadline=None)
+    def test_sum_difference_product(self, a, b, m):
+        x, y = CyclotomicElement(m, a), CyclotomicElement(m, b)
+        ra, rb = reduced(m, a), reduced(m, b)
+        assert x.residue == ra
+        assert (x + y).residue == reduced(m, ra + rb)
+        assert (x - y).residue == reduced(m, ra - rb)
+        assert (x * y).residue == reduced(m, ra * rb)
+
+    @given(ring_polys, orders, st.integers(0, 7))
+    @settings(max_examples=150, deadline=None)
+    def test_power(self, a, m, n):
+        ra = reduced(m, a)
+        expected = IntPolynomial.one()
+        for _ in range(n):
+            expected = reduced(m, expected * ra)
+        assert (CyclotomicElement(m, a) ** n).residue == expected
+
+    @given(ring_polys, small_polys, orders)
+    @settings(max_examples=80, deadline=None)
+    def test_equal_elements_hash_equally(self, a, b, m):
+        x = CyclotomicElement(m, a)
+        y = CyclotomicElement(m, a + cyclotomic_polynomial(m) * b)
+        assert x == y
+        assert hash(x) == hash(y)
+
+    def test_hash_ignores_the_unreduced_form(self):
+        for m in (2, 3, 4, 6, 12):
+            total = CyclotomicElement.from_int(m, 0)
+            for d in range(m):
+                total = total + zeta(m, d)
+            zero = CyclotomicElement.from_int(m, 0)
+            assert total == zero and hash(total) == hash(zero)
+        assert zeta(6, 2) == zeta(6) - 1
+        assert hash(zeta(6, 2)) == hash(zeta(6) - 1)
+        assert len({zeta(6, 2), zeta(6) - 1, zeta(6, 8)}) == 1
+
+    def test_residue_is_read_only(self):
+        x = zeta(5, 7)
+        assert repr(x) == "(z5^2)"
+        with pytest.raises(AttributeError):
+            x.residue = IntPolynomial.one()
