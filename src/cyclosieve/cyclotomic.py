@@ -171,7 +171,11 @@ class CyclotomicElement:
         )
 
     def __hash__(self) -> int:
-        return hash((self.order, self.residue))
+        residue = self.residue
+        if residue.degree <= 0:
+            # equal to an int, so hash like it
+            return hash(residue.coefficient(0))
+        return hash((self.order, residue))
 
     def __repr__(self) -> str:
         body = repr(self.residue).replace("q", f"z{self.order}")

@@ -9,15 +9,16 @@ the rank-table criterion, vectorized over the whole group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import permutations as _itertools_permutations
+from operator import add
 from typing import Optional
 
 import numpy as np
 
 from .jeudetaquin import is_semistandardizable, promote
-from .permutations import Permutation, long_element, rsk, rsk_inverse
+from .permutations import Permutation, rsk, rsk_inverse
 from .qpolys import IntPolynomial
 from .tableaux import Composition, Partition, Tableau, css, descent_set, enumerate_syt, extended_descent_set
 
@@ -28,34 +29,36 @@ _ONE: _Coeffs = (1,)
 _ZERO: _Coeffs = ()
 
 
-def _padd(a: _Coeffs, b: _Coeffs) -> _Coeffs:
-    if len(a) < len(b):
-        a, b = b, a
-    return tuple(x + (b[i] if i < len(b) else 0) for i, x in enumerate(a))
+def _plus_q_times(a: _Coeffs, b: _Coeffs) -> _Coeffs:
+    """a + q * b."""
+    if not b:
+        return a
+    if not a:
+        return (0, *b)
+    return (a[0], *map(add, a[1:], b), *b[len(a) - 1:], *a[len(b) + 1:])
 
 
-def _psub(a: _Coeffs, b: _Coeffs) -> _Coeffs:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
+def _minus_monomial_times(a: _Coeffs, c: int, k: int, b: _Coeffs) -> _Coeffs:
+    """a - c * q^k * b, without trailing zeros."""
+    out = list(a)
+    top = k + len(b)
+    if len(out) < top:
+        out.extend([0] * (top - len(out)))
+    for j, x in enumerate(b, k):
+        out[j] -= c * x
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
 
 
-def _pshift(a: _Coeffs, k: int) -> _Coeffs:
-    return ((0,) * k + a) if a else a
-
-
-def _pscale(a: _Coeffs, c: int) -> _Coeffs:
-    return tuple(x * c for x in a) if c else ()
-
-
 class KLTable:
-    """All Kazhdan-Lusztig polynomials P_{u,w} for a fixed S_n."""
+    """All Kazhdan-Lusztig polynomials P_{u,w} for a fixed S_n.
+
+    Permutations are addressed by their index in ``perms`` (sorted by length,
+    then one-line order).  ``_left[i - 1][w]`` is the index of s_i * w and
+    ``_w0_left[w]`` the index of w0 * w, so the build and the queries never
+    rebuild a permutation tuple.
+    """
 
     def __init__(self, n: int):
         self.n = n
@@ -68,85 +71,87 @@ class KLTable:
         self.lengths = [
             sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j]) for p in self.perms
         ]
-        rank = np.empty((len(self.perms), n * n), dtype=np.int8)
-        for idx, p in enumerate(self.perms):
-            row = []
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    row.append(sum(1 for a in range(i) if p[a] >= j))
-            rank[idx] = row
+        # rank[w, (i-1)*n + (j-1)] counts the a <= i with w(a) >= j
+        size = len(self.perms)
+        above = np.array(self.perms, dtype=np.int8).reshape(size, n, 1) >= np.arange(1, n + 1)
+        rank = np.cumsum(above, axis=1, dtype=np.int8).reshape(size, n * n)
         # column-blocked comparison keeps the peak memory linear in the group
         self._leq = np.empty((len(self.perms), len(self.perms)), dtype=bool)
         for w in range(len(self.perms)):
             self._leq[:, w] = np.all(rank <= rank[w], axis=1)
-        # left descent bitmask: bit i-1 set iff i+1 precedes i in one-line order
-        self._ldesc = []
-        for p in self.perms:
-            pos = {v: a for a, v in enumerate(p)}
-            mask = 0
-            for i in range(1, n):
-                if pos[i] > pos[i + 1]:
-                    mask |= 1 << (i - 1)
-            self._ldesc.append(mask)
-        self._polys: dict[tuple[int, int], _Coeffs] = {}
+        index = self.index
+        self._left: list[list[int]] = [
+            [index[tuple(i + 1 if v == i else i if v == i + 1 else v for v in p)] for p in self.perms]
+            for i in range(1, n)
+        ]
+        self._w0_left: list[int] = [index[tuple(n + 1 - v for v in p)] for p in self.perms]
+        # left descent bitmask: bit i-1 set iff s_i * w is shorter than w,
+        # that is, has a smaller index
+        self._ldesc = [
+            sum(1 << i for i, s in enumerate(self._left) if s[w] < w)
+            for w in range(len(self.perms))
+        ]
+        # _polys[w] maps u to P_{u,w}; only polynomials other than 1 are stored
+        self._polys: list[dict[int, _Coeffs]] = [{} for _ in self.perms]
         self._mu_lists: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._supports: dict[int, tuple[tuple[int, int], ...]] = {}
         self._build()
 
     # -- construction -------------------------------------------------------
-
-    def _swap_values(self, idx: int, i: int) -> int:
-        """Index of s_i * w (values i and i+1 exchanged)."""
-        p = self.perms[idx]
-        swapped = tuple(i + 1 if v == i else i if v == i + 1 else v for v in p)
-        return self.index[swapped]
 
     def _coeffs(self, u: int, w: int) -> _Coeffs:
         if u == w:
             return _ONE
         if not self._leq[u, w]:
             return _ZERO
-        # only polynomials different from 1 are stored
-        return self._polys.get((u, w), _ONE)
+        return self._polys[w].get(u, _ONE)
 
     def _build(self) -> None:
         leq = self._leq
         lengths = self.lengths
         ldesc = self._ldesc
+        polys = self._polys
+        # bit u of lower[w] is set iff u <= w; build-time only
+        lower = [
+            int.from_bytes(np.packbits(leq[:, w], bitorder="little").tobytes(), "little")
+            for w in range(len(self.perms))
+        ]
         for w, pw in enumerate(self.perms):
             if lengths[w] == 0:
                 self._mu_lists[w] = ()
                 continue
             i = (ldesc[w] & -ldesc[w]).bit_length()  # smallest left descent
-            v = self._swap_values(w, i)
+            s = self._left[i - 1]
+            v = s[w]
             bit = 1 << (i - 1)
+            lw = lengths[w]
+            lower_v, col_v, col_w = lower[v], polys[v], polys[w]
             mu_v = [
-                (z, mu, (lengths[w] - lengths[z]) // 2)
+                (z, mu, (lw - lengths[z]) // 2, lower[z], polys[z])
                 for z, mu in self._mu_lists[v]
                 if ldesc[z] & bit
             ]
-            below = np.nonzero(leq[:, w])[0]
-            lw = lengths[w]
             mus: list[tuple[int, int]] = []
-            for u in below:
-                u = int(u)
+            for u in np.flatnonzero(leq[:, w]).tolist():
                 if u == w:
                     continue
-                su = self._swap_values(u, i)
-                c = 1 if ldesc[u] & bit else 0
-                total = _padd(
-                    _pshift(self._coeffs(su, v), 1 - c),
-                    _pshift(self._coeffs(u, v), c),
-                )
-                for z, mu, half in mu_v:
-                    if leq[u, z]:
-                        total = _psub(total, _pshift(_pscale(self._coeffs(u, z), mu), half))
+                su = s[u]
+                p_su = col_v.get(su, _ONE) if lower_v >> su & 1 else _ZERO
+                p_u = col_v.get(u, _ONE) if lower_v >> u & 1 else _ZERO
+                if ldesc[u] & bit:  # c = 1 in the recursion
+                    total = _plus_q_times(p_su, p_u)
+                else:
+                    total = _plus_q_times(p_u, p_su)
+                for z, mu, half, lower_z, col_z in mu_v:
+                    if lower_z >> u & 1:
+                        total = _minus_monomial_times(total, mu, half, col_z.get(u, _ONE))
                 bound = (lw - lengths[u] - 1) // 2
                 if len(total) - 1 > bound:
                     raise AssertionError(
                         f"degree bound violated at {self.perms[u]} <= {pw}: {total}"
                     )
                 if total != _ONE:
-                    self._polys[(u, w)] = total
+                    col_w[u] = total
                 if (lw - lengths[u]) % 2 == 1:
                     mu_val = total[bound] if bound < len(total) else 0
                     if mu_val:
@@ -177,6 +182,21 @@ class KLTable:
         bound = (diff - 1) // 2
         return coeffs[bound] if bound < len(coeffs) else 0
 
+    def _signed_support(self, w: int) -> tuple[tuple[int, int], ...]:
+        """Pairs (v, (-1)^(l(v)-l(w)) P_{w0 v, w0 w}(1)) over v >= w with a
+        nonzero value, in one-line order of v; memoized per w."""
+        support = self._supports.get(w)
+        if support is None:
+            w0, lengths = self._w0_left, self.lengths
+            pairs = []
+            for v in np.flatnonzero(self._leq[w]).tolist():
+                value = sum(self._coeffs(w0[v], w0[w]))
+                if value:
+                    pairs.append((v, (-1) ** (lengths[v] - lengths[w]) * value))
+            support = tuple(sorted(pairs, key=lambda pair: self.perms[pair[0]]))
+            self._supports[w] = support
+        return support
+
     def mu_sym(self, u: Permutation, w: Permutation) -> int:
         return max(self.mu(u, w), self.mu(w, u))
 
@@ -186,24 +206,26 @@ class KLTable:
     def dump_triples(self) -> list[dict]:
         """JSON-friendly {u, v, coeffs} triples over all comparable pairs."""
         out = []
-        for w in range(len(self.perms)):
-            for u in np.nonzero(self._leq[:, w])[0]:
-                u = int(u)
+        for w, col in enumerate(self._polys):
+            for u in np.flatnonzero(self._leq[:, w]).tolist():
                 if u == w:
                     continue
                 out.append(
                     {
                         "u": list(self.perms[u]),
                         "v": list(self.perms[w]),
-                        "coeffs": list(self._coeffs(u, w)),
+                        "coeffs": list(col.get(u, _ONE)),
                     }
                 )
         return out
 
 
-@cache
 def kl_table(n: int, allow_large: bool = False) -> KLTable:
-    """Build (and memoize) the KL table for S_n; rank 7 sits behind a flag."""
+    """The memoized KL table for S_n; rank 7 sits behind a flag.
+
+    The memo is keyed by the rank alone, so every call form for one rank
+    shares one build; ``kl_table.cache_info()`` reports on it.
+    """
     if n > DEFAULT_RANK_CAP and not allow_large:
         raise ValueError(
             f"rank {n} exceeds the default cap {DEFAULT_RANK_CAP}; pass allow_large=True "
@@ -211,7 +233,12 @@ def kl_table(n: int, allow_large: bool = False) -> KLTable:
         )
     if n > 7:
         raise ValueError("ranks above 7 are not supported")
-    return KLTable(n)
+    return _kl_table(n)
+
+
+_kl_table = cache(KLTable)
+kl_table.cache_info = _kl_table.cache_info
+kl_table.cache_clear = _kl_table.cache_clear
 
 
 # -- mu on tableaux and cellular matrices -----------------------------------
@@ -580,18 +607,10 @@ def kl_immanant(
         table = kl_table(n)
     rows = alpha.labels()
     cols = beta.labels()
-    wo = long_element(n)
-    wow = wo * w
-    lw = w.length()
+    perms = table.perms
     terms: dict[tuple[tuple[int, int], ...], int] = {}
-    for v in map(Permutation, _itertools_permutations(range(1, n + 1))):
-        if not table.leq(w, v):
-            continue
-        coeff = sum(table._coeffs(table._idx(wo * v), table._idx(wow)))
-        if not coeff:
-            continue
-        coeff *= (-1) ** (v.length() - lw)
-        mono = tuple(sorted((rows[i], cols[v[i] - 1]) for i in range(n)))
+    for v, coeff in table._signed_support(table._idx(w)):
+        mono = tuple(sorted(zip(rows, [cols[x - 1] for x in perms[v]])))
         terms[mono] = terms.get(mono, 0) + coeff
     return Immanant(terms)
 

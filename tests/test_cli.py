@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -80,6 +81,11 @@ class TestJsonOutput:
         code, data = self._json(capsys, ["kl", "table", "--rank", "3", "--json"])
         assert code == 0
         assert all(entry["coeffs"] == [1] for entry in data["polynomials"])
+
+    def test_kl_table_rank_5_dump_is_pinned(self, capsys):
+        assert run(["kl", "table", "--rank", "5", "--json"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "c5006369c9b57a0080ad6371052d2cbd3d8736b11815bd23e657b2d625e3f81b"
 
     def test_stability_across_runs(self, capsys):
         run(["csp", "handshake", "4", "--json"])

@@ -164,6 +164,21 @@ class TestAgainstReducedReference:
         assert hash(zeta(6, 2)) == hash(zeta(6) - 1)
         assert len({zeta(6, 2), zeta(6) - 1, zeta(6, 8)}) == 1
 
+    def test_constant_elements_hash_like_ints(self):
+        x = zeta(3, 0) * 0
+        assert x == 0 and len({x, 0}) == 1
+        assert zeta(4, 0) * 5 == 5 and hash(zeta(4, 0) * 5) == hash(5)
+        for m in (2, 3, 6, 12):
+            total = sum((zeta(m, d) for d in range(m)), zeta(m, 0) * 7)
+            assert total == 7 and hash(total) == hash(7)
+
+    @given(st.integers(-50, 50), small_polys, orders)
+    @settings(max_examples=80, deadline=None)
+    def test_elements_equal_to_an_int_hash_like_it(self, c, b, m):
+        x = CyclotomicElement(m, IntPolynomial((c,)) + cyclotomic_polynomial(m) * b)
+        assert x == c
+        assert hash(x) == hash(c)
+
     def test_residue_is_read_only(self):
         x = zeta(5, 7)
         assert repr(x) == "(z5^2)"

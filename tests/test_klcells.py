@@ -2,7 +2,7 @@ from itertools import permutations as itertools_permutations
 
 import pytest
 
-from conftest import all_partitions_up_to, rectangles_up_to
+from conftest import all_partitions_up_to, compositions_of, rectangles_up_to
 
 from cyclosieve import (
     Composition,
@@ -18,6 +18,7 @@ from cyclosieve import (
 )
 from cyclosieve.klcells import (
     CellMatrix,
+    Immanant,
     cell_generator_matrix,
     kl_immanant,
     kl_table,
@@ -28,6 +29,7 @@ from cyclosieve.klcells import (
     verify_promotion_identity,
     _identity_matrix,
     _mat_mul,
+    _mu_matrix,
 )
 from cyclosieve.jeudetaquin import evacuate
 from cyclosieve.permutations import rsk_inverse
@@ -88,11 +90,12 @@ class TestTableAxioms:
         table = kl_table(n)
         for u in all_perms(n):
             assert table.poly(u, u) == IntPolynomial.one()  # normalization
-        for (ui, wi), coeffs in table._polys.items():
-            lu, lw = table.lengths[ui], table.lengths[wi]
-            assert table._leq[ui, wi]  # Bruhat compatibility of storage
-            assert len(coeffs) - 1 <= (lw - lu - 1) // 2  # degree bound
-            assert coeffs[0] >= 1  # constant term positive for u <= w
+        for wi, column in enumerate(table._polys):
+            for ui, coeffs in column.items():
+                lu, lw = table.lengths[ui], table.lengths[wi]
+                assert table._leq[ui, wi]  # Bruhat compatibility of storage
+                assert len(coeffs) - 1 <= (lw - lu - 1) // 2  # degree bound
+                assert coeffs[0] >= 1  # constant term positive for u <= w
         # vanishing outside the order
         for u in all_perms(n):
             for w in all_perms(n):
@@ -101,12 +104,33 @@ class TestTableAxioms:
 
     def test_s6_degree_bound_holds_storewide(self):
         table = kl_table(6)
-        for (ui, wi), coeffs in table._polys.items():
-            assert len(coeffs) - 1 <= (table.lengths[wi] - table.lengths[ui] - 1) // 2
+        for wi, column in enumerate(table._polys):
+            for ui, coeffs in column.items():
+                assert len(coeffs) - 1 <= (table.lengths[wi] - table.lengths[ui] - 1) // 2
 
     def test_rank_cap(self):
         with pytest.raises(ValueError):
             kl_table(7)
+
+    def test_one_build_per_rank(self):
+        """Every call form of kl_table for one rank shares one memo entry."""
+        kl_table.cache_clear()
+        _mu_matrix.cache_clear()
+        assert verify_promotion_identity(Partition((2, 2))).ok
+        assert kl_table.cache_info().misses == 1
+        assert kl_table(4) is kl_table(4, allow_large=True) is kl_table(n=4)
+        assert kl_table.cache_info().misses == 1
+
+    def test_index_tables(self):
+        for n in range(1, 6):
+            table = kl_table(n)
+            wo = long_element(n)
+            for w in all_perms(n):
+                wi = table._idx(w)
+                assert table.perms[table._w0_left[wi]] == wo * w
+                for i in range(1, n):
+                    assert table.perms[table._left[i - 1][wi]] == simple(i, n) * w
+                assert table._ldesc[wi] == sum(1 << (i - 1) for i in w.left_descents())
 
 
 class TestMu:
@@ -345,6 +369,45 @@ class TestImmanants:
                             rhs = rhs + imms[tuple(z)].scale(m)
                 assert lhs == rhs, (w, i)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_permutation_walk_oracle(self, n):
+        """The memoized signed supports give the same immanants as walking
+        every permutation of S_n."""
+        table = kl_table(n)
+        betas = [Composition((1,) * n)]
+        if n >= 2:
+            betas.append(Composition((2,) + (1,) * (n - 2)))
+        alphas = [
+            alpha
+            for length in range(1, n + 1)
+            for alpha in compositions_of(n, length, allow_zero=False)
+        ]
+        for w in all_perms(n):
+            for alpha in alphas:
+                for beta in betas:
+                    expected = _kl_immanant_by_walk(w, alpha, beta, table)
+                    assert kl_immanant(w, alpha, beta, table).terms == expected.terms
+
+
+def _kl_immanant_by_walk(w, alpha, beta, table):
+    """Test oracle: Imm_w(x_{alpha,beta}) by walking all n! permutations v and
+    keeping those with w <= v, each weighted by
+    (-1)^(l(v)-l(w)) P_{w0 v, w0 w}(1)."""
+    n = len(w)
+    rows, cols = alpha.labels(), beta.labels()
+    wo = long_element(n)
+    terms = {}
+    for v in all_perms(n):
+        if not table.leq(w, v):
+            continue
+        coeff = sum(table.poly(wo * v, wo * w).coeffs)
+        if not coeff:
+            continue
+        coeff *= (-1) ** (v.length() - w.length())
+        mono = tuple(sorted((rows[i], cols[v[i] - 1]) for i in range(n)))
+        terms[mono] = terms.get(mono, 0) + coeff
+    return Immanant(terms)
+
 
 class TestVanishingCriterion:
     def test_n3_matches_semistandardizability(self):
@@ -354,6 +417,10 @@ class TestVanishingCriterion:
     def test_n4_exhaustive(self):
         report = vanishing_criterion_check(4)
         assert report.holds and report.cases_checked == 192
+
+    def test_n5_exhaustive(self):
+        report = vanishing_criterion_check(5)
+        assert report.holds and report.cases_checked == 1920
 
     def test_all_ones_never_vanishes(self):
         table = kl_table(4)
