@@ -164,11 +164,13 @@ class CyclotomicElement:
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = CyclotomicElement.from_int(self.order, other)
-        return (
-            isinstance(other, CyclotomicElement)
-            and self.order == other.order
-            and self.residue == other.residue
-        )
+        if not isinstance(other, CyclotomicElement):
+            return False
+        if self.order == other.order:
+            return self.residue == other.residue
+        # Across orders only integers compare equal, as in __hash__.
+        constants = self.residue.degree <= 0 and other.residue.degree <= 0
+        return constants and self.residue == other.residue
 
     def __hash__(self) -> int:
         residue = self.residue

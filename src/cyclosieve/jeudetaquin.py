@@ -16,13 +16,23 @@ others:
   row-major order, removing each one from the end of the row where it stops.
 
 Row-strict promotion is conjugation by transposition.
+
+Orbit walks promote a whole enumerated set at once with
+:func:`promotion_permutation`, which holds the set as one small-integer
+array of row-reading words and slides the holes of every tableau together,
+column by column, with the same rule.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import cache
+from itertools import chain, repeat
+from operator import attrgetter
+from typing import NamedTuple, Optional, Sequence
 
-from .tableaux import Composition, Tableau, _slide, descent_set
+import numpy as np
+
+from .tableaux import Composition, Partition, Tableau, _slide, descent_set
 
 
 def _holes(grid: list[list]) -> list[tuple[int, int]]:
@@ -56,6 +66,128 @@ def promote_power(t: Tableau, k: int, d: int) -> Tableau:
     for _ in range(abs(d)):
         t = promote(t, k) if d > 0 else demote(t, k)
     return t
+
+
+class _Cells(NamedTuple):
+    """Index tables over the row-reading word of a shape.  A packed word
+    has two more entries after its n cells: an always-empty sentinel at
+    index n and the bound k + 1 at index n + 1."""
+
+    north: np.ndarray  # the north neighbour of every cell, or the sentinel
+    west: np.ndarray  # the west neighbour of every cell, or the sentinel
+    bottom: np.ndarray  # the bottom cell of every column
+    reach: list[int]  # 1 + the most steps a hole takes from each column's bottom
+    weak: np.ndarray  # 2 x m: (west, east) of every horizontal domino
+    strict: np.ndarray  # 2 x m: (north, south) of every vertical domino, and (bottom, bound)
+
+
+@cache
+def _cells(shape: tuple[int, ...]) -> _Cells:
+    n = sum(shape)
+    north, west = [n] * (n + 1), [n] * (n + 1)
+    start = 0
+    for r, length in enumerate(shape):
+        for i in range(start, start + length):
+            if r:
+                north[i] = i - shape[r - 1]
+            if i > start:
+                west[i] = i - 1
+        start += length
+    heights = [sum(1 for length in shape if length > c) for c in range(shape[0] if shape else 0)]
+    bottom = [c + sum(shape[:height - 1]) for c, height in enumerate(heights)]
+    weak = [(west[i], i) for i in range(n) if west[i] < n]
+    strict = [(north[i], i) for i in range(n) if north[i] < n] + [(b, n + 1) for b in bottom]
+    return _Cells(
+        np.array(north, dtype=np.intp),
+        np.array(west, dtype=np.intp),
+        np.array(bottom, dtype=np.intp),
+        [height + c for c, height in enumerate(heights)],
+        np.array(weak, dtype=np.intp).reshape(-1, 2).T,
+        np.array(strict, dtype=np.intp).reshape(-1, 2).T,
+    )
+
+
+def _pack(elements: Sequence[Tableau], shape: tuple[int, ...], k: int) -> np.ndarray:
+    """The packed row-reading words of ``elements``, one per row of an array
+    of the smallest integer type that holds k + 1, after checking each
+    element with the test of ``Tableau.is_column_strict(k)``."""
+    rows = attrgetter("rows")
+    count, n = len(elements), sum(shape)
+    if list(map(len, chain.from_iterable(map(rows, elements)))) != list(shape) * count:
+        raise ValueError(f"not every tableau has shape {shape}")
+    invalid = ValueError(f"not a column-strict tableau with entries <= {k}")
+    dtype = np.int8 if k < 2**7 - 1 else np.int16 if k < 2**15 - 1 else np.int64
+    padded = zip(map(rows, elements), repeat(((0, k + 1),)))
+    entries = chain.from_iterable(chain.from_iterable(chain.from_iterable(padded)))
+    try:
+        words = np.fromiter(entries, dtype, count * (n + 2)).reshape(count, n + 2)
+    except OverflowError:  # an entry outside the type, hence above k or far below 1
+        raise invalid from None
+    cells = _cells(shape)
+    (west, east), (north, south) = cells.weak, cells.strict
+    rows_fall = (words.take(west, 1) > words.take(east, 1)).any()
+    if rows_fall or (words.take(north, 1) >= words.take(south, 1)).any():
+        raise invalid
+    return words
+
+
+def _promote_words(words: np.ndarray, shape: tuple[int, ...], k: int, power: int) -> np.ndarray:
+    """Promote every packed word of ``words`` ``power`` times.
+
+    The holes of a column slide together with the rule of
+    :func:`tableaux._slide`: the larger of the north and west neighbours
+    moves in, north on ties.  A step copies that neighbour into the hole's
+    cell and moves the hole there; the copy left behind is overwritten by
+    the next step.  A hole whose two neighbours are empty takes their 0 and
+    keeps stepping north through empty cells, which moves no entry, until
+    the column's longest slide is over.
+    """
+    north, west, bottom, reach, _, _ = _cells(shape)
+    n = len(north) - 1
+    images = words.copy()
+    for _ in range(power):
+        # A column's k can only sit at its bottom, and a column keeps its
+        # entries until its own hole slides.
+        holes = images.take(bottom, 1) == k
+        for column in np.flatnonzero(holes.any(axis=0)):
+            which, at = np.flatnonzero(holes[:, column]), bottom[column]
+            for _ in range(reach[column]):
+                up, left = north[at], west[at]
+                up_value, left_value = images[which, up], images[which, left]
+                west_wins = left_value > up_value
+                images[which, at] = np.where(west_wins, left_value, up_value)
+                at = np.where(west_wins, left, up)
+        images[:, :n] += 1
+    return images
+
+
+def promotion_permutation(
+    elements: Sequence[Tableau], shape: Partition, k: int, power: int = 1
+) -> list[int]:
+    """The permutation by which ``promote_power(., k, power)`` acts on a set.
+
+    ``elements`` are distinct tableaux of the given shape, sorted by
+    row-reading word, as the enumerators return them.  Entry i of the result
+    is the index of the image of ``elements[i]``.  Raises ``ValueError`` when
+    an element is not column-strict with entries <= k, or when promotion
+    does not map the set onto itself.
+    """
+    shape = tuple(shape)
+    count = len(elements)
+    words = _pack(elements, shape, k)
+    images = _promote_words(words, shape, k, abs(power))
+    # The images, sorted, must be the elements themselves: then every image
+    # lies in the set and promotion permutes it.
+    order = np.lexsort(images.T[::-1])
+    images = images[order]
+    distinct = count < 2 or (words[1:] != words[:-1]).any(axis=1).all()
+    if not distinct or (images != words).any():
+        raise ValueError("promotion does not permute the given set of distinct, sorted tableaux")
+    if power < 0:  # element order[j] demotes to element j
+        return order.tolist()
+    generator = np.empty(count, dtype=np.intp)
+    generator[order] = np.arange(count)
+    return generator.tolist()
 
 
 def evacuate(t: Tableau, k: Optional[int] = None) -> Tableau:

@@ -14,7 +14,7 @@ from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
 
 from .cyclotomic import as_integer, eval_at_root
-from .jeudetaquin import evacuate, promote, promote_power
+from .jeudetaquin import evacuate, promote, promotion_permutation
 from .qpolys import (
     IntPolynomial,
     kappa,
@@ -38,17 +38,29 @@ from .tableaux import (
 
 
 class FiniteAction:
-    """A finite set with a distinguished permutation generating a cyclic action."""
+    """A finite set with a distinguished permutation generating a cyclic action.
 
-    def __init__(self, elements: Sequence, generator: Callable):
+    ``generator`` is either a map on the elements or the permutation itself,
+    as the sequence of the indices of the elements' images.
+    """
+
+    def __init__(self, elements: Sequence, generator: Callable | Sequence[int]):
         self.elements = list(elements)
-        index = {x: i for i, x in enumerate(self.elements)}
-        if len(index) != len(self.elements):
-            raise ValueError("elements are not distinct")
-        self.generator: tuple[int, ...] = tuple(index[generator(x)] for x in self.elements)
+        if callable(generator):
+            index = {x: i for i, x in enumerate(self.elements)}
+            if len(index) != len(self.elements):
+                raise ValueError("elements are not distinct")
+            generator = [index[generator(x)] for x in self.elements]
+        self.generator: tuple[int, ...] = tuple(generator)
+        n = len(self.elements)
+        not_bijective = ValueError("the generator is not a bijection of the elements")
+        if len(self.generator) != n or (
+            n and not 0 <= min(self.generator) <= max(self.generator) < n
+        ):
+            raise not_bijective
         self._cycle_lengths: list[int] = []
-        seen = [False] * len(self.elements)
-        for start in range(len(self.elements)):
+        seen = [False] * n
+        for start in range(n):
             if seen[start]:
                 continue
             size = 0
@@ -57,6 +69,8 @@ class FiniteAction:
                 seen[i] = True
                 i = self.generator[i]
                 size += 1
+            if i != start:  # every walk closes into a cycle iff the map is a bijection
+                raise not_bijective
             self._cycle_lengths.append(size)
         order = 1
         for size in self._cycle_lengths:
@@ -192,8 +206,8 @@ def default_csp_polynomial(action: FiniteAction) -> IntPolynomial:
 
 def syt_promotion_action(shape: Partition, cap: Optional[int] = None) -> FiniteAction:
     shape = Partition(shape)
-    n = shape.size
-    return FiniteAction(enumerate_syt(shape, cap=cap), lambda t: promote(t, n))
+    elements = enumerate_syt(shape, cap=cap)
+    return FiniteAction(elements, promotion_permutation(elements, shape, shape.size))
 
 
 def promotion_action(
@@ -209,21 +223,17 @@ def promotion_action(
     if content is None:
         if power != 1:
             raise ValueError("powers other than 1 require a fixed content")
-        return FiniteAction(
-            enumerate_cst(shape, bound, cap=cap), lambda t: promote(t, bound)
-        )
-    content = Composition(content)
-    if bound % power:
-        raise ValueError(f"power {power} must divide the bound {bound}")
-    k = len(content)
-    if k != bound:
-        raise ValueError("content length must equal the bound")
-    if any(content[i] != content[(i + power) % k] for i in range(k)):
-        raise ValueError(f"content {tuple(content)} lacks cyclic symmetry of order {power}")
-    return FiniteAction(
-        enumerate_cst(shape, bound, content, cap=cap),
-        lambda t: promote_power(t, bound, power),
-    )
+    else:
+        content = Composition(content)
+        if bound % power:
+            raise ValueError(f"power {power} must divide the bound {bound}")
+        k = len(content)
+        if k != bound:
+            raise ValueError("content length must equal the bound")
+        if any(content[i] != content[(i + power) % k] for i in range(k)):
+            raise ValueError(f"content {tuple(content)} lacks cyclic symmetry of order {power}")
+    elements = enumerate_cst(shape, bound, content, cap=cap)
+    return FiniteAction(elements, promotion_permutation(elements, shape, bound, power))
 
 
 def syt_csp_report(

@@ -87,6 +87,17 @@ class TestJsonOutput:
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "c5006369c9b57a0080ad6371052d2cbd3d8736b11815bd23e657b2d625e3f81b"
 
+    @pytest.mark.parametrize("argv, digest", [
+        ("csp syt --shape 4^4 --json", "b1015585abcb602e42d5f80dd2d7c746f6c29a147719188df3000dc951769e59"),
+        ("csp cst --shape 3,3 --bound 4 --json", "d1ad281816dd9c2a0b10bcaafcd49131f5b72b2b080c34373e2fd32d7f34eb8c"),
+        ("csp content --shape 2,2,2 --content 1,2,1,2 --power 2 --json",
+         "a68b8692ed1db582deddc87a2ce869b762755f806645cc27c6525d736ba3f66d"),
+    ], ids=["syt-4^4", "cst-3,3-bound-4", "content-2,2,2-power-2"])
+    def test_promotion_reports_are_pinned(self, capsys, argv, digest):
+        """SHA-256 of outputs recorded before promotion moved to the set-level kernel."""
+        assert run(argv.split()) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_stability_across_runs(self, capsys):
         run(["csp", "handshake", "4", "--json"])
         first = capsys.readouterr().out

@@ -179,6 +179,15 @@ class TestAgainstReducedReference:
         assert x == c
         assert hash(x) == hash(c)
 
+    def test_integers_are_equal_across_orders(self):
+        a, b = zeta(3, 0) * 5, zeta(4, 0) * 5
+        assert a == 5 and b == 5 and a == b and b == a
+        assert len({a, b, 5}) == len({5, a, b}) == 1
+        assert zeta(3, 0) * 0 == zeta(7, 0) * 0
+        assert zeta(4, 2) == zeta(2, 1) == -1
+        assert a != zeta(4, 0) * 6
+        assert zeta(3) != zeta(6, 2)  # equal in C, but non-integers compare only within an order
+
     def test_residue_is_read_only(self):
         x = zeta(5, 7)
         assert repr(x) == "(z5^2)"

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from conftest import all_partitions_up_to, compositions_of, rectangles_up_to
@@ -21,6 +24,7 @@ from cyclosieve import (
     semistandardize,
     standardize,
 )
+from cyclosieve.jeudetaquin import promotion_permutation
 
 T_EXAMPLE = Tableau([(1, 1, 3, 4), (3, 3, 4, 6), (4, 5, 5), (6,)])
 
@@ -270,3 +274,110 @@ class TestRowStrictPromotion:
     def test_round_trip(self):
         for t in enumerate_rst(Partition((2, 2)), 4):
             assert demote_rst(promote_rst(t, 4), 4) == t
+
+
+def _permutation_by_promote(elements, k, power=1):
+    """The oracle: apply the per-tableau promote_power and look each image up."""
+    index = {t: i for i, t in enumerate(elements)}
+    return [index[promote_power(t, k, power)] for t in elements]
+
+
+def _benchmark_content_cases():
+    """(shape, content, power) of every ``csp content`` op of the benchmark's
+    cst workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cases = []
+    for op in workloads.cst_ops():
+        if op[:2] == ("csp", "content"):
+            option = dict(zip(op[2::2], op[3::2]))
+            cases.append((
+                Partition(int(p) for p in option["--shape"].split(",")),
+                Composition(int(a) for a in option["--content"].split(",")),
+                int(option["--power"]),
+            ))
+    return cases
+
+
+class TestPromotionPermutation:
+    """The set-level kernel against the per-tableau promote/promote_power."""
+
+    def test_every_syt_up_to_10_cells(self):
+        for lam in all_partitions_up_to(10):
+            tabs = enumerate_syt(lam)
+            assert promotion_permutation(tabs, lam, lam.size) == _permutation_by_promote(tabs, lam.size)
+
+    def test_every_cst_up_to_8_cells_and_bound_5(self):
+        for lam in all_partitions_up_to(8):
+            for k in range(1, 6):
+                tabs = enumerate_cst(lam, k)
+                assert promotion_permutation(tabs, lam, k) == _permutation_by_promote(tabs, k), (lam, k)
+
+    def test_benchmark_fixed_content_powers(self):
+        cases = _benchmark_content_cases()
+        assert cases
+        for lam, alpha, power in cases:
+            k = len(alpha)
+            tabs = enumerate_cst(lam, k, alpha)
+            expected = _permutation_by_promote(tabs, k, power)
+            assert promotion_permutation(tabs, lam, k, power) == expected, (lam, alpha, power)
+
+    def test_every_power_and_demotion(self):
+        lam = Partition((3, 2))
+        tabs = enumerate_cst(lam, 4)
+        for power in range(-5, 6):
+            assert promotion_permutation(tabs, lam, 4, power) == _permutation_by_promote(tabs, 4, power)
+
+    def test_edge_cases(self):
+        assert promotion_permutation(enumerate_cst(Partition((1, 1, 1)), 2), Partition((1, 1, 1)), 2) == []
+        assert promotion_permutation([Tableau([(1,)])], Partition((1,)), 1) == [0]
+        one_row = Partition((4,))
+        assert promotion_permutation(enumerate_cst(one_row, 1), one_row, 1) == [0]
+        assert promotion_permutation([Tableau([])], Partition(()), 3) == [0]
+
+    def test_entries_beyond_a_byte(self):
+        """k = 200 (the set of ``csp syt --shape 200``) needs a wider type
+        than int8; on two rows the big entries travel."""
+        row = Partition((200,))
+        tabs = enumerate_syt(row)
+        assert promotion_permutation(tabs, row, 200) == _permutation_by_promote(tabs, 200) == [0]
+        lam = Partition((130, 1))
+        tabs = enumerate_syt(lam)
+        assert promotion_permutation(tabs, lam, 131) == _permutation_by_promote(tabs, 131)
+
+    def test_rejects_non_column_strict_input(self):
+        lam = Partition((2, 2))
+        for bad in (
+            Tableau([(2, 1), (3, 4)]),  # a row decreases
+            Tableau([(1, 2), (1, 3)]),  # a column does not increase
+            Tableau([(1, 2), (3, 5)]),  # an entry above k
+            Tableau([(1, 2), (3, 300)]),  # an entry outside the array type
+        ):
+            with pytest.raises(ValueError, match="not a column-strict tableau"):
+                promote(bad, 4)
+            with pytest.raises(ValueError, match="not a column-strict tableau"):
+                promotion_permutation([bad], lam, 4)
+
+    def test_rejects_a_set_promotion_does_not_permute(self):
+        lam = Partition((2, 2))
+        tabs = enumerate_cst(lam, 3)
+        with pytest.raises(ValueError, match="does not permute"):
+            promotion_permutation(tabs[:-1], lam, 3)  # not closed
+        with pytest.raises(ValueError, match="does not permute"):
+            promotion_permutation(tabs[::-1], lam, 3)  # not sorted
+        with pytest.raises(ValueError, match="does not permute"):
+            promotion_permutation(tabs + tabs[-1:], lam, 3)  # not distinct
+        fixed = Tableau([(1, 1)])
+        with pytest.raises(ValueError, match="does not permute"):
+            promotion_permutation([fixed, fixed], Partition((2,)), 1)  # a fixed point, twice
+        zero = Tableau([(0, 1), (2, 3)])  # column-strict, but no promotion orbit stays in a set holding it
+        with pytest.raises(ValueError, match="does not permute"):
+            promotion_permutation([zero], lam, 3)
+
+    def test_rejects_another_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            promotion_permutation(enumerate_syt(Partition((3, 1))), Partition((2, 2)), 4)
+        with pytest.raises(ValueError, match="shape"):
+            promotion_permutation(enumerate_syt(Partition((2, 1))), Partition((2, 2)), 4)

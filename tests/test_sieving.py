@@ -14,6 +14,7 @@ from cyclosieve import (
     evacuate,
     mn_character,
     promote,
+    promote_power,
     q_hook_formula,
 )
 from cyclosieve.sieving import (
@@ -91,6 +92,35 @@ class TestFiniteAction:
                 images = [promote(t, 4) for t in images]
             direct = sum(1 for a, b in zip(elements, images) if a == b)
             assert direct == action.fixed_count(d)
+
+    def test_precomputed_permutation(self):
+        action = FiniteAction("abcde", [1, 2, 0, 4, 3])
+        assert action.generator == (1, 2, 0, 4, 3)
+        assert action.orbit_sizes() == [2, 3] and action.order == 6
+        assert FiniteAction("abcde", lambda x: "bcaed"["abcde".index(x)]).generator == action.generator
+
+    def test_rejects_a_generator_that_is_not_a_bijection(self):
+        with pytest.raises(ValueError, match="not a bijection"):
+            FiniteAction([0, 1, 2], lambda i: 0)
+        for bad in ([0, 0, 1], [1, 2, 3], [-1, 0, 1], [1, 0], [1, 2, 0, 3]):
+            with pytest.raises(ValueError, match="not a bijection"):
+                FiniteAction([0, 1, 2], bad)
+        with pytest.raises(ValueError, match="not distinct"):
+            FiniteAction([0, 0], lambda i: i)
+
+    def test_promotion_actions_match_per_tableau_promote(self):
+        """The promotion actions come from the set-level kernel; their
+        generators agree with looking up each tableau's promote_power."""
+        cases = [
+            (syt_promotion_action(Partition((3, 3))), enumerate_syt(Partition((3, 3))), 6, 1),
+            (promotion_action(Partition((2, 2)), 4), enumerate_cst(Partition((2, 2)), 4), 4, 1),
+            (promotion_action(Partition((2, 2, 2)), 4, Composition((1, 2, 1, 2)), 2),
+             enumerate_cst(Partition((2, 2, 2)), 4, Composition((1, 2, 1, 2))), 4, 2),
+        ]
+        for action, tabs, k, power in cases:
+            assert action.elements == tabs
+            index = {t: i for i, t in enumerate(tabs)}
+            assert action.generator == tuple(index[promote_power(t, k, power)] for t in tabs)
 
 
 class TestVerifyCsp:
