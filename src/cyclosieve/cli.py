@@ -328,10 +328,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser serves every call in a process: built on the first call, so that
+# importing this module stays cheap, and reused, since argparse keeps no state
+# between parses.  Environment reads such as CYCLOSIEVE_CAP stay per call.
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:

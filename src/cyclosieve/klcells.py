@@ -226,6 +226,8 @@ def kl_table(n: int, allow_large: bool = False) -> KLTable:
     The memo is keyed by the rank alone, so every call form for one rank
     shares one build; ``kl_table.cache_info()`` reports on it.
     """
+    if n < 0:
+        raise ValueError(f"the rank must be nonnegative, got {n}")
     if n > DEFAULT_RANK_CAP and not allow_large:
         raise ValueError(
             f"rank {n} exceeds the default cap {DEFAULT_RANK_CAP}; pass allow_large=True "

@@ -14,7 +14,7 @@ from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
 
 from .cyclotomic import as_integer, eval_at_root
-from .jeudetaquin import evacuate, promote, promotion_permutation
+from .jeudetaquin import evacuate, promotion_permutation
 from .qpolys import (
     IntPolynomial,
     kappa,
@@ -220,6 +220,8 @@ def promotion_action(
     """The action of promotion (or of its ``power``-th power on a fixed
     content class) on column-strict tableaux."""
     shape = Partition(shape)
+    if power < 1:
+        raise ValueError(f"the promotion power must be positive, got {power}")
     if content is None:
         if power != 1:
             raise ValueError("powers other than 1 require a fixed content")
@@ -422,17 +424,44 @@ def syt_evacuation_promotion_expected(shape: Partition) -> int:
     return sign * chi
 
 
+def _dihedral_fixed_counts(
+    elements: Sequence[Tableau], shape: Partition, k: int
+) -> tuple[int, int]:
+    """#Fix(evacuation) and #Fix(evacuation after promotion) on a sorted set.
+
+    Evacuation is applied once per tableau and promotion once to the whole
+    set, as two index permutations E and P.  Before any count is read, the
+    dihedral relations are checked on the whole set: E must map the set into
+    itself, and both E and E∘P must be involutions (ε∘ε = id and
+    ε∘∂∘ε = ∂⁻¹).  Since E is an involution, ε∘∂ fixes element i exactly
+    when P[i] = E[i].
+    """
+    index = {t: i for i, t in enumerate(elements)}
+    try:
+        evac = [index[evacuate(t, k)] for t in elements]
+    except KeyError:
+        raise AssertionError("evacuation maps a tableau outside the set") from None
+    prom = promotion_permutation(elements, shape, k)
+    identity = list(range(len(elements)))
+    if [evac[i] for i in evac] != identity:
+        raise AssertionError("evacuation is not an involution on the set")
+    reflection = [evac[i] for i in prom]
+    if [reflection[i] for i in reflection] != identity:
+        raise AssertionError("evacuation does not conjugate promotion to its inverse")
+    return (
+        sum(1 for i, j in enumerate(evac) if i == j),
+        sum(1 for i, j in zip(prom, evac) if i == j),
+    )
+
+
 def dihedral_report(shape: Partition, bound: int, cap: Optional[int] = None) -> DihedralReport:
     shape = Partition(shape)
     if not shape.is_rectangular():
         raise ValueError("the dihedral comparisons concern rectangular shapes")
-    n = shape.size
     csts = enumerate_cst(shape, bound, cap=cap)
-    cst_e = sum(1 for t in csts if evacuate(t, bound) == t)
-    cst_ej = sum(1 for t in csts if evacuate(promote(t, bound), bound) == t)
+    cst_e, cst_ej = _dihedral_fixed_counts(csts, shape, bound)
     syts = enumerate_syt(shape, cap=cap)
-    syt_e = sum(1 for t in syts if evacuate(t, n) == t)
-    syt_ej = sum(1 for t in syts if evacuate(promote(t, n), n) == t)
+    syt_e, syt_ej = _dihedral_fixed_counts(syts, shape, shape.size)
     return DihedralReport(
         shape=shape,
         bound=bound,
@@ -693,6 +722,8 @@ def bn_reduced_words(n: int) -> list[tuple[int, ...]]:
 
 
 def bn_word_action(n: int, cap: Optional[int] = None) -> FiniteAction:
+    if n < 1:
+        raise ValueError(f"signed permutation words need n >= 1, got {n}")
     expected = syt_count(Partition((n,) * n))
     limit = 10**6 if cap is None else cap
     if expected > limit:

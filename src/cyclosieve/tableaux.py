@@ -175,6 +175,14 @@ class Tableau:
         if any(lengths[i] < lengths[i + 1] for i in range(len(lengths) - 1)) or 0 in lengths:
             raise ValueError(f"rows do not form a partition shape: {lengths}")
 
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "Tableau":
+        """A tableau of rows that are already int tuples of a partition shape,
+        as the enumerators build them; skips the conversion and shape check."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "rows", rows)
+        return t
+
     def __setattr__(self, name, value):
         raise AttributeError("Tableau is immutable")
 
@@ -342,7 +350,7 @@ def enumerate_syt(shape: Partition, cap: Optional[int] = None) -> list[Tableau]:
 
     def place(value: int) -> None:
         if value > n:
-            results.append(Tableau([tuple(row) for row in rows]))
+            results.append(Tableau._trusted(tuple(map(tuple, rows))))
             return
         for r in range(len(shape)):
             c = len(rows[r])
@@ -357,16 +365,19 @@ def enumerate_syt(shape: Partition, cap: Optional[int] = None) -> list[Tableau]:
 
 
 def _enumerate_fillings(shape: Partition, k: int, content: Optional[Composition], cap: int) -> list[Tableau]:
-    """Column-strict fillings with entries <= k, optionally of fixed content."""
+    """Column-strict fillings with entries <= k, optionally of fixed content.
+
+    Cells are filled in row-major order, smallest value first, so the
+    fillings come out sorted by row-reading word.
+    """
     remaining = list(content) if content is not None else None
-    cells = [(r, c) for r in range(len(shape)) for c in range(shape[r])]
-    cells.sort()  # row by row, left to right
+    cells = [(r, c) for r in range(len(shape)) for c in range(shape[r])]  # row-major
     rows = [[0] * p for p in shape]
     results: list[Tableau] = []
 
     def fill(idx: int) -> None:
         if idx == len(cells):
-            results.append(Tableau([tuple(row) for row in rows]))
+            results.append(Tableau._trusted(tuple(map(tuple, rows))))
             if len(results) > cap:
                 raise CapExceeded(f"enumeration exceeded cap {cap}")
             return
@@ -413,9 +424,7 @@ def enumerate_cst(
         raise ValueError("bound must be nonnegative")
     if len(shape) > k:
         return []
-    results = _enumerate_fillings(shape, k, content, _resolve_cap(cap))
-    results.sort(key=lambda t: t.row_word())
-    return results
+    return _enumerate_fillings(shape, k, content, _resolve_cap(cap))
 
 
 def enumerate_rst(

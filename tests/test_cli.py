@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cyclosieve import Partition
+from cyclosieve import Partition, cli
 from cyclosieve.cli import parse_content, parse_shape, run
 
 
@@ -40,6 +40,17 @@ class TestExitCodes:
         assert run(["nonsense"]) == 2
         assert run(["kl", "immanants", "--rank", "7"]) == 2
         assert "--allow-large" in capsys.readouterr().err
+        for argv in (
+            "csp bnwords 0",
+            "csp bnwords -2",
+            "kl table --rank -1",
+            "kl immanants --rank -1",
+            "csp content --shape 2,2 --content 1,1,1,1 --power 0",
+            "csp content --shape 2,2 --content 1,1,1,1 --power -2",
+        ):
+            assert run(argv.split()) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err, argv
 
     def test_unordered_parts_are_normalized(self, capsys):
         assert parse_shape("1,2") == Partition((2, 1))
@@ -58,6 +69,53 @@ class TestExitCodes:
         assert run(["kl", "mu-invariance", "--shape", "2,2", "--cap", "1"]) == 2
         assert run(["ribbon", "kf-check", "--shape", "2,2", "--content", "1,1,1,1",
                     "--power", "2", "--cap", "1"]) == 2
+
+
+class TestParserReuse:
+    def test_calls_share_one_parser_and_match_a_fresh_one(self, monkeypatch, capsys):
+        """One process serves many calls from one parser; each call's exit
+        code and output equal those of a parser built for that call alone."""
+        steps = [
+            "csp cst --shape 2,2 --bound 3 --json",
+            "csp cst --shape 2,2",  # usage error: missing --bound
+            "dihedral --shape 2,2 --bound 3 --json",
+            "--help",
+            "csp content --shape 2,2 --content 1,1,1,1 --power 2 --json",
+            "csp syt --shape 2^4",
+            ("CYCLOSIEVE_CAP", "5"),
+            "csp syt --shape 2^4",  # now over the cap
+            "csp help",  # usage error: no such family
+            ("CYCLOSIEVE_CAP", None),
+            "csp syt --shape 2^4",
+            "kl table --rank 3 --json",
+            "csp handshake 3 --json",
+        ]
+
+        def replay(fresh: bool) -> list:
+            outcomes = []
+            for step in steps:
+                if isinstance(step, tuple):
+                    name, value = step
+                    if value is None:
+                        monkeypatch.delenv(name, raising=False)
+                    else:
+                        monkeypatch.setenv(name, value)
+                    continue
+                if fresh:
+                    monkeypatch.setattr(cli, "_parser", cli.build_parser())
+                code = run(step.split())
+                captured = capsys.readouterr()
+                outcomes.append((step, code, captured.out, captured.err))
+            return outcomes
+
+        monkeypatch.delenv("CYCLOSIEVE_CAP", raising=False)
+        run(["--help"])
+        capsys.readouterr()
+        shared = cli._parser
+        reused = replay(fresh=False)
+        assert shared is not None and cli._parser is shared
+        assert reused == replay(fresh=True)
+        assert [code for _, code, _, _ in reused] == [0, 2, 0, 0, 0, 0, 2, 2, 0, 0, 0]
 
 
 class TestJsonOutput:

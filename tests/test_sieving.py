@@ -8,7 +8,9 @@ from cyclosieve import (
     Composition,
     IntPolynomial,
     Partition,
+    Tableau,
     cyclotomic_polynomial,
+    demote,
     enumerate_cst,
     enumerate_syt,
     evacuate,
@@ -397,3 +399,34 @@ class TestDihedral:
     def test_non_rectangular_rejected(self):
         with pytest.raises(ValueError):
             dihedral_report(Partition((2, 1)), 3)
+
+    def test_counts_match_per_tableau_oracle(self):
+        """The set-level counts equal the per-tableau formulas
+        #{T : e(T) = T} and #{T : e(pr(T)) = T}."""
+
+        def oracle(elements, k):
+            return (
+                sum(1 for t in elements if evacuate(t, k) == t),
+                sum(1 for t in elements if evacuate(promote(t, k), k) == t),
+            )
+
+        for lam in rectangles_up_to(8):
+            syt_counts = oracle(enumerate_syt(lam), lam.size)
+            for k in range(1, 6):
+                report = dihedral_report(lam, k)
+                assert (report.cst_e_fixed, report.cst_ej_fixed) == oracle(
+                    enumerate_cst(lam, k), k
+                ), (tuple(lam), k)
+                assert (report.syt_e_fixed, report.syt_ej_fixed) == syt_counts, tuple(lam)
+
+    @pytest.mark.parametrize("broken", [
+        lambda t, k: demote(t, k),  # not an involution, although demote∘promote is
+        lambda t, k: t,  # an involution that does not invert promotion by conjugation
+        lambda t, k: Tableau([[x + 1 for x in row] for row in evacuate(t, k).rows]),
+    ], ids=["demotion", "identity", "outside-the-set"])
+    def test_broken_evacuation_raises(self, monkeypatch, broken):
+        from cyclosieve import sieving
+
+        monkeypatch.setattr(sieving, "evacuate", broken)
+        with pytest.raises(AssertionError):
+            dihedral_report(Partition((2, 2)), 3)

@@ -80,6 +80,12 @@ class TestEnumerateSyt:
         tabs = enumerate_syt(Partition((2, 2)))
         assert [t.row_word() for t in tabs] == sorted(t.row_word() for t in tabs)
 
+    def test_equal_to_validated_tableaux(self):
+        for lam in all_partitions_up_to(8):
+            for t in enumerate_syt(lam):
+                rebuilt = Tableau([list(row) for row in t.rows])
+                assert t == rebuilt and hash(t) == hash(rebuilt), t
+
     def test_cap(self):
         with pytest.raises(CapExceeded):
             enumerate_syt(Partition((4, 4, 4)), cap=10)
@@ -112,6 +118,22 @@ class TestEnumerateCst:
 
     def test_rows_exceeding_bound_empty(self):
         assert enumerate_cst(Partition((1, 1, 1)), 2) == []
+
+    def test_sorted_and_equal_to_validated_tableaux(self):
+        """Without a sort, the fillings come out in strictly increasing
+        row-word order, and each one is the tableau the validating
+        constructor builds from its rows."""
+        for lam in all_partitions_up_to(8):
+            for k in range(1, 6):
+                unrestricted = enumerate_cst(lam, k)
+                restricted = [enumerate_cst(lam, k, alpha) for alpha in compositions_of(lam.size, k)]
+                assert sorted(t for tabs in restricted for t in tabs) == unrestricted
+                for tabs in [unrestricted, *restricted]:
+                    words = [t.row_word() for t in tabs]
+                    assert all(a < b for a, b in zip(words, words[1:])), (lam, k)
+                    for t in tabs:
+                        rebuilt = Tableau([list(row) for row in t.rows])
+                        assert t == rebuilt and hash(t) == hash(rebuilt), t
 
     def test_rst_is_transposed_cst(self):
         lam = Partition((3, 2))
