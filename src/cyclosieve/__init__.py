@@ -45,6 +45,7 @@ from .permutations import (
 )
 from .qpolys import (
     IntPolynomial,
+    QProduct,
     charge,
     kappa,
     kostka_foulkes,

@@ -4,8 +4,8 @@ An element is held unreduced in Z[q]/(q^m - 1), as a sparse map from
 exponents mod m to nonzero coefficients, so ring arithmetic never divides
 and a product with a monomial is a rotation.  Phi_m divides q^m - 1, so the
 residue mod Phi_m is well defined and canonical; it is computed once, on
-first read, and cached.  Equality, hashing, ``is_zero``, ``as_integer`` and
-``repr`` all read the residue.
+first read, from a per-order table of q^e mod Phi_m, and cached.  Equality,
+hashing, ``is_zero``, ``as_integer`` and ``repr`` all read the residue.
 
 Floating point is never used: the sieving checks demand exact integer
 equality between fixed-point counts and polynomial evaluations.
@@ -16,22 +16,26 @@ from __future__ import annotations
 from functools import cache
 from typing import Optional
 
-from .qpolys import IntPolynomial
+from .qpolys import IntPolynomial, cyclotomic_polynomial
 
 _new = object.__new__
 _set = object.__setattr__
 
 
 @cache
-def cyclotomic_polynomial(m: int) -> IntPolynomial:
-    """Phi_m(q), computed as (q^m - 1) / prod of the lower cyclotomics."""
-    if m < 1:
-        raise ValueError("cyclotomic polynomials are indexed by m >= 1")
-    numerator = IntPolynomial((-1,) + (0,) * (m - 1) + (1,))
-    for d in range(1, m):
-        if m % d == 0:
-            numerator = numerator.exact_div(cyclotomic_polynomial(d))
-    return numerator
+def _power_residues(m: int) -> list[tuple[tuple[int, int], ...]]:
+    """Entry e - phi(m) holds the nonzero (exponent, coefficient) pairs of
+    q^e mod Phi_m, for phi(m) <= e < m."""
+    phi = cyclotomic_polynomial(m).coeffs
+    power = [-c for c in phi[:-1]]  # q^phi(m), since Phi_m is monic
+    rows = []
+    for _ in range(len(power), m):
+        rows.append(tuple((i, c) for i, c in enumerate(power) if c))
+        top = power[-1]
+        power = [0] + power[:-1]
+        if top:  # the q^phi(m) that multiplying by q carried out, replaced
+            power = [x - top * c for x, c in zip(power, phi)]
+    return rows
 
 
 def _check_order(order: int) -> None:
@@ -68,14 +72,18 @@ class CyclotomicElement:
         """The canonical representative mod Phi_m, of degree below phi(m)."""
         residue = self._residue
         if residue is None:
-            terms = self._terms
-            coeffs = [0] * (max(terms) + 1 if terms else 0)
-            for e, c in terms.items():
-                coeffs[e] = c
+            # One pass over the terms: q^e with e >= phi(m) is replaced by
+            # its tabulated residue.
+            table = _power_residues(self.order)
+            degree = self.order - len(table)
+            coeffs = [0] * degree
+            for e, c in self._terms.items():
+                if e < degree:
+                    coeffs[e] += c
+                else:
+                    for i, x in table[e - degree]:
+                        coeffs[i] += c * x
             residue = IntPolynomial(coeffs)
-            phi = cyclotomic_polynomial(self.order)
-            if residue.degree >= phi.degree:
-                residue = residue.divmod(phi)[1]
             _set(self, "_residue", residue)
         return residue
 

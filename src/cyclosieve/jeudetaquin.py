@@ -20,7 +20,8 @@ Row-strict promotion is conjugation by transposition.
 Orbit walks promote a whole enumerated set at once with
 :func:`promotion_permutation`, which holds the set as one small-integer
 array of row-reading words and slides the holes of every tableau together,
-column by column, with the same rule.
+column by column, with the same rule.  Standard tableaux arrive in that
+array straight from ``tableaux.enumerate_syt(..., packed=True)``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .tableaux import Composition, Partition, Tableau, _slide, descent_set
+from .tableaux import Composition, Partition, Tableau, _slide, descent_set, word_dtype
 
 
 def _holes(grid: list[list]) -> list[tuple[int, int]]:
@@ -109,26 +110,32 @@ def _cells(shape: tuple[int, ...]) -> _Cells:
 
 def _pack(elements: Sequence[Tableau], shape: tuple[int, ...], k: int) -> np.ndarray:
     """The packed row-reading words of ``elements``, one per row of an array
-    of the smallest integer type that holds k + 1, after checking each
-    element with the test of ``Tableau.is_column_strict(k)``."""
+    of the smallest integer type that holds k + 1."""
     rows = attrgetter("rows")
     count, n = len(elements), sum(shape)
     if list(map(len, chain.from_iterable(map(rows, elements)))) != list(shape) * count:
         raise ValueError(f"not every tableau has shape {shape}")
-    invalid = ValueError(f"not a column-strict tableau with entries <= {k}")
-    dtype = np.int8 if k < 2**7 - 1 else np.int16 if k < 2**15 - 1 else np.int64
     padded = zip(map(rows, elements), repeat(((0, k + 1),)))
     entries = chain.from_iterable(chain.from_iterable(chain.from_iterable(padded)))
     try:
-        words = np.fromiter(entries, dtype, count * (n + 2)).reshape(count, n + 2)
+        return np.fromiter(entries, word_dtype(k), count * (n + 2)).reshape(count, n + 2)
     except OverflowError:  # an entry outside the type, hence above k or far below 1
-        raise invalid from None
+        raise ValueError(f"not a column-strict tableau with entries <= {k}") from None
+
+
+def _check_words(words: np.ndarray, shape: tuple[int, ...], k: int) -> None:
+    """Raise unless every packed word is column-strict with entries <= k, the
+    test of ``Tableau.is_column_strict(k)``."""
+    n = sum(shape)
+    if words.ndim != 2 or words.shape[1] != n + 2:
+        raise ValueError(f"packed words of shape {shape} have {n + 2} entries")
+    if (words[:, n] != 0).any() or (words[:, n + 1] != k + 1).any():
+        raise ValueError(f"packed words must end with 0 and k + 1 = {k + 1}")
     cells = _cells(shape)
     (west, east), (north, south) = cells.weak, cells.strict
     rows_fall = (words.take(west, 1) > words.take(east, 1)).any()
     if rows_fall or (words.take(north, 1) >= words.take(south, 1)).any():
-        raise invalid
-    return words
+        raise ValueError(f"not a column-strict tableau with entries <= {k}")
 
 
 def _promote_words(words: np.ndarray, shape: tuple[int, ...], k: int, power: int) -> np.ndarray:
@@ -162,19 +169,24 @@ def _promote_words(words: np.ndarray, shape: tuple[int, ...], k: int, power: int
 
 
 def promotion_permutation(
-    elements: Sequence[Tableau], shape: Partition, k: int, power: int = 1
+    elements: Sequence[Tableau] | np.ndarray, shape: Partition, k: int, power: int = 1
 ) -> list[int]:
     """The permutation by which ``promote_power(., k, power)`` acts on a set.
 
     ``elements`` are distinct tableaux of the given shape, sorted by
-    row-reading word, as the enumerators return them.  Entry i of the result
-    is the index of the image of ``elements[i]``.  Raises ``ValueError`` when
-    an element is not column-strict with entries <= k, or when promotion
-    does not map the set onto itself.
+    row-reading word, as the enumerators return them, or their packed words
+    as ``enumerate_syt(..., packed=True)`` returns them.  Entry i of the
+    result is the index of the image of ``elements[i]``.  Raises
+    ``ValueError`` when an element is not column-strict with entries <= k,
+    or when promotion does not map the set onto itself.
     """
     shape = tuple(shape)
     count = len(elements)
-    words = _pack(elements, shape, k)
+    if isinstance(elements, np.ndarray):
+        words = elements
+    else:
+        words = _pack(elements, shape, k)
+    _check_words(words, shape, k)
     images = _promote_words(words, shape, k, abs(power))
     # The images, sorted, must be the elements themselves: then every image
     # lies in the set and promotion permutes it.

@@ -75,8 +75,8 @@ def long_element(n: int) -> Permutation:
 
 
 def long_cycle(n: int) -> Permutation:
-    """The n-cycle (1, 2, ..., n) sending i to i+1."""
-    return Permutation(tuple(range(2, n + 1)) + (1,))
+    """The n-cycle (1, 2, ..., n) sending i to i+1; empty for n = 0."""
+    return Permutation(tuple(range(2, n + 1)) + (1,) if n else ())
 
 
 def left_right_descents(w: Permutation) -> tuple[frozenset[int], frozenset[int]]:

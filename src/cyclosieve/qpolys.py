@@ -1,16 +1,22 @@
 """Integer polynomials in q and the q-analogues used by the sieving checks.
 
 IntPolynomial is a dense, immutable, arbitrary-precision integer polynomial.
-Exact division is the only division offered: the quotients taken here
-(q-hook formula, q-Catalan, cyclotomic factors) are theorems, so a nonzero
-remainder is an internal error rather than bad input.
+Exact division is the only division offered; a nonzero remainder is an
+internal error rather than bad input.
+
+The quotient q-analogues (q-hook formula, q-binomials, q-Catalan numbers)
+are held as QProducts: products of cyclotomic polynomials, built from
+multisets of q-integers through [a]_q = prod_{d | a, d > 1} Phi_d(q).  That
+every exponent survives cancellation nonnegative certifies that the quotient
+is a polynomial, and the product is expanded, or reduced mod q^m - 1, by
+multiplication alone.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache, reduce
-from typing import Iterable, Optional, Sequence
+from functools import cache
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .tableaux import Composition, Partition, Tableau, enumerate_cst, hook_lengths
 
@@ -178,20 +184,151 @@ def q_factorial(n: int) -> IntPolynomial:
     return q_factorial(n - 1) * q_int(n)
 
 
-def q_binomial(n: int, k: int) -> IntPolynomial:
+def _prime_factors(m: int) -> list[int]:
+    primes, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return primes + [m] if m > 1 else primes
+
+
+@cache
+def cyclotomic_polynomial(m: int) -> IntPolynomial:
+    """Phi_m(q) = prod_{d | m} (1 - q^d)^mu(m/d) for m > 1.
+
+    The factors are applied to a power series truncated past degree phi(m):
+    a factor 1 - q^d is a difference of shifted coefficients, its inverse a
+    running sum with stride d.  Neither divides a polynomial.
+    """
+    if m < 1:
+        raise ValueError("cyclotomic polynomials are indexed by m >= 1")
+    if m == 1:
+        return IntPolynomial((-1, 1))
+    primes = _prime_factors(m)
+    degree = m
+    for p in primes:
+        degree = degree // p * (p - 1)
+    coeffs = [1] + [0] * degree
+    for subset in range(1 << len(primes)):
+        chosen = [p for i, p in enumerate(primes) if subset >> i & 1]
+        d = m // math.prod(chosen)
+        if len(chosen) % 2 == 0:  # mu(m/d) = 1: multiply by 1 - q^d
+            for i in range(degree, d - 1, -1):
+                coeffs[i] -= coeffs[i - d]
+        else:  # mu(m/d) = -1: multiply by 1 / (1 - q^d)
+            for i in range(d, degree + 1):
+                coeffs[i] += coeffs[i - d]
+    return IntPolynomial(coeffs)
+
+
+class QProduct:
+    """sign * q^shift * prod_d Phi_d(q)^e_d with every e_d >= 0.
+
+    A polynomial held in factored form.  ``exponents`` maps d to e_d; a
+    negative e_d raises ``ValueError``, since the product is then not a
+    polynomial.
+    """
+
+    __slots__ = ("sign", "shift", "exponents")
+
+    def __init__(self, exponents: Mapping[int, int], sign: int = 1, shift: int = 0):
+        exponents = dict(sorted(exponents.items()))
+        for d, e in exponents.items():
+            if e < 0:
+                raise ValueError(f"not a polynomial: Phi_{d} has exponent {e}")
+        if sign not in (1, -1) or shift < 0:
+            raise ValueError(f"need a sign of +/-1 and a shift >= 0, got {sign} and {shift}")
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "exponents", {d: e for d, e in exponents.items() if e})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QProduct is immutable")
+
+    @classmethod
+    def from_q_integers(
+        cls, numerator: Iterable[int], denominator: Iterable[int] = ()
+    ) -> "QProduct":
+        """prod_{a in numerator} [a]_q / prod_{b in denominator} [b]_q, both
+        multisets of positive integers; raises unless it is a polynomial."""
+        counts: dict[int, int] = {}
+        for a in numerator:
+            counts[a] = counts.get(a, 0) + 1
+        for b in denominator:
+            counts[b] = counts.get(b, 0) - 1
+        if counts and min(counts) < 1:
+            raise ValueError(f"q-integers in a product must be positive, got {min(counts)}")
+        top = max(counts, default=1)
+        exponents = {}
+        for d in range(2, top + 1):  # Phi_d divides [a]_q exactly when d | a
+            e = sum(counts.get(a, 0) for a in range(d, top + 1, d))
+            if e:
+                exponents[d] = e
+        return cls(exponents)
+
+    def expand(self) -> IntPolynomial:
+        """The polynomial itself, by repeated multiplication."""
+        out = IntPolynomial.monomial(self.shift, self.sign)
+        for d, e in self.exponents.items():
+            for _ in range(e):
+                out = cyclotomic_polynomial(d) * out
+        return out
+
+    def cyclic_reduction(self, m: int) -> IntPolynomial:
+        """The remainder mod q^m - 1, with coefficients of q^0 .. q^(m-1);
+        its values at the m-th roots of unity are the product's."""
+        if m < 1:
+            raise ValueError("the modulus must be positive")
+        coeffs = [self.sign]
+        for d, e in self.exponents.items():
+            phi = cyclotomic_polynomial(d).coeffs
+            factor = [(j % m, c) for j, c in enumerate(phi) if c]
+            for _ in range(e):
+                out = [0] * min(m, len(coeffs) + len(phi) - 1)
+                for i, x in enumerate(coeffs):
+                    if x:
+                        for j, c in factor:
+                            out[(i + j) % m] += x * c
+                coeffs = out
+        shift = self.shift % m
+        if shift:
+            coeffs += [0] * (m - len(coeffs))
+            coeffs = coeffs[-shift:] + coeffs[:-shift]
+        return IntPolynomial(coeffs)
+
+
+def q_binomial_product(n: int, k: int) -> QProduct:
+    """[n choose k]_q = [n]!_q / ([k]!_q [n-k]!_q)."""
     if not 0 <= k <= n:
         raise ValueError(f"q-binomial needs 0 <= k <= n, got ({n}, {k})")
-    return q_factorial(n).exact_div(q_factorial(k)).exact_div(q_factorial(n - k))
+    return QProduct.from_q_integers(range(1, n + 1), [*range(1, k + 1), *range(1, n - k + 1)])
+
+
+def q_hook_product(shape: Partition) -> QProduct:
+    """The q-hook length formula [n]!_q / prod [h_ij]_q."""
+    shape = Partition(shape)
+    return QProduct.from_q_integers(range(1, shape.size + 1), hook_lengths(shape).values())
+
+
+def q_catalan_product(n: int) -> QProduct:
+    """The q-Catalan number [2n choose n]_q / [n+1]_q."""
+    if n < 1:
+        raise ValueError("q-Catalan numbers are indexed by n >= 1")
+    return QProduct.from_q_integers(
+        range(1, 2 * n + 1), [*range(1, n + 1), *range(1, n + 2)]
+    )
+
+
+def q_binomial(n: int, k: int) -> IntPolynomial:
+    return q_binomial_product(n, k).expand()
 
 
 def q_hook_formula(shape: Partition) -> IntPolynomial:
     """The q-analogue of the hook length formula, [n]!_q / prod [h_ij]_q."""
-    shape = Partition(shape)
-    numerator = q_factorial(shape.size)
-    denominator = reduce(
-        lambda acc, h: acc * q_int(h), hook_lengths(shape).values(), IntPolynomial.one()
-    )
-    return numerator.exact_div(denominator)
+    return q_hook_product(shape).expand()
 
 
 def kappa(shape: Partition) -> int:
@@ -363,6 +500,4 @@ def mn_character(shape: Partition, cycles: Partition, removal_order: str = "desc
 
 def q_catalan(n: int) -> IntPolynomial:
     """The q-Catalan number [2n choose n]_q / [n+1]_q."""
-    if n < 1:
-        raise ValueError("q-Catalan numbers are indexed by n >= 1")
-    return q_binomial(2 * n, n).exact_div(q_int(n + 1))
+    return q_catalan_product(n).expand()

@@ -17,12 +17,13 @@ from .cyclotomic import as_integer, eval_at_root
 from .jeudetaquin import evacuate, promotion_permutation
 from .qpolys import (
     IntPolynomial,
+    QProduct,
     kappa,
     kostka_foulkes,
     mn_character,
-    q_binomial,
-    q_catalan,
-    q_hook_formula,
+    q_binomial_product,
+    q_catalan_product,
+    q_hook_product,
     schur_evaluate,
     schur_principal_specialization,
 )
@@ -34,6 +35,7 @@ from .tableaux import (
     enumerate_cst,
     enumerate_syt,
     syt_count,
+    tableaux_from_words,
 )
 
 
@@ -41,18 +43,29 @@ class FiniteAction:
     """A finite set with a distinguished permutation generating a cyclic action.
 
     ``generator`` is either a map on the elements or the permutation itself,
-    as the sequence of the indices of the elements' images.
+    as the sequence of the indices of the elements' images.  ``elements``
+    may also be a function that builds the element list; it is called when
+    ``elements`` is first read, and the generator must then be the
+    permutation.
     """
 
-    def __init__(self, elements: Sequence, generator: Callable | Sequence[int]):
-        self.elements = list(elements)
+    def __init__(
+        self, elements: Sequence | Callable[[], list], generator: Callable | Sequence[int]
+    ):
+        self._elements: Optional[list] = None
+        if callable(elements):
+            if callable(generator):
+                raise TypeError("a generator given as a map needs the elements themselves")
+            self._build = elements
+        else:
+            self._elements = list(elements)
         if callable(generator):
-            index = {x: i for i, x in enumerate(self.elements)}
-            if len(index) != len(self.elements):
+            index = {x: i for i, x in enumerate(self._elements)}
+            if len(index) != len(self._elements):
                 raise ValueError("elements are not distinct")
-            generator = [index[generator(x)] for x in self.elements]
+            generator = [index[generator(x)] for x in self._elements]
         self.generator: tuple[int, ...] = tuple(generator)
-        n = len(self.elements)
+        n = len(self.generator if self._elements is None else self._elements)
         not_bijective = ValueError("the generator is not a bijection of the elements")
         if len(self.generator) != n or (
             n and not 0 <= min(self.generator) <= max(self.generator) < n
@@ -77,8 +90,14 @@ class FiniteAction:
             order = order * size // gcd(order, size)
         self.order = order
 
+    @property
+    def elements(self) -> list:
+        if self._elements is None:
+            self._elements = self._build()
+        return self._elements
+
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.generator)
 
     def orbit_sizes(self) -> list[int]:
         return sorted(self._cycle_lengths)
@@ -146,7 +165,7 @@ class CSPReport:
 
 def verify_csp(
     action: FiniteAction,
-    polynomial: IntPolynomial,
+    polynomial: IntPolynomial | QProduct,
     modulus: int,
     family: str = "custom",
     parameters: Optional[dict] = None,
@@ -155,12 +174,15 @@ def verify_csp(
     """Compare |X^(c^d)| with X(zeta_m^d) for every power d in 0..m-1.
 
     With ``modulus_comparison`` the match uses |evaluation| instead, which is
-    the form taken by the fixed-content promotion results.
+    the form taken by the fixed-content promotion results.  A polynomial in
+    factored form is reduced mod q^m - 1 first, by multiplication alone.
     """
     if modulus < 1 or modulus % action.order:
         raise ValueError(
             f"the action's order {action.order} must divide the modulus {modulus}"
         )
+    if isinstance(polynomial, QProduct):
+        polynomial = polynomial.cyclic_reduction(modulus)
     rows = []
     verdict = True
     for d in range(modulus):
@@ -205,9 +227,12 @@ def default_csp_polynomial(action: FiniteAction) -> IntPolynomial:
 
 
 def syt_promotion_action(shape: Partition, cap: Optional[int] = None) -> FiniteAction:
+    """Promotion on SYT(shape), computed on the packed words; the
+    ``Tableau`` elements are decoded only when read."""
     shape = Partition(shape)
-    elements = enumerate_syt(shape, cap=cap)
-    return FiniteAction(elements, promotion_permutation(elements, shape, shape.size))
+    words = enumerate_syt(shape, cap=cap, packed=True)
+    generator = promotion_permutation(words, shape, shape.size)
+    return FiniteAction(lambda: tableaux_from_words(words, shape), generator)
 
 
 def promotion_action(
@@ -233,7 +258,10 @@ def promotion_action(
         if k != bound:
             raise ValueError("content length must equal the bound")
         if any(content[i] != content[(i + power) % k] for i in range(k)):
-            raise ValueError(f"content {tuple(content)} lacks cyclic symmetry of order {power}")
+            places = "place" if power == 1 else "places"
+            raise ValueError(
+                f"content {tuple(content)} is not invariant under rotation by {power} {places}"
+            )
     elements = enumerate_cst(shape, bound, content, cap=cap)
     return FiniteAction(elements, promotion_permutation(elements, shape, bound, power))
 
@@ -245,16 +273,18 @@ def syt_csp_report(
 
     The modulus defaults to n when the promotion order divides it (always
     the case on rectangles) and to the empirical order otherwise, so that
-    non-rectangular shapes can be explored directly.
+    non-rectangular shapes can be explored directly; the empty shape takes
+    modulus 1.  The q-hook formula stays in factored form, so [n]!_q is
+    never expanded.
     """
     shape = Partition(shape)
     n = shape.size
     action = syt_promotion_action(shape, cap=cap)
     if modulus is None:
-        modulus = n if action.order and n % action.order == 0 else action.order
+        modulus = n if n and n % action.order == 0 else action.order
     return verify_csp(
         action,
-        q_hook_formula(shape),
+        q_hook_product(shape),
         modulus,
         family="syt",
         parameters={"shape": list(shape), "orbit_sizes": action.orbit_sizes()},
@@ -318,8 +348,8 @@ def _wo_cycle_type(n: int) -> Partition:
 
 
 def _wo_cn_cycle_type(n: int) -> Partition:
-    if n == 1:
-        return Partition((1,))
+    if n < 2:
+        return Partition((1,) * n)
     if n % 2 == 0:
         return Partition((2,) * (n // 2 - 1) + (1, 1))
     return Partition((2,) * ((n - 1) // 2) + (1,))
@@ -643,7 +673,7 @@ def reflect_noncrossing(pi: SetPartition, n: int) -> SetPartition:
 def handshake_csp_report(n: int) -> CSPReport:
     return verify_csp(
         handshake_action(n),
-        q_catalan(n),
+        q_catalan_product(n),
         2 * n,
         family="handshake",
         parameters={"n": n},
@@ -653,7 +683,7 @@ def handshake_csp_report(n: int) -> CSPReport:
 def noncrossing_csp_report(n: int) -> CSPReport:
     return verify_csp(
         noncrossing_action(n),
-        q_catalan(n),
+        q_catalan_product(n),
         2 * n,
         family="noncrossing",
         parameters={"n": n},
@@ -740,7 +770,7 @@ def bn_word_action(n: int, cap: Optional[int] = None) -> FiniteAction:
 def bn_csp_report(n: int, cap: Optional[int] = None) -> CSPReport:
     return verify_csp(
         bn_word_action(n, cap=cap),
-        q_hook_formula(Partition((n,) * n)),
+        q_hook_product(Partition((n,) * n)),
         n * n,
         family="bnwords",
         parameters={"n": n},
@@ -767,7 +797,7 @@ def multisets_action(n: int, k: int) -> FiniteAction:
 def subsets_csp_report(n: int, k: int) -> CSPReport:
     return verify_csp(
         subsets_action(n, k),
-        q_binomial(n, k),
+        q_binomial_product(n, k),
         n,
         family="subsets",
         parameters={"n": n, "k": k},
@@ -777,7 +807,7 @@ def subsets_csp_report(n: int, k: int) -> CSPReport:
 def multisets_csp_report(n: int, k: int) -> CSPReport:
     return verify_csp(
         multisets_action(n, k),
-        q_binomial(n + k - 1, k),
+        q_binomial_product(n + k - 1, k),
         n,
         family="multisets",
         parameters={"n": n, "k": k},

@@ -12,6 +12,8 @@ import math
 from functools import cache
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 DEFAULT_CAP = 10**6
 
 
@@ -135,8 +137,10 @@ def hook_length(shape: Partition, cell: tuple[int, int]) -> int:
 
 
 def hook_lengths(shape: Partition) -> dict[tuple[int, int], int]:
+    """The hook length of every cell: arm + leg + 1, read off the conjugate."""
     shape = Partition(shape)
-    return {cell: hook_length(shape, cell) for cell in shape.cells()}
+    columns = shape.conjugate()
+    return {(r, c): shape[r - 1] - c + columns[c - 1] - r + 1 for r, c in shape.cells()}
 
 
 def syt_count(shape: Partition) -> int:
@@ -338,30 +342,73 @@ def css(shape: Partition) -> Tableau:
     return Tableau(rows)
 
 
-def enumerate_syt(shape: Partition, cap: Optional[int] = None) -> list[Tableau]:
-    """All standard tableaux of the given shape, sorted by row-reading word."""
+def word_dtype(k: int) -> type:
+    """The smallest integer type of a packed word with entries <= k."""
+    return np.int8 if k < 2**7 - 1 else np.int16 if k < 2**15 - 1 else np.int64
+
+
+def enumerate_syt(
+    shape: Partition, cap: Optional[int] = None, packed: bool = False
+) -> list[Tableau] | np.ndarray:
+    """All standard tableaux of the given shape, sorted by row-reading word.
+
+    With ``packed`` no ``Tableau`` is built: row i of the N x (n + 2) result
+    is the row-reading word of the i-th tableau followed by 0 and n + 1, the
+    layout in which :func:`jeudetaquin.promotion_permutation` promotes a set.
+    Values are placed in increasing order, each at the end of a row that can
+    take it, every completed word is appended to one flat list, and the
+    words are sorted as array rows.
+    """
     shape = Partition(shape)
     limit = _resolve_cap(cap)
     if syt_count(shape) > limit:
         raise CapExceeded(f"SYT({tuple(shape)}) has {syt_count(shape)} > cap {limit} elements")
-    n = shape.size
-    results: list[Tableau] = []
-    rows: list[list[int]] = [[] for _ in shape]
-
-    def place(value: int) -> None:
+    n, nrows = shape.size, len(shape)
+    starts = [sum(shape[:r]) for r in range(nrows)]
+    filled = [0] * nrows
+    row_of = [0] * (n + 1)  # the row where each placed value sits
+    word = [0] * n + [0, n + 1]
+    flat: list[int] = []
+    # Depth-first, without recursion: ``value`` is the next value to place
+    # and ``r`` the first row to try it in.
+    value, r = 1, 0
+    while value:
         if value > n:
-            results.append(Tableau._trusted(tuple(map(tuple, rows))))
-            return
-        for r in range(len(shape)):
-            c = len(rows[r])
-            if c < shape[r] and (r == 0 or len(rows[r - 1]) > c):
-                rows[r].append(value)
-                place(value + 1)
-                rows[r].pop()
+            flat.extend(word)
+        else:
+            while r < nrows:
+                c = filled[r]
+                if c < shape[r] and (r == 0 or c < filled[r - 1]):
+                    break
+                r = nrows if c == 0 else r + 1  # below an empty row all are empty
+            if r < nrows:
+                word[starts[r] + c] = value
+                filled[r] = c + 1
+                row_of[value] = r
+                value, r = value + 1, 0
+                continue
+        # Take back the previous value and try it in the rows below its own.
+        value -= 1
+        if value:
+            r = row_of[value]
+            filled[r] -= 1
+            r += 1
 
-    place(1)
-    results.sort(key=lambda t: t.row_word())
-    return results
+    words = np.array(flat, dtype=word_dtype(n)).reshape(-1, n + 2)
+    if len(words) > 1:
+        words = words[np.lexsort(words.T[n - 1::-1])]
+    return words if packed else tableaux_from_words(words, shape)
+
+
+def tableaux_from_words(words: np.ndarray, shape: Partition) -> list[Tableau]:
+    """The tableaux whose packed row-reading words are the rows of ``words``."""
+    if not shape:
+        return [Tableau._trusted(()) for _ in range(len(words))]
+    rows, start = [], 0
+    for length in shape:
+        rows.append(map(tuple, words[:, start:start + length].tolist()))
+        start += length
+    return list(map(Tableau._trusted, zip(*rows)))
 
 
 def _enumerate_fillings(shape: Partition, k: int, content: Optional[Composition], cap: int) -> list[Tableau]:

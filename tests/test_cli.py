@@ -52,6 +52,16 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err, argv
 
+    def test_content_without_the_rotation_symmetry_is_two(self, capsys):
+        """The message names the check: invariance under rotating the
+        content by ``power`` places."""
+        assert run("csp content --shape 3,3 --content 2,1,2,1".split()) == 2
+        assert capsys.readouterr().err == (
+            "error: content (2, 1, 2, 1) is not invariant under rotation by 1 place\n"
+        )
+        assert run("csp content --shape 3,3 --content 2,1,1,2 --power 2".split()) == 2
+        assert "under rotation by 2 places" in capsys.readouterr().err
+
     def test_unordered_parts_are_normalized(self, capsys):
         assert parse_shape("1,2") == Partition((2, 1))
 
@@ -156,6 +166,19 @@ class TestJsonOutput:
         assert run(argv.split()) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("shape, code, digest", [
+        ("3,3,1", 1, "57ea84ec55f9e6a3621720744bc3b25a39544ffd0b681804c4cbf2b15ddbe300"),
+        ("6,6,6", 0, "283057b93f520297f68b347db6bac9c26cf8db1acdec6a78f628b1df05cdd591"),
+        ("200", 0, "d26b42b9bcfcb747a40ab01e511999036cd7e789f1d067cd62489de15d35f121"),
+    ])
+    def test_syt_reports_are_pinned(self, capsys, shape, code, digest):
+        """SHA-256 of outputs recorded while the q-hook formula was still
+        divided out of [n]!_q and the tableaux were enumerated as objects.
+        3,3,1 is the documented failure (modulus 195); the single row of 200
+        cells took about two minutes that way."""
+        assert run(["csp", "syt", "--shape", shape, "--json"]) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_stability_across_runs(self, capsys):
         run(["csp", "handshake", "4", "--json"])
         first = capsys.readouterr().out
@@ -207,3 +230,19 @@ class TestFamilies:
         assert run(["kl", "verify-promotion", "--shape", "2,2"]) == 0
         assert run(["kl", "mu-invariance", "--shape", "2,2"]) == 0
         assert run(kf_check) == 0
+
+
+class TestEmptyShape:
+    def test_csp_syt_takes_modulus_one(self, capsys):
+        assert run(["csp", "syt", "--shape", "", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["m"] == 1 and data["verdict"] is True
+        assert data["rows"] == [{"d": 0, "fixed": 1, "eval": 1, "eval_repr": "(1)", "match": True}]
+
+    def test_dihedral_counts_the_empty_tableau(self, capsys):
+        for k in range(4):
+            assert run(["dihedral", "--shape", "", "--bound", str(k), "--json"]) == 0, k
+            data = json.loads(capsys.readouterr().out)
+            for family in ("cst", "syt"):
+                for op in ("e", "ej"):
+                    assert data[family][op] == {"fixed": 1, "expected": 1}, (k, family, op)

@@ -1,3 +1,6 @@
+import random
+from functools import cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +52,36 @@ class TestCyclotomicPolynomial:
                     prod = prod * cyclotomic_polynomial(d)
             target = IntPolynomial((-1,) + (0,) * (m - 1) + (1,))
             assert prod == target
+
+
+@cache
+def _cyclotomic_by_division(m):
+    """Phi_m as (q^m - 1) divided by every lower Phi_d, d | m: the former
+    construction."""
+    numerator = IntPolynomial((-1,) + (0,) * (m - 1) + (1,))
+    for d in range(1, m):
+        if m % d == 0:
+            numerator = numerator.exact_div(_cyclotomic_by_division(d))
+    return numerator
+
+
+class TestResidueTable:
+    def test_cyclotomic_polynomials_match_division(self):
+        for m in range(1, 121):
+            assert cyclotomic_polynomial(m) == _cyclotomic_by_division(m), m
+
+    def test_table_residue_matches_long_division(self):
+        """At every order up to 200, the residue read off the table of
+        q^e mod Phi_m equals the long-division remainder."""
+        rng = random.Random(7)
+        for m in range(1, 201):
+            phi = _cyclotomic_by_division(m)
+            for terms in (3, 12, m):
+                coeffs = [0] * m
+                for _ in range(terms):
+                    coeffs[rng.randrange(m)] += rng.randint(-50, 50)
+                poly = IntPolynomial(coeffs)
+                assert CyclotomicElement(m, poly).residue == poly.divmod(phi)[1], m
 
 
 class TestEvalAtRoot:

@@ -376,6 +376,27 @@ class TestPromotionPermutation:
         with pytest.raises(ValueError, match="does not permute"):
             promotion_permutation([zero], lam, 3)
 
+    def test_packed_words_take_the_same_path(self):
+        """The array enumerate_syt(packed=True) returns promotes exactly as
+        its decoded tableaux do, and passes the same checks."""
+        for lam in all_partitions_up_to(8):
+            words = enumerate_syt(lam, packed=True)
+            assert promotion_permutation(words, lam, lam.size) == promotion_permutation(
+                enumerate_syt(lam), lam, lam.size
+            ), lam
+        lam = Partition((2, 2))
+        words = enumerate_syt(lam, packed=True)
+        bad = words.copy()
+        bad[0, :4] = bad[0, [1, 0, 2, 3]]  # a row decreases
+        with pytest.raises(ValueError, match="not a column-strict tableau"):
+            promotion_permutation(bad, lam, 4)
+        with pytest.raises(ValueError, match="end with 0 and k"):
+            promotion_permutation(words, lam, 5)  # words packed for k = 4
+        with pytest.raises(ValueError, match="entries"):
+            promotion_permutation(words[:, 1:], lam, 4)
+        with pytest.raises(ValueError, match="does not permute"):
+            promotion_permutation(words[::-1], lam, 4)  # not sorted
+
     def test_rejects_another_shape(self):
         with pytest.raises(ValueError, match="shape"):
             promotion_permutation(enumerate_syt(Partition((3, 1))), Partition((2, 2)), 4)

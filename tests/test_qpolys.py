@@ -11,12 +11,14 @@ from cyclosieve import (
     Composition,
     IntPolynomial,
     Partition,
+    QProduct,
     charge,
     enumerate_cst,
     evacuate,
     kappa,
     kostka_foulkes,
     mn_character,
+    hook_length,
     q_binomial,
     q_catalan,
     q_factorial,
@@ -99,6 +101,63 @@ class TestQHookFormula:
         for lam in all_partitions_up_to(8):
             if lam.size:
                 assert q_hook_formula(lam)(1) == syt_count(lam)
+
+
+# The former expand-and-divide formulas, kept as oracles for the products.
+def _q_binomial_oracle(n, k):
+    return q_factorial(n).exact_div(q_factorial(k)).exact_div(q_factorial(n - k))
+
+
+def _q_hook_oracle(lam):
+    denominator = IntPolynomial.one()
+    for cell in lam.cells():
+        denominator = denominator * q_int(hook_length(lam, cell))
+    return q_factorial(lam.size).exact_div(denominator)
+
+
+def _q_catalan_oracle(n):
+    return _q_binomial_oracle(2 * n, n).exact_div(q_int(n + 1))
+
+
+def _folded(poly, m):
+    """poly mod q^m - 1, by summing coefficients m apart."""
+    return IntPolynomial(sum(poly.coeffs[r::m]) for r in range(m))
+
+
+class TestQProduct:
+    def test_q_hook_matches_expand_and_divide(self):
+        for lam in all_partitions_up_to(10):
+            expected = _q_hook_oracle(lam)
+            assert q_hook_formula(lam) == expected, lam
+            product = QProduct.from_q_integers(
+                range(1, lam.size + 1), [hook_length(lam, c) for c in lam.cells()]
+            )
+            for m in {1, 2, lam.size or 1, 2 * lam.size + 1, 195}:
+                assert product.cyclic_reduction(m) == _folded(expected, m), (lam, m)
+
+    def test_q_binomial_and_q_catalan_match_expand_and_divide(self):
+        for n in range(15):
+            for k in range(n + 1):
+                assert q_binomial(n, k) == _q_binomial_oracle(n, k), (n, k)
+            if n:
+                assert q_catalan(n) == _q_catalan_oracle(n), n
+
+    def test_negative_exponent_is_the_certificate(self):
+        """[2]_q / [3]_q is no polynomial: Phi_3 is left with exponent -1."""
+        with pytest.raises(ValueError, match="Phi_3 has exponent -1"):
+            QProduct.from_q_integers([2], [3])
+        with pytest.raises(ValueError, match="not a polynomial"):
+            QProduct.from_q_integers([6], [4])
+        with pytest.raises(ValueError, match="positive"):
+            QProduct.from_q_integers([0])
+        assert QProduct.from_q_integers([6], [2, 3]).expand() == IntPolynomial((1, -1, 1))
+
+    def test_sign_and_shift(self):
+        product = QProduct({2: 1, 3: 1}, sign=-1, shift=2)  # -q^2 (1 + q)(1 + q + q^2)
+        assert product.expand() == IntPolynomial((0, 0, -1, -2, -2, -1))
+        for m in range(1, 9):
+            assert product.cyclic_reduction(m) == _folded(product.expand(), m), m
+        assert QProduct({}).expand() == IntPolynomial.one()
 
 
 class TestKappa:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import compositions_of, rectangles_up_to
+from conftest import all_partitions_up_to, compositions_of, rectangles_up_to
 
 from cyclosieve import (
     Composition,
@@ -18,6 +18,7 @@ from cyclosieve import (
     promote,
     promote_power,
     q_hook_formula,
+    syt_count,
 )
 from cyclosieve.sieving import (
     CSPReport,
@@ -110,6 +111,29 @@ class TestFiniteAction:
         with pytest.raises(ValueError, match="not distinct"):
             FiniteAction([0, 0], lambda i: i)
 
+    def test_syt_elements_are_decoded_when_read(self, monkeypatch):
+        """Promotion on SYT runs on the packed words; the Tableau list is
+        built once, on the first read, and equals enumerate_syt's."""
+        from cyclosieve import sieving
+
+        calls = []
+        decode = sieving.tableaux_from_words
+        monkeypatch.setattr(
+            sieving, "tableaux_from_words", lambda *args: calls.append(args) or decode(*args)
+        )
+        for lam in all_partitions_up_to(7):
+            action = syt_promotion_action(lam)
+            assert not calls and len(action) == syt_count(lam)
+            assert action.elements == enumerate_syt(lam) and len(calls) == 1
+            assert action.elements is action.elements and len(calls) == 1
+            calls.clear()
+
+    def test_elements_built_on_read_need_the_permutation(self):
+        with pytest.raises(TypeError):
+            FiniteAction(lambda: [0, 1], lambda x: x)
+        action = FiniteAction(lambda: ["a", "b"], [1, 0])
+        assert action.orbit_sizes() == [2] and action.elements == ["a", "b"]
+
     def test_promotion_actions_match_per_tableau_promote(self):
         """The promotion actions come from the set-level kernel; their
         generators agree with looking up each tableau's promote_power."""
@@ -180,6 +204,27 @@ class TestDefaultPolynomial:
         action = syt_promotion_action(Partition((2, 2, 2)))
         diff = default_csp_polynomial(action) - q_hook_formula(Partition((2, 2, 2)))
         assert diff.divmod(cyclotomic_polynomial(6))[1].is_zero()
+
+
+class TestFactoredPredictedSides:
+    def test_no_verdict_expands_a_factorial_or_divides(self, monkeypatch):
+        """The q-hook, q-binomial and q-Catalan sides are reduced mod
+        q^m - 1 from their cyclotomic factors, and residues mod Phi_m come
+        from a table: no verdict calls q_factorial, exact_div or divmod."""
+        from cyclosieve import cyclotomic, qpolys
+
+        def forbidden(*args):
+            raise AssertionError("called on a verdict path")
+
+        monkeypatch.setattr(qpolys, "q_factorial", forbidden)
+        monkeypatch.setattr(qpolys.IntPolynomial, "exact_div", forbidden)
+        monkeypatch.setattr(qpolys.IntPolynomial, "divmod", forbidden)
+        qpolys.cyclotomic_polynomial.cache_clear()
+        cyclotomic._power_residues.cache_clear()
+        reports = [syt_csp_report(Partition(lam)) for lam in ((2, 2, 2), (3, 3, 1), (3, 3, 3), (40,))]
+        reports += [bn_csp_report(2), handshake_csp_report(4), noncrossing_csp_report(4),
+                    subsets_csp_report(6, 3), multisets_csp_report(4, 3)]
+        assert [r.verdict for r in reports] == [True, False, True, True, True, True, True, True, True]
 
 
 class TestPromotionAction:
@@ -392,7 +437,7 @@ class TestDihedral:
     def test_cycle_type_formulas(self):
         from cyclosieve.permutations import cycle_type, long_cycle, long_element
 
-        for n in range(2, 9):
+        for n in range(0, 9):
             assert cycle_type(long_element(n)) == _wo_cycle_type(n)
             assert cycle_type(long_element(n) * long_cycle(n)) == _wo_cn_cycle_type(n)
 

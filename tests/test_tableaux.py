@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from conftest import all_partitions_up_to, compositions_of, partitions_of
@@ -67,6 +68,28 @@ class TestHooks:
         assert syt_count(Partition((3, 3, 1))) == 21
 
 
+def _enumerate_syt_oracle(shape):
+    """The former enumerator: place values one by one, build a validated
+    Tableau per filling, sort by row word."""
+    n = shape.size
+    results = []
+    rows = [[] for _ in shape]
+
+    def place(value):
+        if value > n:
+            results.append(Tableau(rows))
+            return
+        for r in range(len(shape)):
+            c = len(rows[r])
+            if c < shape[r] and (r == 0 or len(rows[r - 1]) > c):
+                rows[r].append(value)
+                place(value + 1)
+                rows[r].pop()
+
+    place(1)
+    return sorted(results, key=Tableau.row_word)
+
+
 class TestEnumerateSyt:
     def test_counts_match_hook_formula_up_to_10(self):
         for size in range(11):
@@ -86,9 +109,41 @@ class TestEnumerateSyt:
                 rebuilt = Tableau([list(row) for row in t.rows])
                 assert t == rebuilt and hash(t) == hash(rebuilt), t
 
+    def test_packed_words_are_the_oracle_row_words(self):
+        shapes = [*all_partitions_up_to(9), Partition((4,) * 4), Partition((3,) * 5)]
+        for lam in shapes:
+            n = lam.size
+            words = enumerate_syt(lam, packed=True)
+            expected = [t.row_word() for t in _enumerate_syt_oracle(lam)]
+            assert words.dtype == np.int8 and words.shape == (len(expected), n + 2), lam
+            assert (words[:, n] == 0).all() and (words[:, n + 1] == n + 1).all(), lam
+            assert [tuple(w) for w in words[:, :n].tolist()] == expected, lam
+
+    def test_decoded_tableaux_are_the_oracle_tableaux(self):
+        for lam in all_partitions_up_to(9):
+            tabs = enumerate_syt(lam)
+            assert tabs == _enumerate_syt_oracle(lam), lam
+            assert all(type(x) is int for t in tabs for row in t.rows for x in row)
+
+    def test_wide_entries(self):
+        """n + 1 > 126 needs int16 words."""
+        lam = Partition((130, 1))
+        words = enumerate_syt(lam, packed=True)
+        assert words.dtype == np.int16 and len(words) == 130
+        assert enumerate_syt(lam) == _enumerate_syt_oracle(lam)
+
+    def test_no_recursion_limit(self):
+        """Values are placed in a loop, so a thousand cells do not reach
+        Python's recursion limit."""
+        words = enumerate_syt(Partition((1500,)), packed=True)
+        assert words.tolist() == [[*range(1, 1501), 0, 1501]]
+        assert len(enumerate_syt(Partition((1100, 1)))) == 1100
+
     def test_cap(self):
         with pytest.raises(CapExceeded):
             enumerate_syt(Partition((4, 4, 4)), cap=10)
+        with pytest.raises(CapExceeded):
+            enumerate_syt(Partition((4, 4, 4)), cap=10, packed=True)
 
 
 class TestEnumerateCst:
