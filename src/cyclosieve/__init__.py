@@ -9,6 +9,7 @@ from .tableaux import (
     Tableau,
     conjugate,
     css,
+    cst_count,
     descent_set,
     dominance_leq,
     enumerate_cst,

@@ -20,20 +20,19 @@ Row-strict promotion is conjugation by transposition.
 Orbit walks promote a whole enumerated set at once with
 :func:`promotion_permutation`, which holds the set as one small-integer
 array of row-reading words and slides the holes of every tableau together,
-column by column, with the same rule.  Standard tableaux arrive in that
-array straight from ``tableaux.enumerate_syt(..., packed=True)``.
+column by column, with the same rule.  Enumerated sets arrive in that array
+straight from ``tableaux.enumerate_syt`` or ``tableaux.enumerate_cst`` with
+``packed=True``.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain, repeat
-from operator import attrgetter
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .tableaux import Composition, Partition, Tableau, _slide, descent_set, word_dtype
+from .tableaux import Composition, Partition, Tableau, _slide, descent_set
 
 
 def _holes(grid: list[list]) -> list[tuple[int, int]]:
@@ -108,21 +107,6 @@ def _cells(shape: tuple[int, ...]) -> _Cells:
     )
 
 
-def _pack(elements: Sequence[Tableau], shape: tuple[int, ...], k: int) -> np.ndarray:
-    """The packed row-reading words of ``elements``, one per row of an array
-    of the smallest integer type that holds k + 1."""
-    rows = attrgetter("rows")
-    count, n = len(elements), sum(shape)
-    if list(map(len, chain.from_iterable(map(rows, elements)))) != list(shape) * count:
-        raise ValueError(f"not every tableau has shape {shape}")
-    padded = zip(map(rows, elements), repeat(((0, k + 1),)))
-    entries = chain.from_iterable(chain.from_iterable(chain.from_iterable(padded)))
-    try:
-        return np.fromiter(entries, word_dtype(k), count * (n + 2)).reshape(count, n + 2)
-    except OverflowError:  # an entry outside the type, hence above k or far below 1
-        raise ValueError(f"not a column-strict tableau with entries <= {k}") from None
-
-
 def _check_words(words: np.ndarray, shape: tuple[int, ...], k: int) -> None:
     """Raise unless every packed word is column-strict with entries <= k, the
     test of ``Tableau.is_column_strict(k)``."""
@@ -168,24 +152,18 @@ def _promote_words(words: np.ndarray, shape: tuple[int, ...], k: int, power: int
     return images
 
 
-def promotion_permutation(
-    elements: Sequence[Tableau] | np.ndarray, shape: Partition, k: int, power: int = 1
-) -> list[int]:
+def promotion_permutation(words: np.ndarray, shape: Partition, k: int, power: int = 1) -> list[int]:
     """The permutation by which ``promote_power(., k, power)`` acts on a set.
 
-    ``elements`` are distinct tableaux of the given shape, sorted by
-    row-reading word, as the enumerators return them, or their packed words
-    as ``enumerate_syt(..., packed=True)`` returns them.  Entry i of the
-    result is the index of the image of ``elements[i]``.  Raises
-    ``ValueError`` when an element is not column-strict with entries <= k,
-    or when promotion does not map the set onto itself.
+    ``words`` are the packed row-reading words of distinct tableaux of the
+    given shape, sorted, as ``enumerate_syt`` and ``enumerate_cst`` return
+    them with ``packed=True``.  Entry i of the result is the index of the
+    image of the i-th tableau.  Raises ``ValueError`` when a word is not
+    column-strict with entries <= k, or when promotion does not map the set
+    onto itself.
     """
     shape = tuple(shape)
-    count = len(elements)
-    if isinstance(elements, np.ndarray):
-        words = elements
-    else:
-        words = _pack(elements, shape, k)
+    count = len(words)
     _check_words(words, shape, k)
     images = _promote_words(words, shape, k, abs(power))
     # The images, sorted, must be the elements themselves: then every image

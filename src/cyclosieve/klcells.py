@@ -11,16 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations as _itertools_permutations
+from itertools import combinations, permutations as _itertools_permutations
 from operator import add
 from typing import Optional
 
 import numpy as np
 
-from .jeudetaquin import is_semistandardizable, promote
+from .jeudetaquin import is_semistandardizable, promotion_permutation
 from .permutations import Permutation, rsk, rsk_inverse
 from .qpolys import IntPolynomial
-from .tableaux import Composition, Partition, Tableau, css, descent_set, enumerate_syt, extended_descent_set
+from .tableaux import Composition, Partition, Tableau, css, descent_set, enumerate_syt
+from .tableaux import extended_descent_set, tableaux_from_words
 
 DEFAULT_RANK_CAP = 6
 
@@ -258,16 +259,40 @@ def mu_tableaux(p: Tableau, q: Tableau, table: Optional[KLTable] = None) -> int:
     return table.mu_sym(wp, wq)
 
 
-@cache
-def _mu_matrix(shape: Partition) -> tuple[tuple[int, ...], ...]:
-    basis = enumerate_syt(shape)
-    table = kl_table(Partition(shape).size)
-    t = basis[0]
-    words = [rsk_inverse(p, t) for p in basis]
-    return tuple(
-        tuple(table.mu_sym(words[a], words[b]) for b in range(len(basis)))
-        for a in range(len(basis))
-    )
+def _cell_basis(shape: Partition, allow_large: bool = False, cap: Optional[int] = None):
+    """SYT(shape), the basis of the cellular module: its packed words, its
+    tableaux, their descent sets, the mu-matrix over them
+    (mu[a][b] = mu[(T, P_a), (T, P_b)] for any recording tableau T) and the
+    KL table it was read from."""
+    words = enumerate_syt(shape, cap=cap, packed=True)
+    basis = tableaux_from_words(words, shape)
+    table = kl_table(shape.size, allow_large=allow_large)
+    perms = [rsk_inverse(p, basis[0]) for p in basis]
+    mu = [[table.mu_sym(x, y) for y in perms] for x in perms]
+    return words, basis, [descent_set(t) for t in basis], mu, table
+
+
+def _generator_matrix(
+    descents: list[frozenset[int]], mu: list[list[int]], i: int
+) -> tuple[tuple[int, ...], ...]:
+    """Matrix of s_i on the cellular module, in a basis with the given descent sets.
+
+    Entry (r, c) is the coefficient of basis tableau r in s_i applied to
+    basis tableau c: -1 on the diagonal at descents, otherwise +1 plus
+    mu-coupled off-diagonal terms at tableaux having i as a descent.  With
+    extended descent sets and i = n this is the formula for s_n.
+    """
+    dim = len(descents)
+    matrix = [[0] * dim for _ in range(dim)]
+    for col in range(dim):
+        if i in descents[col]:
+            matrix[col][col] = -1
+        else:
+            matrix[col][col] = 1
+            for row in range(dim):
+                if row != col and i in descents[row]:
+                    matrix[row][col] = mu[col][row]
+    return tuple(map(tuple, matrix))
 
 
 @dataclass(frozen=True)
@@ -280,30 +305,13 @@ class CellMatrix:
 
 
 def cell_generator_matrix(shape: Partition, i: int) -> CellMatrix:
-    """Matrix of s_i on the cellular module, in the canonical SYT basis.
-
-    Entry (r, c) is the coefficient of basis tableau r in s_i applied to
-    basis tableau c: -1 on the diagonal at descents, otherwise +1 plus
-    mu-coupled off-diagonal terms at tableaux having i as a descent.
-    """
+    """Matrix of s_i on the cellular module, in the canonical SYT basis."""
     shape = Partition(shape)
     n = shape.size
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for n={n}")
-    basis = enumerate_syt(shape)
-    descents = [descent_set(t) for t in basis]
-    mu = _mu_matrix(shape)
-    dim = len(basis)
-    matrix = [[0] * dim for _ in range(dim)]
-    for col in range(dim):
-        if i in descents[col]:
-            matrix[col][col] = -1
-        else:
-            matrix[col][col] = 1
-            for row in range(dim):
-                if row != col and i in descents[row]:
-                    matrix[row][col] = mu[col][row]
-    return CellMatrix(shape, i, tuple(tuple(r) for r in matrix))
+    _, _, descents, mu, _ = _cell_basis(shape)
+    return CellMatrix(shape, i, _generator_matrix(descents, mu, i))
 
 
 def _mat_mul(a, b):
@@ -321,11 +329,14 @@ def representation_matrix(shape: Partition, w: Permutation) -> tuple[tuple[int, 
     """Matrix of w on the cellular module, multiplied out along a reduced word."""
     shape = Partition(shape)
     w = Permutation(w)
-    result = _identity_matrix(len(enumerate_syt(shape)))
+    _, _, descents, mu, _ = _cell_basis(shape)
+    result = _identity_matrix(len(descents))
     current = w
     while current.length():
         i = min(current.left_descents())
-        result = _mat_mul(result, cell_generator_matrix(shape, i).matrix)
+        if i >= shape.size:
+            raise ValueError(f"generator index {i} out of range for n={shape.size}")
+        result = _mat_mul(result, _generator_matrix(descents, mu, i))
         # peel s_i off the left: current = s_i * current
         current = Permutation(
             tuple(i + 1 if v == i else i if v == i + 1 else v for v in current)
@@ -366,19 +377,19 @@ class PromotionMatrixReport:
         }
 
 
-def _kl_basis_long_cycle_coefficient(shape: Partition, table: KLTable) -> int:
+def _kl_basis_long_cycle_coefficient(base: Tableau, promoted: Tableau, table: KLTable) -> int:
     """Coefficient of the promoted superstandard KL basis element after
     multiplying C'_u(1) by the long cycle.
 
-    The basis element is expanded in the group basis, every permutation is
-    composed with the long cycle (applied after it, i.e. entries shift by one
-    cyclically), and the result is re-expressed in the KL basis by peeling
-    Bruhat-maximal support elements.
+    ``base`` is the column superstandard tableau and ``promoted`` its
+    promotion.  The basis element is expanded in the group basis, every
+    permutation is composed with the long cycle (applied after it, i.e.
+    entries shift by one cyclically), and the result is re-expressed in the
+    KL basis by peeling Bruhat-maximal support elements.
     """
-    n = Partition(shape).size
-    base = css(shape)
+    n = base.size
     u = rsk_inverse(base, base)
-    v = rsk_inverse(promote(base, n), base)
+    v = rsk_inverse(promoted, base)
     ui = table._idx(u)
     coeffs: dict[int, int] = {}
     for x in np.nonzero(table._leq[:, ui])[0]:
@@ -424,45 +435,30 @@ def verify_promotion_identity(
     if not shape.is_rectangular():
         raise ValueError("the promotion identity concerns rectangular shapes")
     n = shape.size
-    a = len(shape)
-    basis = enumerate_syt(shape, cap=cap)
-    table = kl_table(n, allow_large=allow_large)
-    idx = {t: i for i, t in enumerate(basis)}
-    dim = len(basis)
-    sign = (-1) ** (a - 1)
-
-    gens = {i: cell_generator_matrix(shape, i).matrix for i in range(1, n)} if n > 1 else {}
+    sign = (-1) ** (len(shape) - 1)
+    words, basis, descents, mu, table = _cell_basis(shape, allow_large, cap)
+    promotion = promotion_permutation(words, shape, n)
+    dim = len(promotion)
+    gens = [_generator_matrix(descents, mu, i) for i in range(1, n)]
     rho_cn = _identity_matrix(dim)
-    for i in range(1, n):
-        rho_cn = _mat_mul(rho_cn, gens[i])
-
-    jmat = [[0] * dim for _ in range(dim)]
-    for t in basis:
-        jmat[idx[promote(t, n)]][idx[t]] = 1
-    expected = tuple(tuple(sign * x for x in row) for row in jmat)
+    for gen in gens:
+        rho_cn = _mat_mul(rho_cn, gen)
+    # sign * J, where J sends each basis tableau to its promotion
+    expected = tuple(tuple(sign if promotion[c] == r else 0 for c in range(dim)) for r in range(dim))
     long_cycle_matches = rho_cn == expected
 
     # rho(s_n) = rho(c_n) rho(s_{n-1}) rho(c_n)^{-1}; compare with the
     # extended-descent formula.
     if n > 1:
-        inv_rho_cn = tuple(tuple(sign * jmat[c][r] for c in range(dim)) for r in range(dim))
-        rho_sn = _mat_mul(_mat_mul(rho_cn, gens[n - 1]), inv_rho_cn)
-        mu = _mu_matrix(shape)
+        rho_sn = _mat_mul(_mat_mul(rho_cn, gens[-1]), tuple(zip(*expected)))
         exts = [extended_descent_set(t) for t in basis]
-        predicted = [[0] * dim for _ in range(dim)]
-        for col in range(dim):
-            if n in exts[col]:
-                predicted[col][col] = -1
-            else:
-                predicted[col][col] = 1
-                for row in range(dim):
-                    if row != col and n in exts[row]:
-                        predicted[row][col] = mu[col][row]
-        affine_matches = rho_sn == tuple(tuple(r) for r in predicted)
+        affine_matches = rho_sn == _generator_matrix(exts, mu, n)
+        base = css(shape)
+        promoted = basis[promotion[basis.index(base)]]
+        coefficient = _kl_basis_long_cycle_coefficient(base, promoted, table)
     else:
         affine_matches = True
-
-    coefficient = _kl_basis_long_cycle_coefficient(shape, table) if n > 1 else sign
+        coefficient = sign
     return PromotionMatrixReport(
         shape=shape,
         sign=sign,
@@ -509,23 +505,15 @@ def mu_promotion_invariance(
 ) -> MuInvarianceReport:
     """Exhaustively compare mu[P,Q] with mu[j(P),j(Q)] over a shape."""
     shape = Partition(shape)
-    n = shape.size
-    basis = enumerate_syt(shape, cap=cap)
-    table = kl_table(n, allow_large=allow_large)
-    mu_of = {}
-    t0 = basis[0]
-    words = {t: rsk_inverse(t, t0) for t in basis}
-    failures = []
-    pairs = 0
-    for a, p in enumerate(basis):
-        for q in basis[a + 1:]:
-            pairs += 1
-            before = table.mu_sym(words[p], words[q])
-            jp, jq = promote(p, n), promote(q, n)
-            after = table.mu_sym(words[jp], words[jq])
-            if before != after:
-                failures.append((p, q, before, after))
-    return MuInvarianceReport(shape=shape, pairs_checked=pairs, failures=tuple(failures))
+    words, basis, _, mu, _ = _cell_basis(shape, allow_large, cap)
+    promotion = promotion_permutation(words, shape, shape.size)
+    pairs = list(combinations(range(len(basis)), 2))
+    failures = tuple(
+        (basis[a], basis[b], mu[a][b], mu[promotion[a]][promotion[b]])
+        for a, b in pairs
+        if mu[a][b] != mu[promotion[a]][promotion[b]]
+    )
+    return MuInvarianceReport(shape=shape, pairs_checked=len(pairs), failures=failures)
 
 
 # -- KL immanants and the vanishing criterion --------------------------------

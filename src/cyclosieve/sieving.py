@@ -13,6 +13,8 @@ from itertools import combinations, combinations_with_replacement
 from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
 
+import numpy as np
+
 from .cyclotomic import as_integer, eval_at_root
 from .jeudetaquin import evacuate, promotion_permutation
 from .qpolys import (
@@ -243,7 +245,8 @@ def promotion_action(
     cap: Optional[int] = None,
 ) -> FiniteAction:
     """The action of promotion (or of its ``power``-th power on a fixed
-    content class) on column-strict tableaux."""
+    content class) on column-strict tableaux, computed on the packed words
+    as in :func:`syt_promotion_action`."""
     shape = Partition(shape)
     if power < 1:
         raise ValueError(f"the promotion power must be positive, got {power}")
@@ -262,8 +265,9 @@ def promotion_action(
             raise ValueError(
                 f"content {tuple(content)} is not invariant under rotation by {power} {places}"
             )
-    elements = enumerate_cst(shape, bound, content, cap=cap)
-    return FiniteAction(elements, promotion_permutation(elements, shape, bound, power))
+    words = enumerate_cst(shape, bound, content, cap=cap, packed=True)
+    generator = promotion_permutation(words, shape, bound, power)
+    return FiniteAction(lambda: tableaux_from_words(words, shape), generator)
 
 
 def syt_csp_report(
@@ -454,10 +458,9 @@ def syt_evacuation_promotion_expected(shape: Partition) -> int:
     return sign * chi
 
 
-def _dihedral_fixed_counts(
-    elements: Sequence[Tableau], shape: Partition, k: int
-) -> tuple[int, int]:
-    """#Fix(evacuation) and #Fix(evacuation after promotion) on a sorted set.
+def _dihedral_fixed_counts(words: np.ndarray, shape: Partition, k: int) -> tuple[int, int]:
+    """#Fix(evacuation) and #Fix(evacuation after promotion) on a set given
+    by its sorted packed words.
 
     Evacuation is applied once per tableau and promotion once to the whole
     set, as two index permutations E and P.  Before any count is read, the
@@ -466,12 +469,13 @@ def _dihedral_fixed_counts(
     ε∘∂∘ε = ∂⁻¹).  Since E is an involution, ε∘∂ fixes element i exactly
     when P[i] = E[i].
     """
+    elements = tableaux_from_words(words, shape)
     index = {t: i for i, t in enumerate(elements)}
     try:
         evac = [index[evacuate(t, k)] for t in elements]
     except KeyError:
         raise AssertionError("evacuation maps a tableau outside the set") from None
-    prom = promotion_permutation(elements, shape, k)
+    prom = promotion_permutation(words, shape, k)
     identity = list(range(len(elements)))
     if [evac[i] for i in evac] != identity:
         raise AssertionError("evacuation is not an involution on the set")
@@ -488,9 +492,9 @@ def dihedral_report(shape: Partition, bound: int, cap: Optional[int] = None) -> 
     shape = Partition(shape)
     if not shape.is_rectangular():
         raise ValueError("the dihedral comparisons concern rectangular shapes")
-    csts = enumerate_cst(shape, bound, cap=cap)
+    csts = enumerate_cst(shape, bound, cap=cap, packed=True)
     cst_e, cst_ej = _dihedral_fixed_counts(csts, shape, bound)
-    syts = enumerate_syt(shape, cap=cap)
+    syts = enumerate_syt(shape, cap=cap, packed=True)
     syt_e, syt_ej = _dihedral_fixed_counts(syts, shape, shape.size)
     return DihedralReport(
         shape=shape,

@@ -154,6 +154,20 @@ def syt_count(shape: Partition) -> int:
     return count
 
 
+def cst_count(shape: Partition, k: int) -> int:
+    """Number of column-strict fillings with entries <= k, by the hook-content
+    formula: the product of k + c(u) over the cells u, divided by the hook product."""
+    shape = Partition(shape)
+    if k < 0:
+        raise ValueError("bound must be nonnegative")
+    numer = math.prod(k + c - r for r, c in shape.cells())
+    denom = math.prod(hook_lengths(shape).values())
+    count, rem = divmod(numer, denom)
+    if rem:
+        raise AssertionError(f"hook product does not divide the content product for {shape}, k = {k}")
+    return count
+
+
 def dominance_leq(mu: Partition, lam: Partition) -> bool:
     """True iff mu <= lam in dominance order (partial sums comparison)."""
     mu, lam = Partition(mu), Partition(lam)
@@ -182,7 +196,8 @@ class Tableau:
     @classmethod
     def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "Tableau":
         """A tableau of rows that are already int tuples of a partition shape,
-        as the enumerators build them; skips the conversion and shape check."""
+        as :func:`tableaux_from_words` reads them off a packed array; skips
+        the conversion and shape check."""
         t = object.__new__(cls)
         object.__setattr__(t, "rows", rows)
         return t
@@ -259,9 +274,6 @@ class Tableau:
 
     def __hash__(self) -> int:
         return hash(self.rows)
-
-    def __lt__(self, other: "Tableau") -> bool:
-        return self.row_word() < other.row_word()
 
     def __repr__(self) -> str:
         return f"Tableau({list(map(list, self.rows))})"
@@ -411,42 +423,59 @@ def tableaux_from_words(words: np.ndarray, shape: Partition) -> list[Tableau]:
     return list(map(Tableau._trusted, zip(*rows)))
 
 
-def _enumerate_fillings(shape: Partition, k: int, content: Optional[Composition], cap: int) -> list[Tableau]:
-    """Column-strict fillings with entries <= k, optionally of fixed content.
+def _enumerate_fillings(shape: Partition, k: int, content: Optional[Composition], cap: int) -> np.ndarray:
+    """The packed row-reading words of the column-strict fillings with
+    entries <= k, optionally of fixed content, in the layout of
+    :func:`enumerate_syt`.
 
-    Cells are filled in row-major order, smallest value first, so the
-    fillings come out sorted by row-reading word.
+    Cells are filled in row-major order, smallest value first, so the words
+    come out sorted.  A cell takes at least its west neighbour and more than
+    its north neighbour, read through the always-0 sentinel at index n when
+    it has none, and at most k less the number of cells below it.
     """
+    n = shape.size
+    west, north, top = [n] * n, [n] * n, [k] * n
+    start = 0
+    for r, length in enumerate(shape):
+        for i in range(start, start + length):
+            if i > start:
+                west[i] = i - 1
+            if r:
+                north[i] = i - shape[r - 1]
+        start += length
+    for i in reversed(range(n)):
+        if north[i] < n:
+            top[north[i]] = top[i] - 1
     remaining = list(content) if content is not None else None
-    cells = [(r, c) for r in range(len(shape)) for c in range(shape[r])]  # row-major
-    rows = [[0] * p for p in shape]
-    results: list[Tableau] = []
-
-    def fill(idx: int) -> None:
-        if idx == len(cells):
-            results.append(Tableau._trusted(tuple(map(tuple, rows))))
-            if len(results) > cap:
+    word = [0] * n + [0, k + 1]
+    flat: list[int] = []
+    # Depth-first, without recursion: ``i`` is the cell to fill and
+    # ``value`` the smallest value left to try there.
+    i, value = 0, 1
+    while i >= 0:
+        if i == n:
+            flat.extend(word)
+            if len(flat) > cap * (n + 2):
                 raise CapExceeded(f"enumeration exceeded cap {cap}")
-            return
-        r, c = cells[idx]
-        lo = 1
-        if c > 0:
-            lo = max(lo, rows[r][c - 1])
-        if r > 0:
-            lo = max(lo, rows[r - 1][c] + 1)
-        for v in range(lo, k + 1):
+        else:
+            value = max(value, word[west[i]], word[north[i]] + 1)
             if remaining is not None:
-                if v > len(remaining) or remaining[v - 1] == 0:
-                    continue
-                remaining[v - 1] -= 1
-            rows[r][c] = v
-            fill(idx + 1)
+                while value <= top[i] and not remaining[value - 1]:
+                    value += 1
+            if value <= top[i]:
+                word[i] = value
+                if remaining is not None:
+                    remaining[value - 1] -= 1
+                i, value = i + 1, 1
+                continue
+        # Take back the previous cell's value and try the next one there.
+        i -= 1
+        if i >= 0:
+            value = word[i]
             if remaining is not None:
-                remaining[v - 1] += 1
-        rows[r][c] = 0
-
-    fill(0)
-    return results
+                remaining[value - 1] += 1
+            value += 1
+    return np.array(flat, dtype=word_dtype(k)).reshape(-1, n + 2)
 
 
 def enumerate_cst(
@@ -454,11 +483,16 @@ def enumerate_cst(
     k: int,
     content: Optional[Composition] = None,
     cap: Optional[int] = None,
-) -> list[Tableau]:
-    """All column-strict tableaux with entries <= k, canonically ordered.
+    packed: bool = False,
+) -> list[Tableau] | np.ndarray:
+    """All column-strict tableaux with entries <= k, sorted by row-reading word.
 
     When ``content`` is given it must have length k and size |shape|; the
-    enumeration is then restricted to that content.
+    enumeration is then restricted to that content.  Without one, the count
+    :func:`cst_count` is held against the cap before anything is filled.
+    With ``packed`` no ``Tableau`` is built: row i of the N x (n + 2) result
+    is the row-reading word of the i-th tableau followed by 0 and k + 1, as
+    :func:`enumerate_syt` returns it.
     """
     shape = Partition(shape)
     if content is not None:
@@ -469,9 +503,12 @@ def enumerate_cst(
             raise ValueError("content size must match shape size")
     if k < 0:
         raise ValueError("bound must be nonnegative")
-    if len(shape) > k:
-        return []
-    return _enumerate_fillings(shape, k, content, _resolve_cap(cap))
+    limit = _resolve_cap(cap)
+    # k^n bounds the count, and is far cheaper to compute on small sets.
+    if content is None and k ** shape.size > limit and cst_count(shape, k) > limit:
+        raise CapExceeded(f"CST({tuple(shape)}, {k}) has {cst_count(shape, k)} > cap {limit} elements")
+    words = _enumerate_fillings(shape, k, content, limit)
+    return words if packed else tableaux_from_words(words, shape)
 
 
 def enumerate_rst(

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -178,6 +179,49 @@ class TestJsonOutput:
         cells took about two minutes that way."""
         assert run(["csp", "syt", "--shape", shape, "--json"]) == code
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, code, digest", [
+        ("kl verify-promotion --shape 3,3 --json", 0,
+         "0f7281150aa0e133a60cd836a8fdac58c56b46e6c8e858bc64a7ce46b2c2bd69"),
+        ("kl verify-promotion --shape 2,2,2 --json", 0,
+         "396423fee1adac745346b52cc8a5aa7034aab9e884e536456e60c97d32da9a82"),
+        ("kl mu-invariance --shape 3,3 --json", 0,
+         "cc5a53f3669565b6a11de5a48cc1315b0dccfdbbb3b4f25824d7ec0c847e1471"),
+        ("kl mu-invariance --shape 3,1 --json", 1,
+         "b669130069b4a9cc8cb79a7b95920efa99063cdd71d4ebf690120b7db96cc7f5"),
+    ], ids=["verify-3,3", "verify-2,2,2", "mu-3,3", "mu-3,1"])
+    def test_kl_checks_are_pinned(self, capsys, argv, code, digest):
+        """SHA-256 of outputs recorded while the KL checks promoted one
+        tableau at a time; 3,1 is the documented failure, listed in full."""
+        assert run(argv.split()) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv", [
+        "kl verify-promotion --shape 3,3 --json",
+        "kl verify-promotion --shape 2,2,2 --json",
+        "kl mu-invariance --shape 3,3 --json",
+        "kl mu-invariance --shape 3,1 --json",
+    ])
+    def test_kl_checks_enumerate_once_and_never_promote(self, monkeypatch, capsys, argv):
+        """J and j(P) come from the set-level permutation of the one
+        enumerated basis, not from the per-tableau promote."""
+        from cyclosieve import jeudetaquin, tableaux
+
+        calls = {"enumerate_syt": 0, "promote": 0}
+        for module, name in ((tableaux, "enumerate_syt"), (jeudetaquin, "promote")):
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for loaded in [m for key, m in sys.modules.items() if key.startswith("cyclosieve")]:
+                for key, value in list(vars(loaded).items()):
+                    if value is original:
+                        monkeypatch.setattr(loaded, key, counted)
+        run(argv.split())
+        capsys.readouterr()
+        assert calls == {"enumerate_syt": 1, "promote": 0}
 
     def test_stability_across_runs(self, capsys):
         run(["csp", "handshake", "4", "--json"])

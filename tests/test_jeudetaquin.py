@@ -1,6 +1,7 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import all_partitions_up_to, compositions_of, rectangles_up_to
@@ -301,89 +302,97 @@ def _benchmark_content_cases():
     return cases
 
 
+def _words(tableaux, k):
+    """Hand-built packed words: each tableau's row word, then 0 and k + 1."""
+    return np.array([[x for row in rows for x in row] + [0, k + 1] for rows in tableaux], dtype=np.int8)
+
+
 class TestPromotionPermutation:
-    """The set-level kernel against the per-tableau promote/promote_power."""
+    """The set-level kernel on packed words against the per-tableau
+    promote/promote_power on the decoded tableaux."""
 
     def test_every_syt_up_to_10_cells(self):
         for lam in all_partitions_up_to(10):
-            tabs = enumerate_syt(lam)
-            assert promotion_permutation(tabs, lam, lam.size) == _permutation_by_promote(tabs, lam.size)
+            words, tabs = enumerate_syt(lam, packed=True), enumerate_syt(lam)
+            assert promotion_permutation(words, lam, lam.size) == _permutation_by_promote(tabs, lam.size)
 
     def test_every_cst_up_to_8_cells_and_bound_5(self):
         for lam in all_partitions_up_to(8):
             for k in range(1, 6):
-                tabs = enumerate_cst(lam, k)
-                assert promotion_permutation(tabs, lam, k) == _permutation_by_promote(tabs, k), (lam, k)
+                words, tabs = enumerate_cst(lam, k, packed=True), enumerate_cst(lam, k)
+                assert promotion_permutation(words, lam, k) == _permutation_by_promote(tabs, k), (lam, k)
 
     def test_benchmark_fixed_content_powers(self):
         cases = _benchmark_content_cases()
         assert cases
         for lam, alpha, power in cases:
             k = len(alpha)
-            tabs = enumerate_cst(lam, k, alpha)
+            words, tabs = enumerate_cst(lam, k, alpha, packed=True), enumerate_cst(lam, k, alpha)
             expected = _permutation_by_promote(tabs, k, power)
-            assert promotion_permutation(tabs, lam, k, power) == expected, (lam, alpha, power)
+            assert promotion_permutation(words, lam, k, power) == expected, (lam, alpha, power)
 
     def test_every_power_and_demotion(self):
         lam = Partition((3, 2))
-        tabs = enumerate_cst(lam, 4)
+        words, tabs = enumerate_cst(lam, 4, packed=True), enumerate_cst(lam, 4)
         for power in range(-5, 6):
-            assert promotion_permutation(tabs, lam, 4, power) == _permutation_by_promote(tabs, 4, power)
+            assert promotion_permutation(words, lam, 4, power) == _permutation_by_promote(tabs, 4, power)
 
     def test_edge_cases(self):
-        assert promotion_permutation(enumerate_cst(Partition((1, 1, 1)), 2), Partition((1, 1, 1)), 2) == []
-        assert promotion_permutation([Tableau([(1,)])], Partition((1,)), 1) == [0]
+        column = Partition((1, 1, 1))
+        assert promotion_permutation(enumerate_cst(column, 2, packed=True), column, 2) == []
+        assert promotion_permutation(_words([[(1,)]], 1), Partition((1,)), 1) == [0]
         one_row = Partition((4,))
-        assert promotion_permutation(enumerate_cst(one_row, 1), one_row, 1) == [0]
-        assert promotion_permutation([Tableau([])], Partition(()), 3) == [0]
+        assert promotion_permutation(enumerate_cst(one_row, 1, packed=True), one_row, 1) == [0]
+        assert promotion_permutation(_words([[]], 3), Partition(()), 3) == [0]
+        assert promotion_permutation(enumerate_cst(Partition(()), 3, packed=True), Partition(()), 3) == [0]
 
     def test_entries_beyond_a_byte(self):
         """k = 200 (the set of ``csp syt --shape 200``) needs a wider type
         than int8; on two rows the big entries travel."""
         row = Partition((200,))
-        tabs = enumerate_syt(row)
-        assert promotion_permutation(tabs, row, 200) == _permutation_by_promote(tabs, 200) == [0]
+        words, tabs = enumerate_syt(row, packed=True), enumerate_syt(row)
+        assert promotion_permutation(words, row, 200) == _permutation_by_promote(tabs, 200) == [0]
         lam = Partition((130, 1))
-        tabs = enumerate_syt(lam)
-        assert promotion_permutation(tabs, lam, 131) == _permutation_by_promote(tabs, 131)
+        words, tabs = enumerate_syt(lam, packed=True), enumerate_syt(lam)
+        assert promotion_permutation(words, lam, 131) == _permutation_by_promote(tabs, 131)
 
     def test_rejects_non_column_strict_input(self):
         lam = Partition((2, 2))
         for bad in (
-            Tableau([(2, 1), (3, 4)]),  # a row decreases
-            Tableau([(1, 2), (1, 3)]),  # a column does not increase
-            Tableau([(1, 2), (3, 5)]),  # an entry above k
-            Tableau([(1, 2), (3, 300)]),  # an entry outside the array type
+            [(2, 1), (3, 4)],  # a row decreases
+            [(1, 2), (1, 3)],  # a column does not increase
+            [(1, 2), (3, 5)],  # an entry above k
         ):
             with pytest.raises(ValueError, match="not a column-strict tableau"):
-                promote(bad, 4)
+                promote(Tableau(bad), 4)
             with pytest.raises(ValueError, match="not a column-strict tableau"):
-                promotion_permutation([bad], lam, 4)
+                promotion_permutation(_words([bad], 4), lam, 4)
 
     def test_rejects_a_set_promotion_does_not_permute(self):
         lam = Partition((2, 2))
-        tabs = enumerate_cst(lam, 3)
+        words = enumerate_cst(lam, 3, packed=True)
         with pytest.raises(ValueError, match="does not permute"):
-            promotion_permutation(tabs[:-1], lam, 3)  # not closed
+            promotion_permutation(words[:-1], lam, 3)  # not closed
         with pytest.raises(ValueError, match="does not permute"):
-            promotion_permutation(tabs[::-1], lam, 3)  # not sorted
+            promotion_permutation(words[::-1], lam, 3)  # not sorted
         with pytest.raises(ValueError, match="does not permute"):
-            promotion_permutation(tabs + tabs[-1:], lam, 3)  # not distinct
-        fixed = Tableau([(1, 1)])
+            promotion_permutation(np.concatenate([words, words[-1:]]), lam, 3)  # not distinct
         with pytest.raises(ValueError, match="does not permute"):
-            promotion_permutation([fixed, fixed], Partition((2,)), 1)  # a fixed point, twice
-        zero = Tableau([(0, 1), (2, 3)])  # column-strict, but no promotion orbit stays in a set holding it
+            promotion_permutation(_words([[(1, 1)]] * 2, 1), Partition((2,)), 1)  # a fixed point, twice
+        zero = [(0, 1), (2, 3)]  # column-strict, but no promotion orbit stays in a set holding it
         with pytest.raises(ValueError, match="does not permute"):
-            promotion_permutation([zero], lam, 3)
+            promotion_permutation(_words([zero], 3), lam, 3)
 
     def test_packed_words_take_the_same_path(self):
-        """The array enumerate_syt(packed=True) returns promotes exactly as
-        its decoded tableaux do, and passes the same checks."""
+        """SYT(shape) is the standard-content class of CST(shape, n): both
+        enumerators pack it into the same array, which promotes the same
+        way; every malformed array is rejected."""
         for lam in all_partitions_up_to(8):
+            n = lam.size
             words = enumerate_syt(lam, packed=True)
-            assert promotion_permutation(words, lam, lam.size) == promotion_permutation(
-                enumerate_syt(lam), lam, lam.size
-            ), lam
+            standard = enumerate_cst(lam, n, Composition((1,) * n), packed=True)
+            assert words.dtype == standard.dtype and np.array_equal(words, standard), lam
+            assert promotion_permutation(words, lam, n) == promotion_permutation(standard, lam, n), lam
         lam = Partition((2, 2))
         words = enumerate_syt(lam, packed=True)
         bad = words.copy()
@@ -392,13 +401,20 @@ class TestPromotionPermutation:
             promotion_permutation(bad, lam, 4)
         with pytest.raises(ValueError, match="end with 0 and k"):
             promotion_permutation(words, lam, 5)  # words packed for k = 4
+        bad = words.copy()
+        bad[1, 4] = 1  # the sentinel is not 0
+        with pytest.raises(ValueError, match="end with 0 and k"):
+            promotion_permutation(bad, lam, 4)
         with pytest.raises(ValueError, match="entries"):
             promotion_permutation(words[:, 1:], lam, 4)
+        with pytest.raises(ValueError, match="entries"):
+            promotion_permutation(words[0], lam, 4)  # one word, not an array of words
         with pytest.raises(ValueError, match="does not permute"):
             promotion_permutation(words[::-1], lam, 4)  # not sorted
 
     def test_rejects_another_shape(self):
+        """Words of a shape with fewer cells have the wrong length."""
         with pytest.raises(ValueError, match="shape"):
-            promotion_permutation(enumerate_syt(Partition((3, 1))), Partition((2, 2)), 4)
+            promotion_permutation(enumerate_syt(Partition((2, 1)), packed=True), Partition((2, 2)), 4)
         with pytest.raises(ValueError, match="shape"):
-            promotion_permutation(enumerate_syt(Partition((2, 1))), Partition((2, 2)), 4)
+            promotion_permutation(_words([[(1, 2), (3,)]], 4), Partition((2, 2)), 4)

@@ -29,7 +29,6 @@ from cyclosieve.klcells import (
     verify_promotion_identity,
     _identity_matrix,
     _mat_mul,
-    _mu_matrix,
 )
 from cyclosieve.jeudetaquin import evacuate
 from cyclosieve.permutations import rsk_inverse
@@ -115,7 +114,6 @@ class TestTableAxioms:
     def test_one_build_per_rank(self):
         """Every call form of kl_table for one rank shares one memo entry."""
         kl_table.cache_clear()
-        _mu_matrix.cache_clear()
         assert verify_promotion_identity(Partition((2, 2))).ok
         assert kl_table.cache_info().misses == 1
         assert kl_table(4) is kl_table(4, allow_large=True) is kl_table(n=4)
@@ -246,6 +244,16 @@ class TestPromotionIdentity:
     def test_non_rectangular_rejected(self):
         with pytest.raises(ValueError):
             verify_promotion_identity(Partition((2, 1)))
+
+    def test_allow_large_reaches_the_mu_matrix(self, monkeypatch):
+        """The mu-matrix is read off the table the check was allowed to build."""
+        from cyclosieve import klcells
+
+        monkeypatch.setattr(klcells, "DEFAULT_RANK_CAP", 3)
+        assert verify_promotion_identity(Partition((2, 2)), allow_large=True).ok
+        assert mu_promotion_invariance(Partition((2, 2)), allow_large=True).holds
+        with pytest.raises(ValueError, match="default cap 3"):
+            verify_promotion_identity(Partition((2, 2)))
 
 
 class TestMuInvariance:

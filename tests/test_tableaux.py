@@ -10,6 +10,7 @@ from cyclosieve import (
     Tableau,
     conjugate,
     css,
+    cst_count,
     descent_set,
     dominance_leq,
     enumerate_cst,
@@ -182,13 +183,55 @@ class TestEnumerateCst:
             for k in range(1, 6):
                 unrestricted = enumerate_cst(lam, k)
                 restricted = [enumerate_cst(lam, k, alpha) for alpha in compositions_of(lam.size, k)]
-                assert sorted(t for tabs in restricted for t in tabs) == unrestricted
+                assert sorted((t for tabs in restricted for t in tabs), key=Tableau.row_word) == unrestricted
                 for tabs in [unrestricted, *restricted]:
                     words = [t.row_word() for t in tabs]
                     assert all(a < b for a, b in zip(words, words[1:])), (lam, k)
                     for t in tabs:
                         rebuilt = Tableau([list(row) for row in t.rows])
                         assert t == rebuilt and hash(t) == hash(rebuilt), t
+
+    def test_packed_words_are_the_decoded_row_words(self):
+        """Row i of the packed array is the row word of the i-th decoded
+        tableau followed by 0 and k + 1, and the rows strictly increase."""
+        for lam in all_partitions_up_to(8):
+            for k in range(1, 6):
+                for alpha in [None, *compositions_of(lam.size, k)]:
+                    words = enumerate_cst(lam, k, alpha, packed=True)
+                    tabs = enumerate_cst(lam, k, alpha)
+                    assert words.shape == (len(tabs), lam.size + 2), (lam, k, alpha)
+                    assert words.tolist() == [[*t.row_word(), 0, k + 1] for t in tabs], (lam, k, alpha)
+                    rows = list(map(tuple, words.tolist()))
+                    assert all(a < b for a, b in zip(rows, rows[1:])), (lam, k, alpha)
+
+    def test_count_is_the_hook_content_formula(self):
+        for lam in all_partitions_up_to(8):
+            for k in range(0, 7):
+                assert cst_count(lam, k) == len(enumerate_cst(lam, k, packed=True)), (lam, k)
+        assert cst_count(Partition((6, 6, 6)), 12) == 2_530_768_240  # the Weyl dimension formula gives the same
+        with pytest.raises(ValueError):
+            cst_count(Partition((1,)), -1)
+
+    def test_cap_is_checked_before_filling(self, monkeypatch):
+        """Without a content, an over-cap set is refused from its count; the
+        boundary is count > cap.  With a content the filler counts."""
+        from cyclosieve import tableaux
+
+        lam = Partition((2, 2))
+        assert len(enumerate_cst(lam, 3, cap=6)) == 6
+        assert len(enumerate_cst(lam, 4, Composition((1, 1, 1, 1)), cap=2)) == 2
+        with pytest.raises(CapExceeded):
+            enumerate_cst(lam, 4, Composition((1, 1, 1, 1)), cap=1)
+
+        def refuse(*args):
+            raise AssertionError("the filler ran")
+
+        monkeypatch.setattr(tableaux, "_enumerate_fillings", refuse)
+        for shape, k, cap in [(lam, 3, 5), (lam, 3, 0), (Partition((6, 6, 6)), 12, None)]:
+            with pytest.raises(CapExceeded):
+                enumerate_cst(shape, k, cap=cap)
+            with pytest.raises(CapExceeded):
+                enumerate_cst(shape, k, cap=cap, packed=True)
 
     def test_rst_is_transposed_cst(self):
         lam = Partition((3, 2))
