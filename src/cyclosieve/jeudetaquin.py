@@ -20,7 +20,9 @@ Row-strict promotion is conjugation by transposition.
 Orbit walks promote a whole enumerated set at once with
 :func:`promotion_permutation`, which holds the set as one small-integer
 array of row-reading words and slides the holes of every tableau together,
-column by column, with the same rule.  Enumerated sets arrive in that array
+column by column, with the same rule; :func:`evacuation_permutation`
+evacuates a set of rectangular tableaux in the same array, where no slide
+is needed.  Enumerated sets arrive in that array
 straight from ``tableaux.enumerate_syt`` or ``tableaux.enumerate_cst`` with
 ``packed=True``.
 """
@@ -163,21 +165,48 @@ def promotion_permutation(words: np.ndarray, shape: Partition, k: int, power: in
     onto itself.
     """
     shape = tuple(shape)
-    count = len(words)
     _check_words(words, shape, k)
-    images = _promote_words(words, shape, k, abs(power))
-    # The images, sorted, must be the elements themselves: then every image
-    # lies in the set and promotion permutes it.
-    order = np.lexsort(images.T[::-1])
-    images = images[order]
-    distinct = count < 2 or (words[1:] != words[:-1]).any(axis=1).all()
-    if not distinct or (images != words).any():
-        raise ValueError("promotion does not permute the given set of distinct, sorted tableaux")
+    order = _sort_images(words, _promote_words(words, shape, k, abs(power)), "promotion")
     if power < 0:  # element order[j] demotes to element j
         return order.tolist()
-    generator = np.empty(count, dtype=np.intp)
-    generator[order] = np.arange(count)
+    generator = np.empty(len(words), dtype=np.intp)
+    generator[order] = np.arange(len(words))
     return generator.tolist()
+
+
+def _sort_images(words: np.ndarray, images: np.ndarray, action: str) -> np.ndarray:
+    """The order that sorts ``images``: element order[j] maps to element j.
+
+    The images, sorted, must be the words themselves, which must be sorted
+    and distinct: then every image lies in the set and the action permutes it.
+    """
+    order = np.lexsort(images.T[::-1])
+    distinct = len(words) < 2 or (words[1:] != words[:-1]).any(axis=1).all()
+    if not distinct or (images[order] != words).any():
+        raise ValueError(f"{action} does not permute the given set of distinct, sorted tableaux")
+    return order
+
+
+def evacuation_permutation(words: np.ndarray, shape: Partition, k: int) -> list[int]:
+    """The permutation by which ``evacuate(., k)`` acts on a set of tableaux
+    of rectangular shape, given as in :func:`promotion_permutation`.
+
+    On a rectangle evacuation slides nothing: it rotates the tableau by 180
+    degrees and replaces every entry x by k + 1 - x, which reverses the row
+    word and complements it.  Raises ``ValueError`` on a non-rectangular
+    shape, when a word is not column-strict with entries <= k, or when
+    evacuation does not map the set onto itself.
+    """
+    shape = tuple(shape)
+    if len(set(shape)) > 1:
+        raise ValueError(f"evacuation on packed words needs a rectangular shape, got {shape}")
+    _check_words(words, shape, k)
+    n = sum(shape)
+    images = words.copy()
+    images[:, :n] = k + 1 - words[:, :n][:, ::-1]
+    # Evacuation is an involution, so the order that sorts the images is
+    # the permutation itself.
+    return _sort_images(words, images, "evacuation").tolist()
 
 
 def evacuate(t: Tableau, k: Optional[int] = None) -> Tableau:

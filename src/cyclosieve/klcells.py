@@ -253,7 +253,7 @@ def mu_tableaux(p: Tableau, q: Tableau, table: Optional[KLTable] = None) -> int:
         raise ValueError("tableaux must have the same shape")
     if table is None:
         table = kl_table(p.size)
-    t = enumerate_syt(p.shape)[0]
+    t = css(p.shape)
     wp = rsk_inverse(p, t)
     wq = rsk_inverse(q, t)
     return table.mu_sym(wp, wq)
@@ -425,17 +425,18 @@ def _kl_basis_long_cycle_coefficient(base: Tableau, promoted: Tableau, table: KL
 def verify_promotion_identity(
     shape: Partition, allow_large: bool = False, cap: Optional[int] = None
 ) -> PromotionMatrixReport:
-    """Check rho(c_n) = (-1)^(a-1) J on the cellular module of a rectangle.
+    """Check rho(c_n) = (-1)^(a-1) J on the cellular module of an a x b
+    rectangle with a >= 1.
 
     Also checks the induced formula for the affine generator (1, n) against
     extended descents, and the KL-basis coefficient pinned by the
     superstandard tableau computation.
     """
     shape = Partition(shape)
-    if not shape.is_rectangular():
-        raise ValueError("the promotion identity concerns rectangular shapes")
+    if not shape or not shape.is_rectangular():
+        raise ValueError("the promotion identity concerns a x b rectangles with a >= 1")
     n = shape.size
-    sign = (-1) ** (len(shape) - 1)
+    sign = (-1) ** (len(shape) + 1)
     words, basis, descents, mu, table = _cell_basis(shape, allow_large, cap)
     promotion = promotion_permutation(words, shape, n)
     dim = len(promotion)

@@ -4,12 +4,12 @@ IntPolynomial is a dense, immutable, arbitrary-precision integer polynomial.
 Exact division is the only division offered; a nonzero remainder is an
 internal error rather than bad input.
 
-The quotient q-analogues (q-hook formula, q-binomials, q-Catalan numbers)
-are held as QProducts: products of cyclotomic polynomials, built from
-multisets of q-integers through [a]_q = prod_{d | a, d > 1} Phi_d(q).  That
-every exponent survives cancellation nonnegative certifies that the quotient
-is a polynomial, and the product is expanded, or reduced mod q^m - 1, by
-multiplication alone.
+The quotient q-analogues (q-hook and hook-content formulas, q-binomials,
+q-Catalan numbers) are held as QProducts: products of cyclotomic
+polynomials, built from multisets of q-integers through
+[a]_q = prod_{d | a, d > 1} Phi_d(q).  That every exponent survives
+cancellation nonnegative certifies that the quotient is a polynomial, and
+the product is expanded, or reduced mod q^m - 1, by multiplication alone.
 """
 
 from __future__ import annotations
@@ -313,6 +313,16 @@ def q_hook_product(shape: Partition) -> QProduct:
     return QProduct.from_q_integers(range(1, shape.size + 1), hook_lengths(shape).values())
 
 
+def hook_content_product(shape: Partition, k: int) -> QProduct:
+    """The hook-content formula prod_u [k + c(u)]_q / [h(u)]_q, over the cells
+    u of a shape with at most k rows; it is q^(-kappa) times
+    s_shape(1, q, ..., q^(k-1)) (Stanley, EC2 Thm 7.21.2)."""
+    shape = Partition(shape)
+    return QProduct.from_q_integers(
+        (k + c - r for r, c in shape.cells()), hook_lengths(shape).values()
+    )
+
+
 def q_catalan_product(n: int) -> QProduct:
     """The q-Catalan number [2n choose n]_q / [n+1]_q."""
     if n < 1:
@@ -340,11 +350,11 @@ def content_weight(alpha: Composition) -> int:
     return sum(i * part for i, part in enumerate(alpha))
 
 
-def schur_principal_specialization(shape: Partition, k: int, cap: Optional[int] = None) -> IntPolynomial:
+def schur_principal_specialization(shape: Partition, k: int) -> IntPolynomial:
     """s_shape(1, q, ..., q^(k-1)) summed over column-strict tableaux."""
     shape = Partition(shape)
     coeffs: dict[int, int] = {}
-    for t in enumerate_cst(shape, k, cap=cap):
+    for t in enumerate_cst(shape, k):
         w = content_weight(t.content(k))
         coeffs[w] = coeffs.get(w, 0) + 1
     if not coeffs:
@@ -355,16 +365,16 @@ def schur_principal_specialization(shape: Partition, k: int, cap: Optional[int] 
     return IntPolynomial(out)
 
 
-def schur_evaluate(shape: Partition, values: Sequence, cap: Optional[int] = None):
+def schur_evaluate(shape: Partition, values: Sequence):
     """s_shape(values), summed tableau by tableau; works over any commutative ring."""
     shape = Partition(shape)
     k = len(values)
     total = 0
-    for t in enumerate_cst(shape, k, cap=cap):
+    for t in enumerate_cst(shape, k):
         term = 1
-        for value, mult in zip(values, t.content(k)):
-            for _ in range(mult):
-                term = term * value
+        for row in t.rows:
+            for x in row:
+                term = term * values[x - 1]
         total = total + term
     return total
 

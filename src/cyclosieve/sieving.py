@@ -16,18 +16,17 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .cyclotomic import as_integer, eval_at_root
-from .jeudetaquin import evacuate, promotion_permutation
+from .jeudetaquin import evacuation_permutation, promotion_permutation
 from .qpolys import (
     IntPolynomial,
     QProduct,
+    hook_content_product,
     kappa,
     kostka_foulkes,
     mn_character,
     q_binomial_product,
     q_catalan_product,
     q_hook_product,
-    schur_evaluate,
-    schur_principal_specialization,
 )
 from .tableaux import (
     CapExceeded,
@@ -297,11 +296,11 @@ def syt_csp_report(
 
 def cst_csp_report(shape: Partition, bound: int, cap: Optional[int] = None) -> CSPReport:
     """Promotion on bounded column-strict tableaux against the shifted
-    principal specialization of the Schur function."""
+    principal specialization of the Schur function, in its hook-content
+    form (zero when the shape has more rows than the bound)."""
     shape = Partition(shape)
     action = promotion_action(shape, bound, cap=cap)
-    poly = schur_principal_specialization(shape, bound, cap=cap).shift(-kappa(shape)) \
-        if len(shape) <= bound else IntPolynomial.zero()
+    poly = hook_content_product(shape, bound) if len(shape) <= bound else IntPolynomial.zero()
     return verify_csp(
         action,
         poly,
@@ -333,18 +332,6 @@ def content_csp_report(
 # -- dihedral fixed points ---------------------------------------------------
 
 
-def _alternating(k: int) -> tuple[int, ...]:
-    return tuple((-1) ** i for i in range(k))
-
-
-def _repeated_tail(k: int) -> tuple[int, ...]:
-    """1, -1, ..., with the final sign doubled: the eigenvalues of the
-    product of the longest element and the long cycle for even k."""
-    if k % 2:
-        raise ValueError("only meaningful for even k")
-    return tuple((-1) ** i for i in range(k - 1)) + ((-1) ** (k - 2),)
-
-
 def _wo_cycle_type(n: int) -> Partition:
     if n % 2 == 0:
         return Partition((2,) * (n // 2))
@@ -365,12 +352,12 @@ class DihedralReport:
     their predicted values.
 
     On bounded column-strict tableaux the predictions are signed Schur
-    evaluations at +/-1 arguments; for even bounds the argument list for the
-    composite operator repeats the final sign when the shape has an odd
-    number of rows, and the correction sign depends on the parities of the
-    rectangle sides.  On standard tableaux the predictions are character
-    values at the cycle types of the longest element and its product with
-    the long cycle.
+    evaluations at +/-1 arguments, read off hook-content products at q = -1;
+    for even bounds the argument list for the composite operator repeats the
+    final sign when the shape has an odd number of rows, and the correction
+    sign depends on the parities of the rectangle sides.  On standard
+    tableaux the predictions are character values at the cycle types of the
+    longest element and its product with the long cycle.
     """
 
     shape: Partition
@@ -410,9 +397,15 @@ class DihedralReport:
 
 
 def evacuation_fixed_expected(shape: Partition, bound: int) -> int:
-    """(-1)^kappa times the Schur evaluation at alternating signs."""
+    """(-1)^kappa s_shape(1, -1, 1, ...) with ``bound`` arguments.
+
+    This is the hook-content product at q = -1 (Stembridge's q = -1
+    phenomenon), and zero when the shape has more rows than the bound.
+    """
     shape = Partition(shape)
-    return (-1) ** kappa(shape) * schur_evaluate(shape, _alternating(bound))
+    if len(shape) > bound:
+        return 0
+    return hook_content_product(shape, bound).cyclic_reduction(2)(-1)
 
 
 def evacuation_promotion_fixed_expected(shape: Partition, bound: int) -> int:
@@ -423,15 +416,20 @@ def evacuation_promotion_fixed_expected(shape: Partition, bound: int) -> int:
     signs for evenly many rows, the final sign repeated for oddly many, with
     no further sign correction; the exhaustive sweep over all four
     side-parity classes pins this form exactly.
+
+    The repeated sign is a last argument 1, so by the Pieri rule
+    s_shape(1, -1, ..., 1, 1) is the sum of s_mu(1, -1, ..., 1) over the mu
+    below the shape by a horizontal strip; below a rectangle b^a these are
+    mu_j = (b^(a-1), j) for j = 0..b.
     """
     shape = Partition(shape)
     if not shape.is_rectangular():
         raise ValueError("dihedral predictions concern rectangular shapes")
-    k = bound
-    if k % 2:
-        return evacuation_fixed_expected(shape, k)
-    args = _alternating(k) if len(shape) % 2 == 0 else _repeated_tail(k)
-    return (-1) ** kappa(shape) * schur_evaluate(shape, args)
+    if bound % 2 or len(shape) % 2 == 0:
+        return evacuation_fixed_expected(shape, bound)
+    strips = [Partition(shape[:-1] + ((j,) if j else ())) for j in range(shape[0] + 1)]
+    total = sum((-1) ** kappa(mu) * evacuation_fixed_expected(mu, bound - 1) for mu in strips)
+    return (-1) ** kappa(shape) * total
 
 
 def syt_evacuation_expected(shape: Partition) -> int:
@@ -459,24 +457,18 @@ def syt_evacuation_promotion_expected(shape: Partition) -> int:
 
 
 def _dihedral_fixed_counts(words: np.ndarray, shape: Partition, k: int) -> tuple[int, int]:
-    """#Fix(evacuation) and #Fix(evacuation after promotion) on a set given
-    by its sorted packed words.
+    """#Fix(evacuation) and #Fix(evacuation after promotion) on a rectangular
+    set given by its sorted packed words.
 
-    Evacuation is applied once per tableau and promotion once to the whole
-    set, as two index permutations E and P.  Before any count is read, the
-    dihedral relations are checked on the whole set: E must map the set into
-    itself, and both E and E∘P must be involutions (ε∘ε = id and
-    ε∘∂∘ε = ∂⁻¹).  Since E is an involution, ε∘∂ fixes element i exactly
-    when P[i] = E[i].
+    Evacuation and promotion are applied to the whole set, as two index
+    permutations E and P.  Before any count is read, the dihedral relations
+    are checked on the whole set: both E and E∘P must be involutions
+    (ε∘ε = id and ε∘∂∘ε = ∂⁻¹).  Since E is an involution, ε∘∂ fixes
+    element i exactly when P[i] = E[i].
     """
-    elements = tableaux_from_words(words, shape)
-    index = {t: i for i, t in enumerate(elements)}
-    try:
-        evac = [index[evacuate(t, k)] for t in elements]
-    except KeyError:
-        raise AssertionError("evacuation maps a tableau outside the set") from None
+    evac = evacuation_permutation(words, shape, k)
     prom = promotion_permutation(words, shape, k)
-    identity = list(range(len(elements)))
+    identity = list(range(len(words)))
     if [evac[i] for i in evac] != identity:
         raise AssertionError("evacuation is not an involution on the set")
     reflection = [evac[i] for i in prom]

@@ -1,8 +1,11 @@
 import hashlib
 import json
+import shlex
 import sys
 
 import pytest
+
+from conftest import rectangles_up_to
 
 from cyclosieve import Partition, cli
 from cyclosieve.cli import parse_content, parse_shape, run
@@ -223,6 +226,68 @@ class TestJsonOutput:
         capsys.readouterr()
         assert calls == {"enumerate_syt": 1, "promote": 0}
 
+    @pytest.mark.parametrize("argv, digest", [
+        ("dihedral --shape 2,2 --bound 3 --json", "7ec9e00dae183c4051429688c81fec9441f5bc1c7e197f998aa06b1006ab1704"),
+        ("dihedral --shape 3,3 --bound 4 --json", "b742eaad7ca0a061397b7ce523a00195759e26457769963fd7c5ef72f20ae932"),
+        ("dihedral --shape 1,1,1 --bound 2 --json", "8b22f6d15f631bc039c5ae65f5e66dd43f9e42b732f7bec463e0987fef8cd972"),
+        ("dihedral --shape 2,2,2 --bound 4 --json", "6143b564ed80137020c3a22d7fdd16ea6be06cf6ca7872c80edbf5d6fc9665c8"),
+        ("dihedral --shape 3,3,3 --bound 6 --json", "8e6d52e27871f8551075a666e4b82f6e180a8b1ef7303f5273ce18dabf1be2db"),
+        ("dihedral --shape '' --bound 0 --json", "3946b6b00a88e042e99841ffbba950911fbf853cc74c86763f85655f01b82b5e"),
+        ("csp cst --shape 3,3 --bound 6 --json", "77cd197eea9f6f0c4a84a3a5256b8cfb0069a53cd24ee374650ea7a4eb648d47"),
+        ("csp cst --shape 2,2,2 --bound 5 --json", "b280a5c32eb9b3d3ebea101f77c84bbf9f2d2416672acbe0601eb9ef145529da"),
+    ], ids=["dihedral-2,2-bound-3", "dihedral-3,3-bound-4", "dihedral-1,1,1-bound-2",
+            "dihedral-2,2,2-bound-4", "dihedral-3,3,3-bound-6", "dihedral-empty-bound-0",
+            "cst-3,3-bound-6", "cst-2,2,2-bound-5"])
+    def test_cst_predictions_are_pinned(self, capsys, argv, digest):
+        """SHA-256 of outputs recorded while the CST predictions were still
+        summed over enumerated tableaux and evacuation ran per tableau.  1,1,1
+        with bound 2 has more rows than the bound; 2,2,2 and 3,3,3 with even
+        bounds take the repeated-sign (Pieri) form."""
+        assert run(shlex.split(argv)) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_cst_and_dihedral_verdicts_build_no_tableau(self, monkeypatch, capsys):
+        """No ``csp cst`` or ``dihedral`` verdict builds a Tableau or calls
+        evacuate, and none enumerates on its predicted side: with all three
+        made to raise, every run on every rectangle of at most 8 cells still
+        passes.  ``csp cst`` starts at bound 1, since bound 0 is modulus 0,
+        which it refuses as a usage error."""
+        from cyclosieve import jeudetaquin, qpolys
+        from cyclosieve.tableaux import Tableau
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called while reaching a verdict")
+
+        evacuate = jeudetaquin.evacuate
+        for loaded in [m for key, m in sys.modules.items() if key.startswith("cyclosieve")]:
+            for key, value in list(vars(loaded).items()):
+                if value is evacuate:
+                    monkeypatch.setattr(loaded, key, forbidden)
+        monkeypatch.setattr(qpolys, "enumerate_cst", forbidden)
+        monkeypatch.setattr(Tableau, "_trusted", classmethod(forbidden))
+        for lam in rectangles_up_to(8):
+            shape = ",".join(map(str, lam))
+            for k in range(7):
+                for verb in [["dihedral"], ["csp", "cst"]] if k else [["dihedral"]]:
+                    for json_flag in ([], ["--json"]):
+                        argv = verb + ["--shape", shape, "--bound", str(k)] + json_flag
+                        assert run(argv) == 0, argv
+        capsys.readouterr()
+
+    def test_one_row_at_bound_zero_predicts_integer_zeros(self, capsys):
+        """CST((3,), 0) is empty; its predictions are the integer 0."""
+        code, data = self._json(capsys, ["dihedral", "--shape", "3", "--bound", "0", "--json"])
+        assert code == 0 and data["verdict"] is True
+        assert data["cst"] == {"e": {"fixed": 0, "expected": 0}, "ej": {"fixed": 0, "expected": 0}}
+        assert all(type(v) is int for op in data["cst"].values() for v in op.values())
+
+    def test_kl_promotion_signs_are_integers(self, capsys):
+        for lam in rectangles_up_to(6):
+            argv = ["kl", "verify-promotion", "--shape", ",".join(map(str, lam)), "--json"]
+            code, data = self._json(capsys, argv)
+            assert code == 0 and data["verdict"] is True, argv
+            assert type(data["sign"]) is int and type(data["kl_basis_coefficient"]) is int, argv
+
     def test_stability_across_runs(self, capsys):
         run(["csp", "handshake", "4", "--json"])
         first = capsys.readouterr().out
@@ -282,6 +347,12 @@ class TestEmptyShape:
         data = json.loads(capsys.readouterr().out)
         assert data["m"] == 1 and data["verdict"] is True
         assert data["rows"] == [{"d": 0, "fixed": 1, "eval": 1, "eval_repr": "(1)", "match": True}]
+
+    def test_kl_promotion_identity_rejects_it(self, capsys):
+        """The identity concerns a x b rectangles with a >= 1."""
+        assert run(["kl", "verify-promotion", "--shape", "", "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_dihedral_counts_the_empty_tableau(self, capsys):
         for k in range(4):

@@ -25,7 +25,7 @@ from cyclosieve import (
     semistandardize,
     standardize,
 )
-from cyclosieve.jeudetaquin import promotion_permutation
+from cyclosieve.jeudetaquin import evacuation_permutation, promotion_permutation
 
 T_EXAMPLE = Tableau([(1, 1, 3, 4), (3, 3, 4, 6), (4, 5, 5), (6,)])
 
@@ -418,3 +418,58 @@ class TestPromotionPermutation:
             promotion_permutation(enumerate_syt(Partition((2, 1)), packed=True), Partition((2, 2)), 4)
         with pytest.raises(ValueError, match="shape"):
             promotion_permutation(_words([[(1, 2), (3,)]], 4), Partition((2, 2)), 4)
+
+
+def _permutation_by_evacuate(elements, k):
+    """The oracle: apply the per-tableau evacuate and look each image up."""
+    index = {t: i for i, t in enumerate(elements)}
+    return [index[evacuate(t, k)] for t in elements]
+
+
+class TestEvacuationPermutation:
+    """Reverse-and-complement on packed words against the per-tableau
+    evacuate on the decoded tableaux."""
+
+    def test_every_cst_of_rectangles_up_to_8_cells_and_bound_5(self):
+        for lam in rectangles_up_to(8):
+            for k in range(6):
+                words, tabs = enumerate_cst(lam, k, packed=True), enumerate_cst(lam, k)
+                assert evacuation_permutation(words, lam, k) == _permutation_by_evacuate(tabs, k), (lam, k)
+
+    def test_every_syt_of_rectangles_up_to_12_cells(self):
+        for lam in rectangles_up_to(12):
+            words, tabs = enumerate_syt(lam, packed=True), enumerate_syt(lam)
+            assert evacuation_permutation(words, lam, lam.size) == _permutation_by_evacuate(tabs, lam.size), lam
+
+    def test_empty_shape(self):
+        empty = Partition(())
+        for k in range(3):
+            assert evacuation_permutation(enumerate_cst(empty, k, packed=True), empty, k) == [0]
+        assert evacuation_permutation(enumerate_syt(empty, packed=True), empty, 0) == [0]
+
+    def test_entries_beyond_a_byte(self):
+        row = Partition((130,))
+        words, tabs = enumerate_syt(row, packed=True), enumerate_syt(row)
+        assert words.dtype == np.int16
+        assert evacuation_permutation(words, row, 130) == _permutation_by_evacuate(tabs, 130) == [0]
+        row = Partition((2,))
+        words, tabs = enumerate_cst(row, 130, packed=True), enumerate_cst(row, 130)
+        assert words.dtype == np.int16
+        assert evacuation_permutation(words, row, 130) == _permutation_by_evacuate(tabs, 130)
+
+    def test_rejects_a_non_rectangle(self):
+        lam = Partition((2, 1))
+        with pytest.raises(ValueError, match="rectangular"):
+            evacuation_permutation(enumerate_syt(lam, packed=True), lam, 3)
+
+    def test_rejects_a_set_evacuation_does_not_permute(self):
+        lam = Partition((2, 2))
+        words = enumerate_cst(lam, 3, packed=True)
+        with pytest.raises(ValueError, match="does not permute"):
+            evacuation_permutation(words[1:], lam, 3)  # not closed: drops the image of the last word
+        with pytest.raises(ValueError, match="does not permute"):
+            evacuation_permutation(words[::-1], lam, 3)  # not sorted
+        with pytest.raises(ValueError, match="does not permute"):
+            evacuation_permutation(np.concatenate([words, words[-1:]]), lam, 3)  # not distinct
+        with pytest.raises(ValueError, match="not a column-strict tableau"):
+            evacuation_permutation(_words([[(1, 2), (1, 3)]], 3), lam, 3)

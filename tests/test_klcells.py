@@ -166,6 +166,20 @@ class TestMu:
                 assert len(values) == 1
                 assert values.pop() == mu_tableaux(p, q, table)
 
+    def test_mu_tableaux_enumerates_nothing(self, monkeypatch):
+        """The recording tableau is css(shape), not the first enumerated SYT."""
+        from cyclosieve import klcells
+
+        calls = []
+        original = klcells.enumerate_syt
+        monkeypatch.setattr(klcells, "enumerate_syt", lambda *a, **kw: calls.append(a) or original(*a, **kw))
+        basis = enumerate_syt(Partition((3, 2)))
+        table = kl_table(5)
+        for p in basis:
+            for q in basis:
+                mu_tableaux(p, q, table)
+        assert calls == []
+
     def test_mu_diagonal_vanishes(self):
         for p in enumerate_syt(Partition((2, 2))):
             assert mu_tableaux(p, p) == 0

@@ -28,6 +28,7 @@ from cyclosieve import (
     schur_principal_specialization,
     syt_count,
 )
+from cyclosieve.qpolys import hook_content_product
 
 small_polys = st.lists(st.integers(-9, 9), min_size=0, max_size=6).map(IntPolynomial)
 
@@ -193,6 +194,20 @@ class TestSchur:
                 assert schur_principal_specialization(lam, k)(1) == len(
                     enumerate_cst(lam, k)
                 )
+
+    def test_hook_content_product_is_the_shifted_specialization(self):
+        """prod [k + c(u)]_q / [h(u)]_q = q^(-kappa) s_shape(1, q, ..., q^(k-1)),
+        expanded and reduced mod q^m - 1."""
+        for lam in all_partitions_up_to(8):
+            for k in range(len(lam), 7):
+                product = hook_content_product(lam, k)
+                spec = schur_principal_specialization(lam, k).shift(-kappa(lam))
+                assert product.expand() == spec, (tuple(lam), k)
+                for m in range(1, 9):
+                    folded = [0] * m
+                    for i, c in enumerate(spec.coeffs):
+                        folded[i % m] += c
+                    assert product.cyclic_reduction(m) == IntPolynomial(folded), (tuple(lam), k, m)
 
     def test_monomial_expansion_of_s22(self):
         # x1^2x2^2 + x2^2x3^2 + x1^2x3^2 + x1x2^2x3 + x1x2x3^2 + x1^2x2x3

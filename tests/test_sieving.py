@@ -8,18 +8,19 @@ from cyclosieve import (
     Composition,
     IntPolynomial,
     Partition,
-    Tableau,
     cyclotomic_polynomial,
-    demote,
     enumerate_cst,
     enumerate_syt,
     evacuate,
+    kappa,
     mn_character,
     promote,
     promote_power,
     q_hook_formula,
+    schur_evaluate,
     syt_count,
 )
+from cyclosieve.jeudetaquin import promotion_permutation
 from cyclosieve.sieving import (
     CSPReport,
     FiniteAction,
@@ -31,6 +32,8 @@ from cyclosieve.sieving import (
     cst_csp_report,
     default_csp_polynomial,
     dihedral_report,
+    evacuation_fixed_expected,
+    evacuation_promotion_fixed_expected,
     handshake_action,
     handshake_csp_report,
     handshake_patterns,
@@ -465,13 +468,32 @@ class TestDihedral:
                 assert (report.syt_e_fixed, report.syt_ej_fixed) == syt_counts, tuple(lam)
 
     @pytest.mark.parametrize("broken", [
-        lambda t, k: demote(t, k),  # not an involution, although demote∘promote is
-        lambda t, k: t,  # an involution that does not invert promotion by conjugation
-        lambda t, k: Tableau([[x + 1 for x in row] for row in evacuate(t, k).rows]),
-    ], ids=["demotion", "identity", "outside-the-set"])
+        # not an involution, although demote∘promote is
+        lambda words, shape, k: promotion_permutation(words, shape, k, -1),
+        # an involution that does not invert promotion by conjugation
+        lambda words, shape, k: list(range(len(words))),
+    ], ids=["demotion", "identity"])
     def test_broken_evacuation_raises(self, monkeypatch, broken):
         from cyclosieve import sieving
 
-        monkeypatch.setattr(sieving, "evacuate", broken)
+        monkeypatch.setattr(sieving, "evacuation_permutation", broken)
         with pytest.raises(AssertionError):
             dihedral_report(Partition((2, 2)), 3)
+
+    def test_predictions_match_signed_schur_evaluations(self):
+        """Both CST predictions against (-1)^kappa s_shape at +/-1 arguments,
+        summed tableau by tableau: alternating signs, and for even bounds on
+        oddly many rows the final sign repeated.  Bound 0 takes no arguments
+        at all, so a nonempty shape predicts 0 there."""
+        for lam in [Partition(())] + list(rectangles_up_to(12)):
+            sign = (-1) ** kappa(lam)
+            for k in range(9):
+                alternating = tuple((-1) ** i for i in range(k))
+                e = sign * schur_evaluate(lam, alternating)
+                if k % 2 == 0 and len(lam) % 2:
+                    repeated_tail = alternating[:-1] + (1,) if k else ()
+                    ej = sign * schur_evaluate(lam, repeated_tail)
+                else:
+                    ej = e
+                assert evacuation_fixed_expected(lam, k) == e, (tuple(lam), k)
+                assert evacuation_promotion_fixed_expected(lam, k) == ej, (tuple(lam), k)
