@@ -188,9 +188,9 @@ def _cmd_csp(config: RunConfig) -> int:
             cap=config.cap,
         )
     elif config.family == "csp-handshake":
-        report = handshake_csp_report(config.parameters["n"])
+        report = handshake_csp_report(config.parameters["n"], cap=config.cap)
     elif config.family == "csp-noncrossing":
-        report = noncrossing_csp_report(config.parameters["n"])
+        report = noncrossing_csp_report(config.parameters["n"], cap=config.cap)
     else:
         report = bn_csp_report(config.parameters["n"], cap=config.cap)
     return _emit_csp(report, config.as_json)

@@ -18,7 +18,7 @@ import math
 from functools import cache
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .tableaux import Composition, Partition, Tableau, enumerate_cst, hook_lengths
+from .tableaux import Composition, Partition, Tableau, beta_set, enumerate_cst, hook_lengths
 
 
 class IntPolynomial:
@@ -458,22 +458,6 @@ def kostka_foulkes(shape: Partition, alpha: Composition, cap: Optional[int] = No
     return _kostka_foulkes_sorted(shape, alpha.sorted_partition(), cap)
 
 
-def _beta_set(shape: Partition, length: int) -> tuple[int, ...]:
-    """First-column hook lengths (beta-numbers) padded to the given length."""
-    shape = Partition(shape)
-    if length < len(shape):
-        raise ValueError("beta-set length too small")
-    parts = tuple(shape) + (0,) * (length - len(shape))
-    return tuple(parts[i] + (length - 1 - i) for i in range(length))
-
-
-def _partition_from_beta(beta: Sequence[int]) -> Partition:
-    beta = sorted(beta, reverse=True)
-    length = len(beta)
-    parts = [beta[i] - (length - 1 - i) for i in range(length)]
-    return Partition([p for p in parts if p > 0])
-
-
 def _mn_recurse(beta: frozenset[int], cycles: tuple[int, ...]) -> int:
     if not cycles:
         return 1
@@ -504,7 +488,7 @@ def mn_character(shape: Partition, cycles: Partition, removal_order: str = "desc
         order = tuple(sorted(cycles))
     else:
         raise ValueError("removal_order must be 'asc' or 'desc'")
-    beta = frozenset(_beta_set(shape, len(shape) or 1))
+    beta = frozenset(beta_set(shape, len(shape) or 1))
     return _mn_recurse(beta, order)
 
 

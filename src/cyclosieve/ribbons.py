@@ -10,56 +10,43 @@ as large.  (Head comparisons by the head's row, tail comparisons by the
 tail's column; the m=1 specialization is the ordinary column-strict
 condition, which the tests assert.)
 
-Counting goes by peeling the maximal label off as a horizontal ribbon strip
-and recursing; the abacus quotient factorization provides the independent
-cross-check.
+Cores, quotients and counts are read off the abacus
+(:func:`tableaux.abacus`).  A skew shape lambda/mu carries a single-label
+column-strict m-ribbon tiling (a horizontal m-ribbon strip) exactly when
+both shapes have the same bead count on every runner and each pair of their
+m-quotient partitions differs by an ordinary horizontal strip (Lascoux,
+Leclerc and Thibon, J. Math. Phys. 38, 1997).  Counting therefore runs on
+the quotient, with no cell in sight: it peels the last label off as one
+horizontal strip per quotient shape.  The labeled-tiling enumeration on
+cells, :func:`enumerate_ribbon_cst`, is the independent check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import product
 from typing import Iterator, Optional
 
 from .cyclotomic import as_integer, eval_at_root
-from .qpolys import _beta_set, _partition_from_beta, kostka_foulkes
-from .tableaux import Composition, Partition
+from .qpolys import kostka_foulkes
+from .tableaux import Composition, Partition, abacus, partition_from_beta
 
 Cell = tuple[int, int]  # 0-indexed (row, col) internally
 Ribbon = tuple[Cell, ...]  # cells ordered from tail (NE) to head (SW)
 
 
-def _runner_length(shape: Partition, m: int) -> int:
-    rows = max(len(shape), 1)
-    return m * ((rows + m - 1) // m)
-
-
 def m_core(shape: Partition, m: int) -> Partition:
     """The m-core: push all abacus beads down on their runners."""
-    if m < 1:
-        raise ValueError("ribbon size must be positive")
-    shape = Partition(shape)
-    length = _runner_length(shape, m)
-    beta = _beta_set(shape, length)
-    new_beta: list[int] = []
-    for runner in range(m):
-        count = sum(1 for b in beta if b % m == runner)
-        new_beta.extend(runner + m * level for level in range(count))
-    return _partition_from_beta(new_beta)
+    counts, _ = abacus(shape, m)
+    return partition_from_beta(
+        [runner + m * level for runner, count in enumerate(counts) for level in range(count)]
+    )
 
 
 def m_quotient(shape: Partition, m: int) -> tuple[Partition, ...]:
     """The m-tuple of partitions carved out of the abacus runners."""
-    if m < 1:
-        raise ValueError("ribbon size must be positive")
-    shape = Partition(shape)
-    length = _runner_length(shape, m)
-    beta = _beta_set(shape, length)
-    quotient = []
-    for runner in range(m):
-        levels = sorted((b - runner) // m for b in beta if b % m == runner)
-        quotient.append(_partition_from_beta(levels))
-    return tuple(quotient)
+    return abacus(shape, m)[1]
 
 
 def _skew_cells(outer: Partition, inner: Partition) -> frozenset[Cell]:
@@ -147,8 +134,8 @@ def enumerate_ribbon_cst(
 ) -> list[tuple[tuple[Ribbon, int], ...]]:
     """All column-strict labeled m-ribbon tilings with the given content.
 
-    Exponential-time oracle used for cross-checks; the counting routine
-    below is the production path.
+    Exponential-time oracle on cells, the independent check of the quotient
+    count :func:`count_ribbon_cst`.
     """
     content = Composition(content)
     labels: list[int] = []
@@ -183,83 +170,43 @@ def _distinct_permutations(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]
 
 
 @cache
-def _is_horizontal_strip(outer: Partition, inner: Partition, m: int) -> bool:
-    """Whether outer/inner carries a single-label column-strict m-ribbon tiling.
+def _count_quotient_cst(rows: tuple[int, ...], ends: tuple[bool, ...], content: tuple[int, ...]) -> int:
+    """Tuples of column-strict tableaux of the quotient shapes, of joint content
+    ``content``.
 
-    Single label makes the head condition vacuous; the tail condition says
-    every ribbon's tail is the topmost strip cell of its column.
+    ``rows`` lists the rows of every quotient shape in turn, ``ends`` marks
+    each shape's last row, and a row that empties stays as 0, so every state
+    has one key.  The last label fills a horizontal strip in each shape, of
+    sizes adding up to its multiplicity: each row keeps at least the row
+    below it in its own shape.
     """
-    cells = _skew_cells(outer, inner)
-    if len(cells) % m:
-        return False
-    if not cells:
-        return True
-    tops = {}
-    for r, c in cells:
-        tops[c] = min(tops.get(c, r), r)
-
-    def rec(remaining: frozenset[Cell]) -> bool:
-        if not remaining:
-            return True
-        tail = min(remaining, key=lambda rc: (rc[0], -rc[1]))
-        if tops[tail[1]] != tail[0]:
-            return False  # this cell can only ever be a tail, but sits below a strip cell
-        for ribbon in _ribbons_with_tail(remaining, tail, m):
-            if rec(remaining - frozenset(ribbon)):
-                return True
-        return False
-
-    return rec(cells)
-
-
-def _subpartitions_of_size(outer: Partition, size: int) -> Iterator[Partition]:
-    """Partitions nested inside ``outer`` with the given size."""
-    outer = Partition(outer)
-
-    def rec(row: int, prev: int, left: int, acc: list[int]) -> Iterator[Partition]:
-        if left == 0:
-            yield Partition(acc)
-            return
-        if row >= len(outer):
-            return
-        hi = min(prev, outer[row])
-        for part in range(hi, 0, -1):
-            if part > left:
-                continue
-            acc.append(part)
-            yield from rec(row + 1, part, left - part, acc)
-            acc.pop()
-
-    yield from rec(0, outer[0] if outer else 0, size, [])
-
-
-@cache
-def _count_ribbon_cst(outer: Partition, m: int, beta: tuple[int, ...]) -> int:
-    if not beta:
-        return 1 if not outer else 0
-    r = beta[-1]
-    rest = beta[:-1]
-    if r == 0:
-        return _count_ribbon_cst(outer, m, rest)
-    need = outer.size - r * m
-    if need < 0:
-        return 0
-    total = 0
-    for nu in _subpartitions_of_size(outer, need):
-        if _is_horizontal_strip(outer, nu, m):
-            total += _count_ribbon_cst(nu, m, rest)
-    return total
+    if not content:
+        return int(not any(rows))
+    floors = [0 if end else below for below, end in zip(rows[1:] + (0,), ends)]
+    keep = sum(rows) - content[-1]
+    return sum(
+        _count_quotient_cst(inner, ends, content[:-1])
+        for inner in product(*(range(floor, row + 1) for floor, row in zip(floors, rows)))
+        if sum(inner) == keep
+    )
 
 
 def count_ribbon_cst(shape: Partition, m: int, beta: Composition) -> int:
-    """K^m_{shape,beta}: column-strict m-ribbon tableaux of the full shape."""
-    if m < 1:
-        raise ValueError("ribbon size must be positive")
-    shape = Partition(shape)
+    """K^m_{shape,beta}: column-strict m-ribbon tableaux of the full shape.
+
+    They are counted as m-tuples of column-strict tableaux of the m-quotient
+    shapes, none when the m-core is not empty (the quotient is then too
+    small).  That count is a coefficient of the product of the quotient
+    Schur functions, which is symmetric, so it is taken at the sorted
+    content with its zero parts dropped.
+    """
+    _, quotient = abacus(shape, m)
     beta = Composition(beta)
-    if shape.size != m * beta.size:
+    if sum(shape) != m * beta.size:
         return 0
-    return _count_ribbon_cst(shape, m, tuple(beta))
+    rows = tuple(row for part in quotient for row in part)
+    ends = tuple(j == len(part) - 1 for part in quotient for j in range(len(part)))
+    return _count_quotient_cst(rows, ends, tuple(sorted(part for part in beta if part)))
 
 
 @dataclass

@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, combinations_with_replacement
-from math import gcd
+from math import comb, gcd
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -29,6 +29,7 @@ from .qpolys import (
     q_hook_product,
 )
 from .tableaux import (
+    DEFAULT_CAP,
     CapExceeded,
     Composition,
     Partition,
@@ -666,24 +667,28 @@ def reflect_noncrossing(pi: SetPartition, n: int) -> SetPartition:
     )
 
 
-def handshake_csp_report(n: int) -> CSPReport:
-    return verify_csp(
-        handshake_action(n),
-        q_catalan_product(n),
-        2 * n,
-        family="handshake",
-        parameters={"n": n},
-    )
+def _check_cap(count: int, what: str, cap: Optional[int]) -> None:
+    limit = DEFAULT_CAP if cap is None else cap
+    if count > limit:
+        raise CapExceeded(f"{count} {what} exceed the cap {limit}")
 
 
-def noncrossing_csp_report(n: int) -> CSPReport:
-    return verify_csp(
-        noncrossing_action(n),
-        q_catalan_product(n),
-        2 * n,
-        family="noncrossing",
-        parameters={"n": n},
-    )
+def _catalan_report(
+    family: str, what: str, action: Callable[[int], FiniteAction], n: int, cap: Optional[int]
+) -> CSPReport:
+    """The rotation CSP of a Catalan family, with C_n held against the cap
+    before the family is enumerated."""
+    predicted = q_catalan_product(n)
+    _check_cap(comb(2 * n, n) // (n + 1), what, cap)
+    return verify_csp(action(n), predicted, 2 * n, family=family, parameters={"n": n})
+
+
+def handshake_csp_report(n: int, cap: Optional[int] = None) -> CSPReport:
+    return _catalan_report("handshake", "handshake patterns", handshake_action, n, cap)
+
+
+def noncrossing_csp_report(n: int, cap: Optional[int] = None) -> CSPReport:
+    return _catalan_report("noncrossing", "noncrossing partitions", noncrossing_action, n, cap)
 
 
 # -- reduced words for the hyperoctahedral longest element -------------------
@@ -751,9 +756,7 @@ def bn_word_action(n: int, cap: Optional[int] = None) -> FiniteAction:
     if n < 1:
         raise ValueError(f"signed permutation words need n >= 1, got {n}")
     expected = syt_count(Partition((n,) * n))
-    limit = 10**6 if cap is None else cap
-    if expected > limit:
-        raise CapExceeded(f"{expected} reduced words exceed the cap {limit}")
+    _check_cap(expected, "reduced words", cap)
     count = bn_reduced_word_count(bn_longest(n))
     if count != expected:
         raise AssertionError(

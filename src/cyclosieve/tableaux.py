@@ -118,6 +118,40 @@ class Composition(tuple):
         return f"Composition{tuple(self)}"
 
 
+def beta_set(shape: Partition, length: int) -> tuple[int, ...]:
+    """First-column hook lengths (beta-numbers) padded to the given length."""
+    shape = Partition(shape)
+    if length < len(shape):
+        raise ValueError("beta-set length too small")
+    parts = tuple(shape) + (0,) * (length - len(shape))
+    return tuple(parts[i] + (length - 1 - i) for i in range(length))
+
+
+def partition_from_beta(beta: Sequence[int]) -> Partition:
+    """The partition whose beta-set, in any order, is ``beta``."""
+    beta = sorted(beta, reverse=True)
+    length = len(beta)
+    parts = [beta[i] - (length - 1 - i) for i in range(length)]
+    return Partition([p for p in parts if p > 0])
+
+
+def abacus(shape: Partition, m: int) -> tuple[tuple[int, ...], tuple[Partition, ...]]:
+    """The bead count on each of the m runners, and the m-quotient.
+
+    The beads are the beta-set of ``shape`` whose length is the least positive
+    multiple of m that is at least its row count.  Runner i holds the beads
+    b = i mod m, and their levels b // m are the beta-set of the i-th
+    quotient partition.
+    """
+    if m < 1:
+        raise ValueError("ribbon size must be positive")
+    shape = Partition(shape)
+    runners: list[list[int]] = [[] for _ in range(m)]
+    for b in beta_set(shape, m * ((max(len(shape), 1) + m - 1) // m)):
+        runners[b % m].append(b // m)
+    return tuple(map(len, runners)), tuple(map(partition_from_beta, runners))
+
+
 def conjugate(shape: Partition) -> Partition:
     return Partition(shape).conjugate()
 
@@ -375,6 +409,13 @@ def enumerate_syt(
     limit = _resolve_cap(cap)
     if syt_count(shape) > limit:
         raise CapExceeded(f"SYT({tuple(shape)}) has {syt_count(shape)} > cap {limit} elements")
+    words = _syt_words(shape)
+    return words if packed else tableaux_from_words(words, shape)
+
+
+def _syt_words(shape: Partition) -> np.ndarray:
+    """The packed, sorted row-reading words of SYT(shape), as
+    :func:`enumerate_syt` returns them with ``packed``."""
     n, nrows = shape.size, len(shape)
     starts = [sum(shape[:r]) for r in range(nrows)]
     filled = [0] * nrows
@@ -409,7 +450,7 @@ def enumerate_syt(
     words = np.array(flat, dtype=word_dtype(n)).reshape(-1, n + 2)
     if len(words) > 1:
         words = words[np.lexsort(words.T[n - 1::-1])]
-    return words if packed else tableaux_from_words(words, shape)
+    return words
 
 
 def tableaux_from_words(words: np.ndarray, shape: Partition) -> list[Tableau]:
@@ -489,7 +530,8 @@ def enumerate_cst(
 
     When ``content`` is given it must have length k and size |shape|; the
     enumeration is then restricted to that content.  Without one, the count
-    :func:`cst_count` is held against the cap before anything is filled.
+    :func:`cst_count` is held against the cap before anything is filled, and
+    so is :func:`syt_count` with the standard content (every part 1).
     With ``packed`` no ``Tableau`` is built: row i of the N x (n + 2) result
     is the row-reading word of the i-th tableau followed by 0 and k + 1, as
     :func:`enumerate_syt` returns it.
@@ -504,10 +546,17 @@ def enumerate_cst(
     if k < 0:
         raise ValueError("bound must be nonnegative")
     limit = _resolve_cap(cap)
-    # k^n bounds the count, and is far cheaper to compute on small sets.
-    if content is None and k ** shape.size > limit and cst_count(shape, k) > limit:
-        raise CapExceeded(f"CST({tuple(shape)}, {k}) has {cst_count(shape, k)} > cap {limit} elements")
-    words = _enumerate_fillings(shape, k, content, limit)
+    if content is not None and all(part == 1 for part in content):
+        # Placed value by value: the row-major filler would start many
+        # fillings that die rows later.  The message is the filler's.
+        if syt_count(shape) > limit:
+            raise CapExceeded(f"enumeration exceeded cap {limit}")
+        words = _syt_words(shape)
+    else:
+        # k^n bounds the count, and is far cheaper to compute on small sets.
+        if content is None and k ** shape.size > limit and cst_count(shape, k) > limit:
+            raise CapExceeded(f"CST({tuple(shape)}, {k}) has {cst_count(shape, k)} > cap {limit} elements")
+        words = _enumerate_fillings(shape, k, content, limit)
     return words if packed else tableaux_from_words(words, shape)
 
 

@@ -83,6 +83,8 @@ class TestExitCodes:
         assert run(["kl", "mu-invariance", "--shape", "2,2", "--cap", "1"]) == 2
         assert run(["ribbon", "kf-check", "--shape", "2,2", "--content", "1,1,1,1",
                     "--power", "2", "--cap", "1"]) == 2
+        assert run(["csp", "handshake", "6", "--cap", "10"]) == 2
+        assert run(["csp", "noncrossing", "6", "--cap", "10"]) == 2
 
 
 class TestParserReuse:
@@ -333,9 +335,14 @@ class TestFamilies:
         assert run(["kl", "verify-promotion", "--shape", "2,2"]) == 2
         assert run(["kl", "mu-invariance", "--shape", "2,2"]) == 2
         assert run(kf_check) == 2
+        monkeypatch.setenv("CYCLOSIEVE_CAP", "131")
+        assert run(["csp", "handshake", "6"]) == 2
+        assert run(["csp", "noncrossing", "6"]) == 2
         monkeypatch.setenv("CYCLOSIEVE_CAP", "1000")
         assert run(["enumerate", "syt", "--shape", "4,4,4"]) == 0
         assert run(["csp", "syt", "--shape", "2^4"]) == 0
+        assert run(["csp", "handshake", "6"]) == 0
+        assert run(["csp", "noncrossing", "6"]) == 0
         assert run(["kl", "verify-promotion", "--shape", "2,2"]) == 0
         assert run(["kl", "mu-invariance", "--shape", "2,2"]) == 0
         assert run(kf_check) == 0

@@ -19,12 +19,25 @@ from cyclosieve.ribbons import (
 EMPTY = Partition(())
 
 
+def subpartitions_of_size(outer: Partition, size: int):
+    """Partitions nested inside ``outer`` with the given size."""
+
+    def rec(row: int, prev: int, left: int, acc: tuple[int, ...]):
+        if left == 0:
+            yield Partition(acc)
+        elif row < len(outer):
+            for part in range(min(prev, outer[row], left), 0, -1):
+                yield from rec(row + 1, part, left - part, acc + (part,))
+
+    yield from rec(0, outer[0] if outer else 0, size, ())
+
+
 def core_by_ribbon_removal(lam: Partition, m: int) -> Partition:
     """Strip removable m-ribbons one at a time (brute-force oracle)."""
-    from cyclosieve.ribbons import _skew_cells, _subpartitions_of_size
+    from cyclosieve.ribbons import _skew_cells
 
     while True:
-        for nu in _subpartitions_of_size(lam, lam.size - m):
+        for nu in subpartitions_of_size(lam, lam.size - m):
             cells = set(_skew_cells(lam, nu))
             if len(cells) != m:
                 continue
@@ -128,21 +141,34 @@ class TestCounting:
         assert count_ribbon_cst(Partition((2, 1)), 3, Composition((1,))) == 1
 
     def test_peeling_matches_labeled_tiling_oracle(self):
-        cases = [
-            ((2, 2), 2), ((3, 1), 2), ((4, 2), 2), ((2, 2, 1, 1), 2),
-            ((3, 3), 2), ((3, 2, 1), 3), ((3, 3, 3), 3), ((4, 2), 3),
-            ((4, 4), 2), ((2, 2, 2, 2), 4),
-        ]
-        for lam, m in cases:
-            lam_p = Partition(lam)
-            if lam_p.size % m:
-                continue
-            r = lam_p.size // m
-            for k in range(1, min(r, 3) + 1):
-                for beta in compositions_of(r, k):
-                    assert count_ribbon_cst(lam_p, m, beta) == len(
-                        enumerate_ribbon_cst(lam_p, EMPTY, m, beta)
-                    ), (lam, m, beta)
+        """Every partition of at most 10 cells, m = 2..5, contents of at most
+        4 parts: the quotient count equals the labeled tilings on cells."""
+        for lam in all_partitions_up_to(10):
+            for m in range(2, 6):
+                if lam.size % m:
+                    continue
+                r = lam.size // m
+                for k in range(1, min(r, 4) + 1):
+                    for beta in compositions_of(r, k):
+                        assert count_ribbon_cst(lam, m, beta) == len(
+                            enumerate_ribbon_cst(lam, EMPTY, m, beta)
+                        ), (lam, m, beta)
+
+    def test_counting_builds_no_cells(self, monkeypatch):
+        """The count runs on the abacus: no cell set, tiling or ribbon search."""
+        from cyclosieve import ribbons
+
+        expected = {(lam, m): count_ribbon_cst(lam, m, (1,) * (lam.size // m))
+                    for lam in all_partitions_up_to(8) for m in (2, 3) if lam.size % m == 0}
+        ribbons._count_quotient_cst.cache_clear()
+
+        def refuse(*args):
+            raise AssertionError("a cell-level search ran")
+
+        for name in ("_skew_cells", "_ribbons_with_tail", "enumerate_tilings"):
+            monkeypatch.setattr(ribbons, name, refuse)
+        for (lam, m), count in expected.items():
+            assert count_ribbon_cst(lam, m, (1,) * (lam.size // m)) == count
 
     def test_quotient_factorization(self):
         """The generating function over contents factors through the quotient."""

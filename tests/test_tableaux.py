@@ -214,7 +214,7 @@ class TestEnumerateCst:
 
     def test_cap_is_checked_before_filling(self, monkeypatch):
         """Without a content, an over-cap set is refused from its count; the
-        boundary is count > cap.  With a content the filler counts."""
+        boundary is count > cap.  With the standard content, too (see below)."""
         from cyclosieve import tableaux
 
         lam = Partition((2, 2))
@@ -232,6 +232,26 @@ class TestEnumerateCst:
                 enumerate_cst(shape, k, cap=cap)
             with pytest.raises(CapExceeded):
                 enumerate_cst(shape, k, cap=cap, packed=True)
+
+    def test_standard_content_takes_the_syt_filler(self, monkeypatch):
+        """A content of n ones is served by the SYT filler, behind a count
+        check, and not through ``enumerate_syt``, whose results the benchmark
+        counts; 5^4 has 1,662,804 SYT and is refused from its count."""
+        from cyclosieve import tableaux
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the wrong filler ran")
+
+        monkeypatch.setattr(tableaux, "_enumerate_fillings", refuse)
+        oracle = {lam: enumerate_syt(lam, packed=True) for lam in all_partitions_up_to(7)}
+        monkeypatch.setattr(tableaux, "enumerate_syt", refuse)
+        for lam, words in oracle.items():
+            ones = Composition((1,) * lam.size)
+            got = enumerate_cst(lam, lam.size, ones, packed=True)
+            assert got.dtype == words.dtype and np.array_equal(got, words), lam
+        for shape, cap in [(Partition((2, 2)), 1), (Partition((5, 5, 5, 5)), None)]:
+            with pytest.raises(CapExceeded, match="enumeration exceeded cap"):
+                enumerate_cst(shape, shape.size, Composition((1,) * shape.size), cap=cap)
 
     def test_rst_is_transposed_cst(self):
         lam = Partition((3, 2))
