@@ -205,13 +205,9 @@ def _cmd_kl(config: RunConfig) -> int:
     allow_large = config.parameters.get("allow_large", False)
     if config.family == "kl-table":
         table = kl_table(config.parameters["rank"], allow_large=allow_large)
-        triples = table.dump_triples()
-        if config.as_json:
-            print(json.dumps({"n": table.n, "polynomials": triples}, sort_keys=True))
-        else:
-            for entry in triples:
-                print(entry["u"], entry["v"], entry["coeffs"])
-            print("pairs:", len(triples))
+        pairs = table.dump_triples(sys.stdout, config.as_json)
+        if not config.as_json:
+            print("pairs:", pairs)
         return EXIT_PASS
     if config.family == "kl-verify-promotion":
         report = verify_promotion_identity(

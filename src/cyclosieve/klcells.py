@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations as _itertools_permutations
 from operator import add
-from typing import Optional
+from typing import Optional, TextIO
 
 import numpy as np
 
@@ -63,15 +63,13 @@ class KLTable:
 
     def __init__(self, n: int):
         self.n = n
-        perms = sorted(
-            _itertools_permutations(range(1, n + 1)),
-            key=lambda p: (sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j]), p),
+        by_length = sorted(
+            (sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j]), p)
+            for p in _itertools_permutations(range(1, n + 1))
         )
-        self.perms: list[tuple[int, ...]] = [tuple(p) for p in perms]
+        self.perms: list[tuple[int, ...]] = [p for _, p in by_length]
+        self.lengths: list[int] = [length for length, _ in by_length]
         self.index: dict[tuple[int, ...], int] = {p: i for i, p in enumerate(self.perms)}
-        self.lengths = [
-            sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j]) for p in self.perms
-        ]
         # rank[w, (i-1)*n + (j-1)] counts the a <= i with w(a) >= j
         size = len(self.perms)
         above = np.array(self.perms, dtype=np.int8).reshape(size, n, 1) >= np.arange(1, n + 1)
@@ -204,21 +202,43 @@ class KLTable:
     def comparable_pairs(self) -> int:
         return int(self._leq.sum())
 
-    def dump_triples(self) -> list[dict]:
-        """JSON-friendly {u, v, coeffs} triples over all comparable pairs."""
-        out = []
+    def dump_triples(self, out: TextIO, as_json: bool) -> int:
+        """Write every P_{u,v} with u < v to ``out`` and return the pair count.
+
+        Rows come column by column: v ascending, then u ascending.  In JSON
+        the whole document is ``{"n": n, "polynomials": [...]}`` with each row
+        ``{"coeffs": [...], "u": [...], "v": [...]}``, the bytes that
+        ``json.dumps(..., sort_keys=True)`` gives; as text each row is a line
+        ``u v coeffs``.  Each permutation and each distinct coefficient tuple
+        is formatted once (``str`` of a list of ints is its JSON), and one
+        string is written per column, so the dump is never held whole.
+        """
+        perm_text = [str(list(p)) for p in self.perms]
+        coeff_text = {c: str(list(c)) for col in self._polys for c in col.values()}
+        coeff_text[_ONE] = str(list(_ONE))
+        pairs = 0
+        if as_json:
+            out.write(f'{{"n": {self.n}, "polynomials": [')
         for w, col in enumerate(self._polys):
-            for u in np.flatnonzero(self._leq[:, w]).tolist():
-                if u == w:
-                    continue
-                out.append(
-                    {
-                        "u": list(self.perms[u]),
-                        "v": list(self.perms[w]),
-                        "coeffs": list(col.get(u, _ONE)),
-                    }
-                )
-        return out
+            # w itself comes last: every u < w is shorter, so has a smaller index
+            below = np.flatnonzero(self._leq[:, w]).tolist()[:-1]
+            if not below:
+                continue
+            v = perm_text[w]
+            if as_json:
+                rows = ", ".join([
+                    f'{{"coeffs": {coeff_text[col.get(u, _ONE)]}, "u": {perm_text[u]}, "v": {v}}}'
+                    for u in below
+                ])
+                out.write(f", {rows}" if pairs else rows)
+            else:
+                out.write("".join([
+                    f"{perm_text[u]} {v} {coeff_text[col.get(u, _ONE)]}\n" for u in below
+                ]))
+            pairs += len(below)
+        if as_json:
+            out.write("]}\n")
+        return pairs
 
 
 def kl_table(n: int, allow_large: bool = False) -> KLTable:

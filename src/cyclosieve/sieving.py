@@ -29,7 +29,6 @@ from .qpolys import (
     q_hook_product,
 )
 from .tableaux import (
-    DEFAULT_CAP,
     CapExceeded,
     Composition,
     Partition,
@@ -38,6 +37,7 @@ from .tableaux import (
     enumerate_syt,
     syt_count,
     tableaux_from_words,
+    _resolve_cap,
 )
 
 
@@ -279,13 +279,18 @@ def syt_csp_report(
     the case on rectangles) and to the empirical order otherwise, so that
     non-rectangular shapes can be explored directly; the empty shape takes
     modulus 1.  The q-hook formula stays in factored form, so [n]!_q is
-    never expanded.
+    never expanded.  A modulus above the cap is refused, since every power
+    below it is evaluated: a given one before enumerating, the default one
+    as soon as the promotion order is known.
     """
     shape = Partition(shape)
     n = shape.size
+    if modulus is not None:
+        _check_modulus(modulus, "the modulus", cap)
     action = syt_promotion_action(shape, cap=cap)
     if modulus is None:
         modulus = n if n and n % action.order == 0 else action.order
+        _check_modulus(modulus, "the default modulus (the promotion order)", cap)
     return verify_csp(
         action,
         q_hook_product(shape),
@@ -293,6 +298,15 @@ def syt_csp_report(
         family="syt",
         parameters={"shape": list(shape), "orbit_sizes": action.orbit_sizes()},
     )
+
+
+def _check_modulus(modulus: int, what: str, cap: Optional[int]) -> None:
+    limit = _resolve_cap(cap)
+    if modulus > limit:
+        raise ValueError(
+            f"{what} {modulus} exceeds the cap {limit}; "
+            "pass a smaller --modulus or a larger --cap"
+        )
 
 
 def cst_csp_report(shape: Partition, bound: int, cap: Optional[int] = None) -> CSPReport:
@@ -668,7 +682,7 @@ def reflect_noncrossing(pi: SetPartition, n: int) -> SetPartition:
 
 
 def _check_cap(count: int, what: str, cap: Optional[int]) -> None:
-    limit = DEFAULT_CAP if cap is None else cap
+    limit = _resolve_cap(cap)
     if count > limit:
         raise CapExceeded(f"{count} {what} exceed the cap {limit}")
 

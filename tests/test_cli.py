@@ -86,6 +86,36 @@ class TestExitCodes:
         assert run(["csp", "handshake", "6", "--cap", "10"]) == 2
         assert run(["csp", "noncrossing", "6", "--cap", "10"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        "csp syt --shape 5,3,3,1",
+        f"csp syt --shape 2,2 --modulus {10**41}",
+        "csp syt --shape 3,3,1 --cap 100",
+    ], ids=["default-5,3,3,1", "given-10^41", "default-3,3,1-cap-100"])
+    def test_modulus_over_the_cap_is_two(self, capsys, argv):
+        """Every power below the modulus is evaluated, so a modulus above
+        the cap is refused.  The default modulus of 5,3,3,1 is its promotion
+        order, about 1.3e32; reducing mod Phi_m at such an m used to end in
+        an OverflowError traceback."""
+        assert run(argv.split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "--modulus" in err and "--cap" in err
+
+    def test_given_modulus_is_checked_before_enumerating(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated before checking the modulus")
+
+        monkeypatch.setattr("cyclosieve.sieving.enumerate_syt", refuse)
+        assert run(["csp", "syt", "--shape", "4^4", "--modulus", str(10**41)]) == 2
+        assert "--modulus" in capsys.readouterr().err
+
+    def test_default_modulus_under_the_cap_still_runs(self, capsys):
+        """6,2,1 takes its promotion order 3,696 as the modulus: the
+        documented non-rectangle failure, unchanged by the cap check."""
+        assert run(["csp", "syt", "--shape", "6,2,1", "--json"]) == 1
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "f977aec6bb5faac247cc3d1e3cefe3f72246f79d586721c4d4c116f0edbb30f3"
+
 
 class TestParserReuse:
     def test_calls_share_one_parser_and_match_a_fresh_one(self, monkeypatch, capsys):
@@ -160,6 +190,12 @@ class TestJsonOutput:
         assert run(["kl", "table", "--rank", "5", "--json"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "c5006369c9b57a0080ad6371052d2cbd3d8736b11815bd23e657b2d625e3f81b"
+
+    def test_kl_table_rank_5_text_dump_is_pinned(self, capsys):
+        """Recorded while the dump was still built as a list of dicts."""
+        assert run(["kl", "table", "--rank", "5"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "d9248c317224cc034faefa6a690cf72aca38a58733e0393a946f40d5a99a735f"
 
     @pytest.mark.parametrize("argv, digest", [
         ("csp syt --shape 4^4 --json", "b1015585abcb602e42d5f80dd2d7c746f6c29a147719188df3000dc951769e59"),

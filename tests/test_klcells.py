@@ -1,5 +1,8 @@
+import io
+import json
 from itertools import permutations as itertools_permutations
 
+import numpy as np
 import pytest
 
 from conftest import all_partitions_up_to, compositions_of, rectangles_up_to
@@ -459,9 +462,42 @@ class TestVanishingCriterion:
         assert not is_semistandardizable(q231, Composition((2, 1)))
 
 
+def _reference_dump(table, as_json: bool) -> str:
+    """The dump as it was built before it was streamed: a list of dicts,
+    then one ``json.dumps`` or one ``print`` per row."""
+    triples = [
+        {"u": list(table.perms[u]), "v": list(table.perms[w]),
+         "coeffs": list(table._coeffs(u, w))}
+        for w in range(len(table.perms))
+        for u in np.flatnonzero(table._leq[:, w]).tolist()
+        if u != w
+    ]
+    out = io.StringIO()
+    if as_json:
+        print(json.dumps({"n": table.n, "polynomials": triples}, sort_keys=True), file=out)
+    else:
+        for entry in triples:
+            print(entry["u"], entry["v"], entry["coeffs"], file=out)
+        print("pairs:", len(triples), file=out)
+    return out.getvalue()
+
+
 class TestDump:
     def test_json_triples_shape(self):
         table = kl_table(3)
-        triples = table.dump_triples()
+        out = io.StringIO()
+        table.dump_triples(out, as_json=True)
+        triples = json.loads(out.getvalue())["polynomials"]
         assert all(set(t) == {"u", "v", "coeffs"} for t in triples)
         assert all(t["coeffs"] == [1] for t in triples)
+
+    @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+    @pytest.mark.parametrize("n", range(6))
+    def test_stream_matches_the_list_of_dicts(self, n, as_json):
+        table = kl_table(n)
+        out = io.StringIO()
+        pairs = table.dump_triples(out, as_json)
+        assert pairs == table.comparable_pairs() - len(table.perms)
+        if not as_json:
+            print("pairs:", pairs, file=out)
+        assert out.getvalue() == _reference_dump(table, as_json)
