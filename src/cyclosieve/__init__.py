@@ -10,6 +10,7 @@ from .tableaux import (
     conjugate,
     css,
     cst_count,
+    cst_tuple_count,
     descent_set,
     dominance_leq,
     enumerate_cst,

@@ -16,21 +16,20 @@ column-strict m-ribbon tiling (a horizontal m-ribbon strip) exactly when
 both shapes have the same bead count on every runner and each pair of their
 m-quotient partitions differs by an ordinary horizontal strip (Lascoux,
 Leclerc and Thibon, J. Math. Phys. 38, 1997).  Counting therefore runs on
-the quotient, with no cell in sight: it peels the last label off as one
-horizontal strip per quotient shape.  The labeled-tiling enumeration on
-cells, :func:`enumerate_ribbon_cst`, is the independent check.
+the quotient, with no cell in sight: :func:`tableaux.cst_tuple_count`
+peels the last label off as one horizontal strip per quotient shape.  The
+labeled-tiling enumeration on cells, :func:`enumerate_ribbon_cst`, is the
+independent check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import product
 from typing import Iterator, Optional
 
 from .cyclotomic import as_integer, eval_at_root
 from .qpolys import kostka_foulkes
-from .tableaux import Composition, Partition, abacus, partition_from_beta
+from .tableaux import Composition, Partition, abacus, cst_tuple_count, partition_from_beta
 
 Cell = tuple[int, int]  # 0-indexed (row, col) internally
 Ribbon = tuple[Cell, ...]  # cells ordered from tail (NE) to head (SW)
@@ -169,44 +168,17 @@ def _distinct_permutations(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]
             yield (v,) + rest
 
 
-@cache
-def _count_quotient_cst(rows: tuple[int, ...], ends: tuple[bool, ...], content: tuple[int, ...]) -> int:
-    """Tuples of column-strict tableaux of the quotient shapes, of joint content
-    ``content``.
-
-    ``rows`` lists the rows of every quotient shape in turn, ``ends`` marks
-    each shape's last row, and a row that empties stays as 0, so every state
-    has one key.  The last label fills a horizontal strip in each shape, of
-    sizes adding up to its multiplicity: each row keeps at least the row
-    below it in its own shape.
-    """
-    if not content:
-        return int(not any(rows))
-    floors = [0 if end else below for below, end in zip(rows[1:] + (0,), ends)]
-    keep = sum(rows) - content[-1]
-    return sum(
-        _count_quotient_cst(inner, ends, content[:-1])
-        for inner in product(*(range(floor, row + 1) for floor, row in zip(floors, rows)))
-        if sum(inner) == keep
-    )
-
-
 def count_ribbon_cst(shape: Partition, m: int, beta: Composition) -> int:
     """K^m_{shape,beta}: column-strict m-ribbon tableaux of the full shape.
 
     They are counted as m-tuples of column-strict tableaux of the m-quotient
     shapes, none when the m-core is not empty (the quotient is then too
-    small).  That count is a coefficient of the product of the quotient
-    Schur functions, which is symmetric, so it is taken at the sorted
-    content with its zero parts dropped.
+    small).
     """
     _, quotient = abacus(shape, m)
-    beta = Composition(beta)
-    if sum(shape) != m * beta.size:
+    if sum(shape) != m * Composition(beta).size:
         return 0
-    rows = tuple(row for part in quotient for row in part)
-    ends = tuple(j == len(part) - 1 for part in quotient for j in range(len(part)))
-    return _count_quotient_cst(rows, ends, tuple(sorted(part for part in beta if part)))
+    return cst_tuple_count(quotient, beta)
 
 
 @dataclass

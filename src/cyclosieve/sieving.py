@@ -336,7 +336,7 @@ def content_csp_report(
     modulus = len(alpha) // power
     return verify_csp(
         action,
-        kostka_foulkes(shape, alpha),
+        kostka_foulkes(shape, alpha, cap),
         modulus,
         family="content",
         parameters={"shape": list(shape), "content": list(alpha), "power": power},

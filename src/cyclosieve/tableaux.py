@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
+from itertools import product
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -200,6 +201,43 @@ def cst_count(shape: Partition, k: int) -> int:
     if rem:
         raise AssertionError(f"hook product does not divide the content product for {shape}, k = {k}")
     return count
+
+
+def cst_tuple_count(shapes: Sequence[Partition], content: Sequence[int]) -> int:
+    """Tuples of column-strict tableaux, one of each shape, of joint content
+    ``content``.  On a single shape this is the Kostka number K_{shape, content}.
+
+    The count is a coefficient of the product of the Schur functions of the
+    shapes, which is symmetric, so it is taken at the sorted content with its
+    zero parts dropped.
+    """
+    rows = tuple(row for shape in shapes for row in shape)
+    ends = tuple(j == len(shape) - 1 for shape in shapes for j in range(len(shape)))
+    return _count_strips(rows, ends, tuple(sorted(part for part in content if part)))
+
+
+@cache
+def _count_strips(rows: tuple[int, ...], ends: tuple[bool, ...], content: tuple[int, ...]) -> int:
+    """:func:`cst_tuple_count` on the shapes whose rows are listed in turn in
+    ``rows``, with ``ends`` marking each shape's last row.
+
+    The labels are peeled off from the last: each fills a horizontal strip in
+    every shape, of sizes adding up to its multiplicity, so each row keeps at
+    least the row below it in its own shape.  A row that empties stays as 0,
+    so every state has one key.  The peeling runs level by level rather than
+    recursively, so a content of any length is counted.
+    """
+    counts = {rows: 1}
+    for part in reversed(content):
+        peeled: dict[tuple[int, ...], int] = {}
+        for outer, ways in counts.items():
+            floors = [0 if end else below for below, end in zip(outer[1:] + (0,), ends)]
+            keep = sum(outer) - part
+            for inner in product(*(range(floor, row + 1) for floor, row in zip(floors, outer))):
+                if sum(inner) == keep:
+                    peeled[inner] = peeled.get(inner, 0) + ways
+        counts = peeled
+    return counts.get((0,) * len(rows), 0)
 
 
 def dominance_leq(mu: Partition, lam: Partition) -> bool:
@@ -401,26 +439,35 @@ def enumerate_syt(
     With ``packed`` no ``Tableau`` is built: row i of the N x (n + 2) result
     is the row-reading word of the i-th tableau followed by 0 and n + 1, the
     layout in which :func:`jeudetaquin.promotion_permutation` promotes a set.
-    Values are placed in increasing order, each at the end of a row that can
-    take it, every completed word is appended to one flat list, and the
-    words are sorted as array rows.
+    The words are those of the standard content 1^n in :func:`_syt_words`.
     """
     shape = Partition(shape)
     limit = _resolve_cap(cap)
     if syt_count(shape) > limit:
         raise CapExceeded(f"SYT({tuple(shape)}) has {syt_count(shape)} > cap {limit} elements")
-    words = _syt_words(shape)
+    words = _syt_words(shape, Composition((1,) * shape.size))
     return words if packed else tableaux_from_words(words, shape)
 
 
-def _syt_words(shape: Partition) -> np.ndarray:
-    """The packed, sorted row-reading words of SYT(shape), as
-    :func:`enumerate_syt` returns them with ``packed``."""
+def _syt_words(shape: Partition, content: Composition) -> np.ndarray:
+    """The packed, sorted row-reading words of the column-strict tableaux of
+    the given shape and content, as :func:`enumerate_cst` returns them with
+    ``packed``; SYT(shape) is the content 1^n.
+
+    A tableau of content a is a standard one whose values 1..a_1 are
+    labelled 1, the next a_2 values 2, and so on, where the values of each
+    label form a horizontal strip.  The values are placed in increasing
+    order, each at the end of a row that can take it, and written as their
+    labels.  A value that continues its label's block goes weakly north of
+    the value before it, which puts it strictly east.  Every completed word
+    is appended to one flat list, and the words are sorted as array rows.
+    """
     n, nrows = shape.size, len(shape)
+    labels = (0,) + content.labels()  # a 0 for "no value" starts no block
     starts = [sum(shape[:r]) for r in range(nrows)]
     filled = [0] * nrows
     row_of = [0] * (n + 1)  # the row where each placed value sits
-    word = [0] * n + [0, n + 1]
+    word = [0] * n + [0, len(content) + 1]
     flat: list[int] = []
     # Depth-first, without recursion: ``value`` is the next value to place
     # and ``r`` the first row to try it in.
@@ -429,13 +476,14 @@ def _syt_words(shape: Partition) -> np.ndarray:
         if value > n:
             flat.extend(word)
         else:
-            while r < nrows:
+            stop = row_of[value - 1] + 1 if labels[value] == labels[value - 1] else nrows
+            while r < stop:
                 c = filled[r]
                 if c < shape[r] and (r == 0 or c < filled[r - 1]):
                     break
-                r = nrows if c == 0 else r + 1  # below an empty row all are empty
-            if r < nrows:
-                word[starts[r] + c] = value
+                r = stop if c == 0 else r + 1  # below an empty row all are empty
+            if r < stop:
+                word[starts[r] + c] = labels[value]
                 filled[r] = c + 1
                 row_of[value] = r
                 value, r = value + 1, 0
@@ -447,7 +495,7 @@ def _syt_words(shape: Partition) -> np.ndarray:
             filled[r] -= 1
             r += 1
 
-    words = np.array(flat, dtype=word_dtype(n)).reshape(-1, n + 2)
+    words = np.array(flat, dtype=word_dtype(len(content))).reshape(-1, n + 2)
     if len(words) > 1:
         words = words[np.lexsort(words.T[n - 1::-1])]
     return words
@@ -464,10 +512,9 @@ def tableaux_from_words(words: np.ndarray, shape: Partition) -> list[Tableau]:
     return list(map(Tableau._trusted, zip(*rows)))
 
 
-def _enumerate_fillings(shape: Partition, k: int, content: Optional[Composition], cap: int) -> np.ndarray:
+def _enumerate_fillings(shape: Partition, k: int) -> np.ndarray:
     """The packed row-reading words of the column-strict fillings with
-    entries <= k, optionally of fixed content, in the layout of
-    :func:`enumerate_syt`.
+    entries <= k, in the layout of :func:`enumerate_syt`.
 
     Cells are filled in row-major order, smallest value first, so the words
     come out sorted.  A cell takes at least its west neighbour and more than
@@ -487,7 +534,6 @@ def _enumerate_fillings(shape: Partition, k: int, content: Optional[Composition]
     for i in reversed(range(n)):
         if north[i] < n:
             top[north[i]] = top[i] - 1
-    remaining = list(content) if content is not None else None
     word = [0] * n + [0, k + 1]
     flat: list[int] = []
     # Depth-first, without recursion: ``i`` is the cell to fill and
@@ -496,26 +542,16 @@ def _enumerate_fillings(shape: Partition, k: int, content: Optional[Composition]
     while i >= 0:
         if i == n:
             flat.extend(word)
-            if len(flat) > cap * (n + 2):
-                raise CapExceeded(f"enumeration exceeded cap {cap}")
         else:
             value = max(value, word[west[i]], word[north[i]] + 1)
-            if remaining is not None:
-                while value <= top[i] and not remaining[value - 1]:
-                    value += 1
             if value <= top[i]:
                 word[i] = value
-                if remaining is not None:
-                    remaining[value - 1] -= 1
                 i, value = i + 1, 1
                 continue
         # Take back the previous cell's value and try the next one there.
         i -= 1
         if i >= 0:
-            value = word[i]
-            if remaining is not None:
-                remaining[value - 1] += 1
-            value += 1
+            value = word[i] + 1
     return np.array(flat, dtype=word_dtype(k)).reshape(-1, n + 2)
 
 
@@ -529,12 +565,13 @@ def enumerate_cst(
     """All column-strict tableaux with entries <= k, sorted by row-reading word.
 
     When ``content`` is given it must have length k and size |shape|; the
-    enumeration is then restricted to that content.  Without one, the count
-    :func:`cst_count` is held against the cap before anything is filled, and
-    so is :func:`syt_count` with the standard content (every part 1).
-    With ``packed`` no ``Tableau`` is built: row i of the N x (n + 2) result
-    is the row-reading word of the i-th tableau followed by 0 and k + 1, as
-    :func:`enumerate_syt` returns it.
+    enumeration is then restricted to that content and placed value by value
+    (:func:`_syt_words`), and otherwise filled cell by cell
+    (:func:`_enumerate_fillings`).  Either way an exact count, the Kostka
+    number :func:`cst_tuple_count` or :func:`cst_count`, is held against the
+    cap before anything is filled.  With ``packed`` no ``Tableau`` is built:
+    row i of the N x (n + 2) result is the row-reading word of the i-th
+    tableau followed by 0 and k + 1, as :func:`enumerate_syt` returns it.
     """
     shape = Partition(shape)
     if content is not None:
@@ -546,17 +583,16 @@ def enumerate_cst(
     if k < 0:
         raise ValueError("bound must be nonnegative")
     limit = _resolve_cap(cap)
-    if content is not None and all(part == 1 for part in content):
-        # Placed value by value: the row-major filler would start many
-        # fillings that die rows later.  The message is the filler's.
-        if syt_count(shape) > limit:
+    # k^n bounds either count, and is far cheaper to compute on small sets.
+    small = k ** shape.size <= limit
+    if content is not None:
+        if not small and cst_tuple_count((shape,), content) > limit:
             raise CapExceeded(f"enumeration exceeded cap {limit}")
-        words = _syt_words(shape)
+        words = _syt_words(shape, content)
     else:
-        # k^n bounds the count, and is far cheaper to compute on small sets.
-        if content is None and k ** shape.size > limit and cst_count(shape, k) > limit:
+        if not small and cst_count(shape, k) > limit:
             raise CapExceeded(f"CST({tuple(shape)}, {k}) has {cst_count(shape, k)} > cap {limit} elements")
-        words = _enumerate_fillings(shape, k, content, limit)
+        words = _enumerate_fillings(shape, k)
     return words if packed else tableaux_from_words(words, shape)
 
 

@@ -86,6 +86,19 @@ class TestExitCodes:
         assert run(["csp", "handshake", "6", "--cap", "10"]) == 2
         assert run(["csp", "noncrossing", "6", "--cap", "10"]) == 2
 
+    def test_content_cap_reaches_the_predicted_side(self, monkeypatch, capsys):
+        """The charge sum enumerates the sorted content under ``--cap`` too,
+        not under the default cap."""
+        from cyclosieve import qpolys, tableaux
+
+        monkeypatch.setattr(tableaux, "DEFAULT_CAP", 10)
+        qpolys._kostka_foulkes_sorted.cache_clear()
+        ones = ",".join(["1"] * 9)
+        assert run(["csp", "content", "--shape", "3,3,3", "--content", ones, "--cap", "100"]) == 0
+        assert "PASS" in capsys.readouterr().out
+        assert run(["csp", "content", "--shape", "3,3,3", "--content", ones]) == 2
+        assert capsys.readouterr().err == "error: enumeration exceeded cap 10\n"
+
     @pytest.mark.parametrize("argv", [
         "csp syt --shape 5,3,3,1",
         f"csp syt --shape 2,2 --modulus {10**41}",

@@ -11,6 +11,7 @@ from cyclosieve import (
     conjugate,
     css,
     cst_count,
+    cst_tuple_count,
     descent_set,
     dominance_leq,
     enumerate_cst,
@@ -176,11 +177,15 @@ class TestEnumerateCst:
         assert enumerate_cst(Partition((1, 1, 1)), 2) == []
 
     def test_sorted_and_equal_to_validated_tableaux(self):
-        """Without a sort, the fillings come out in strictly increasing
-        row-word order, and each one is the tableau the validating
-        constructor builds from its rows."""
+        """The fillings come out in strictly increasing row-word order, each
+        one is the tableau the validating constructor builds from its rows,
+        and the contents together give the unrestricted set.  Up to 7 cells
+        the bounds n - 1 and n add the nearly standard contents."""
         for lam in all_partitions_up_to(8):
-            for k in range(1, 6):
+            bounds = set(range(1, 6))
+            if lam.size <= 7:
+                bounds |= {max(lam.size - 1, 0), lam.size}
+            for k in sorted(bounds):
                 unrestricted = enumerate_cst(lam, k)
                 restricted = [enumerate_cst(lam, k, alpha) for alpha in compositions_of(lam.size, k)]
                 assert sorted((t for tabs in restricted for t in tabs), key=Tableau.row_word) == unrestricted
@@ -205,21 +210,32 @@ class TestEnumerateCst:
                     assert all(a < b for a, b in zip(rows, rows[1:])), (lam, k, alpha)
 
     def test_count_is_the_hook_content_formula(self):
+        """Without a content the count is the hook-content formula, and with
+        one it is the Kostka number from horizontal strips."""
         for lam in all_partitions_up_to(8):
             for k in range(0, 7):
                 assert cst_count(lam, k) == len(enumerate_cst(lam, k, packed=True)), (lam, k)
+            for k in range(0, 6):
+                for alpha in compositions_of(lam.size, k):
+                    words = enumerate_cst(lam, k, alpha, packed=True)
+                    assert cst_tuple_count((lam,), alpha) == len(words), (lam, alpha)
+        row = Partition((1500,))  # one peel per label, with no recursion
+        assert cst_tuple_count((row,), (1,) * 1500) == 1
+        assert enumerate_cst(row, 1500, Composition((1,) * 1500), packed=True).shape == (1, 1502)
         assert cst_count(Partition((6, 6, 6)), 12) == 2_530_768_240  # the Weyl dimension formula gives the same
         with pytest.raises(ValueError):
             cst_count(Partition((1,)), -1)
 
     def test_cap_is_checked_before_filling(self, monkeypatch):
-        """Without a content, an over-cap set is refused from its count; the
-        boundary is count > cap.  With the standard content, too (see below)."""
+        """With or without a content, an over-cap set is refused from its
+        count before either filler runs; the boundary is count > cap."""
         from cyclosieve import tableaux
 
         lam = Partition((2, 2))
+        ones = Composition((1,) * 6)  # 6^6 > 5, so the count is taken
         assert len(enumerate_cst(lam, 3, cap=6)) == 6
         assert len(enumerate_cst(lam, 4, Composition((1, 1, 1, 1)), cap=2)) == 2
+        assert len(enumerate_cst(Partition((3, 3)), 6, ones, cap=5)) == 5
         with pytest.raises(CapExceeded):
             enumerate_cst(lam, 4, Composition((1, 1, 1, 1)), cap=1)
 
@@ -227,16 +243,47 @@ class TestEnumerateCst:
             raise AssertionError("the filler ran")
 
         monkeypatch.setattr(tableaux, "_enumerate_fillings", refuse)
+        monkeypatch.setattr(tableaux, "_syt_words", refuse)
         for shape, k, cap in [(lam, 3, 5), (lam, 3, 0), (Partition((6, 6, 6)), 12, None)]:
             with pytest.raises(CapExceeded):
                 enumerate_cst(shape, k, cap=cap)
             with pytest.raises(CapExceeded):
                 enumerate_cst(shape, k, cap=cap, packed=True)
+        nearly_standard = Composition((1,) * 18 + (2,))  # 875,160 tableaux of 5^4
+        for shape, alpha, cap in [(Partition((3, 3)), ones, 4),
+                                  (Partition((5, 5, 5, 5)), nearly_standard, 10**5)]:
+            for packed in (False, True):
+                with pytest.raises(CapExceeded, match="enumeration exceeded cap"):
+                    enumerate_cst(shape, len(alpha), alpha, cap=cap, packed=packed)
+        with pytest.raises(AssertionError, match="the filler ran"):
+            enumerate_cst(Partition((3, 3)), 6, ones, cap=5)
+
+    def test_every_content_takes_the_labelled_filler(self, monkeypatch):
+        """Every content is placed value by value and never filled row-major:
+        its words are the unrestricted words of that content, with the same
+        dtype, and the row-major filler never runs."""
+        from cyclosieve import tableaux
+
+        oracle = {}
+        for lam in all_partitions_up_to(7):
+            for k in range(0, 5):
+                words = enumerate_cst(lam, k, packed=True)
+                contents = [tuple(np.bincount(w[:lam.size], minlength=k + 1)[1:]) for w in words]
+                for alpha in compositions_of(lam.size, k):
+                    oracle[lam, alpha] = words[[c == alpha for c in contents]]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the row-major filler ran")
+
+        monkeypatch.setattr(tableaux, "_enumerate_fillings", refuse)
+        for (lam, alpha), words in oracle.items():
+            got = enumerate_cst(lam, len(alpha), alpha, packed=True)
+            assert got.dtype == words.dtype and np.array_equal(got, words), (lam, alpha)
 
     def test_standard_content_takes_the_syt_filler(self, monkeypatch):
-        """A content of n ones is served by the SYT filler, behind a count
-        check, and not through ``enumerate_syt``, whose results the benchmark
-        counts; 5^4 has 1,662,804 SYT and is refused from its count."""
+        """A content of n ones gives the SYT words, behind a count check, and
+        not through ``enumerate_syt``, whose results the benchmark counts;
+        5^4 has 1,662,804 SYT and is refused from its count."""
         from cyclosieve import tableaux
 
         def refuse(*args, **kwargs):
