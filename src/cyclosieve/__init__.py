@@ -7,7 +7,6 @@ from .tableaux import (
     Composition,
     Partition,
     Tableau,
-    conjugate,
     css,
     cst_count,
     cst_tuple_count,
@@ -22,13 +21,10 @@ from .tableaux import (
 )
 from .jeudetaquin import (
     demote,
-    demote_rst,
     evacuate,
-    evacuate_rst,
     is_semistandardizable,
     promote,
     promote_power,
-    promote_rst,
     semistandardize,
     standardize,
 )
@@ -37,7 +33,6 @@ from .permutations import (
     bruhat_leq,
     cycle_type,
     identity,
-    left_right_descents,
     long_cycle,
     long_element,
     reading_word,
@@ -52,10 +47,7 @@ from .qpolys import (
     kappa,
     kostka_foulkes,
     mn_character,
-    q_binomial,
-    q_catalan,
     q_factorial,
-    q_hook_formula,
     q_int,
     schur_evaluate,
     schur_principal_specialization,

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .klcells import (
@@ -47,35 +46,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class RunConfig:
-    """A validated request: family name, parsed parameters, output mode, caps.
-
-    All string parameters are parsed before dispatch, so malformed shapes or
-    contents are rejected before any enumeration starts.
-    """
-
-    family: str
-    parameters: dict = field(default_factory=dict)
-    as_json: bool = False
-    cap: Optional[int] = None
-
-    def shape(self) -> Partition:
-        return self.parameters["shape"]
-
-    def content(self, required: bool = True) -> Optional[Composition]:
-        value = self.parameters.get("content")
-        if value is None and required:
-            raise ValueError(f"{self.family} needs --content")
-        return value
-
-    def bound(self, required: bool = True) -> Optional[int]:
-        value = self.parameters.get("bound")
-        if value is None and required:
-            raise ValueError(f"{self.family} needs --bound")
-        return value
-
-
 def parse_shape(text: str) -> Partition:
     """Accept comma-separated parts, allowing exponential tokens like 2^3."""
     parts: list[int] = []
@@ -85,7 +55,10 @@ def parse_shape(text: str) -> Partition:
             continue
         if "^" in token:
             base, _, exponent = token.partition("^")
-            parts.extend([int(base)] * int(exponent))
+            base, exponent = int(base), int(exponent)
+            if exponent < 0:
+                raise ValueError(f"negative exponent in shape token {token!r}")
+            parts.extend([base] * exponent)
         else:
             parts.append(int(token))
     return Partition(sorted(parts, reverse=True) if parts else ())
@@ -95,29 +68,18 @@ def parse_content(text: str) -> Composition:
     return Composition(int(tok) for tok in text.split(",") if tok.strip() != "")
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    family = args.command
-    for extra in ("family", "action", "kind"):
-        if getattr(args, extra, None):
-            family += f"-{getattr(args, extra)}"
-    parameters: dict = {}
-    if getattr(args, "shape", None) is not None:
-        parameters["shape"] = parse_shape(args.shape)
-    if getattr(args, "content", None) is not None:
-        parameters["content"] = parse_content(args.content)
-    for name in ("kind", "bound", "power", "modulus", "rank", "n", "allow_large"):
-        if hasattr(args, name):
-            parameters[name] = getattr(args, name)
-    cap = getattr(args, "cap", None)
-    if cap is None:
-        env = os.environ.get("CYCLOSIEVE_CAP")
-        cap = int(env) if env else None
-    return RunConfig(
-        family=family,
-        parameters=parameters,
-        as_json=getattr(args, "json", False),
-        cap=cap,
-    )
+def _family(args: argparse.Namespace) -> str:
+    """The subcommand path joined by hyphens, e.g. ``csp-cst``."""
+    path = (getattr(args, dest, None) for dest in ("command", "family", "action", "kind"))
+    return "-".join(name for name in path if name)
+
+
+def _needs(args: argparse.Namespace, name: str):
+    """The value of the optional ``--name``, which this subcommand requires."""
+    value = getattr(args, name)
+    if value is None:
+        raise ValueError(f"{_family(args)} needs --{name}")
+    return value
 
 
 def _emit_csp(report: CSPReport, as_json: bool) -> int:
@@ -143,23 +105,30 @@ def _emit_dict(payload: dict, as_json: bool) -> int:
     return EXIT_PASS if payload.get("verdict", True) else EXIT_FAIL
 
 
-def _cmd_enumerate(config: RunConfig) -> int:
-    shape = config.shape()
-    kind = config.parameters["kind"]
-    content = config.content(required=False)
-    if kind == "syt":
-        items = enumerate_syt(shape, cap=config.cap)
-    elif kind == "cst":
-        items = enumerate_cst(shape, config.bound(), content, cap=config.cap)
+def _csp(report):
+    """A handler that prints the CSP table ``report(args)``."""
+    return lambda args: _emit_csp(report(args), args.json)
+
+
+def _check(report):
+    """A handler that prints the check ``report(args)`` as a dict."""
+    return lambda args: _emit_dict(report(args).to_dict(), args.json)
+
+
+def _enumerate(args: argparse.Namespace) -> int:
+    shape, content = args.shape, args.content
+    if args.kind == "syt":
+        items = enumerate_syt(shape, cap=args.cap)
     else:
-        items = enumerate_rst(shape, config.bound(), content, cap=config.cap)
-    if config.as_json:
+        fill = enumerate_cst if args.kind == "cst" else enumerate_rst
+        items = fill(shape, _needs(args, "bound"), content, cap=args.cap)
+    if args.json:
         print(json.dumps(
             {
-                "family": config.family,
+                "family": _family(args),
                 "parameters": {
                     "shape": list(shape),
-                    "bound": config.parameters.get("bound"),
+                    "bound": args.bound,
                     "content": list(content) if content is not None else None,
                 },
                 "count": len(items),
@@ -175,71 +144,82 @@ def _cmd_enumerate(config: RunConfig) -> int:
     return EXIT_PASS
 
 
-def _cmd_csp(config: RunConfig) -> int:
-    if config.family == "csp-syt":
-        report = syt_csp_report(
-            config.shape(), modulus=config.parameters.get("modulus"), cap=config.cap
-        )
-    elif config.family == "csp-cst":
-        report = cst_csp_report(config.shape(), config.bound(), cap=config.cap)
-    elif config.family == "csp-content":
-        report = content_csp_report(
-            config.shape(), config.content(), config.parameters.get("power", 1),
-            cap=config.cap,
-        )
-    elif config.family == "csp-handshake":
-        report = handshake_csp_report(config.parameters["n"], cap=config.cap)
-    elif config.family == "csp-noncrossing":
-        report = noncrossing_csp_report(config.parameters["n"], cap=config.cap)
+def _kl_table(args: argparse.Namespace) -> int:
+    table = kl_table(args.rank, allow_large=args.allow_large)
+    pairs = table.dump_triples(sys.stdout, args.json)
+    if not args.json:
+        print("pairs:", pairs)
+    return EXIT_PASS
+
+
+def _ribbon_count(args: argparse.Namespace) -> int:
+    content = _needs(args, "content")
+    value = count_ribbon_cst(args.shape, args.power, content)
+    if args.json:
+        print(json.dumps({
+            "family": _family(args),
+            "parameters": {"shape": list(args.shape), "ribbon": args.power,
+                           "content": list(content)},
+            "count": value,
+        }, sort_keys=True))
     else:
-        report = bn_csp_report(config.parameters["n"], cap=config.cap)
-    return _emit_csp(report, config.as_json)
+        print(value)
+    return EXIT_PASS
 
 
-def _cmd_dihedral(config: RunConfig) -> int:
-    report = dihedral_report(config.shape(), config.bound(), cap=config.cap)
-    return _emit_dict(report.to_dict(), config.as_json)
+# Every argument a subcommand may take: (flags, add_argument options).
+ARGUMENTS = {
+    "kind": (["kind"], dict(choices=["syt", "cst", "rst"])),
+    "shape": (["--shape"], dict(required=True, help="partition, e.g. 3,3,1 or 2^3")),
+    "bound": (["--bound"], dict(type=int, default=None, help="entry bound k")),
+    "content": (["--content"], dict(default=None, help="composition, e.g. 1,2,0,1")),
+    "power": (["--power"], dict(type=int, default=1, help="promotion power / ribbon size")),
+    "modulus": (["--modulus"], dict(type=int, default=None, help="root-of-unity order")),
+    "rank": (["--rank"], dict(type=int, required=True, help="symmetric group rank")),
+    "n": (["n"], dict(type=int, help="size parameter")),
+    "json": (["--json"], dict(action="store_true", help="machine-readable output")),
+    "cap": (["--cap"], dict(type=int, default=None, help="enumeration cap override")),
+    "allow-large": (["--allow-large"], dict(action="store_true")),
+    "allow-rank-7": (["--allow-large"], dict(action="store_true", help="permit rank 7")),
+}
 
+# Commands: name -> (help, dest of the subcommand name, or None for a leaf).
+COMMANDS = {
+    "enumerate": ("list tableaux", None),
+    "csp": ("cyclic sieving verification", "family"),
+    "dihedral": ("evacuation / promotion dihedral fixed points", None),
+    "kl": ("Kazhdan-Lusztig checks", "action"),
+    "ribbon": ("ribbon tableau counts and KF checks", "action"),
+}
 
-def _cmd_kl(config: RunConfig) -> int:
-    allow_large = config.parameters.get("allow_large", False)
-    if config.family == "kl-table":
-        table = kl_table(config.parameters["rank"], allow_large=allow_large)
-        pairs = table.dump_triples(sys.stdout, config.as_json)
-        if not config.as_json:
-            print("pairs:", pairs)
-        return EXIT_PASS
-    if config.family == "kl-verify-promotion":
-        report = verify_promotion_identity(
-            config.shape(), allow_large=allow_large, cap=config.cap
-        )
-        return _emit_dict(report.to_dict(), config.as_json)
-    if config.family == "kl-mu-invariance":
-        report = mu_promotion_invariance(
-            config.shape(), allow_large=allow_large, cap=config.cap
-        )
-        return _emit_dict(report.to_dict(), config.as_json)
-    report = vanishing_criterion_check(config.parameters["rank"], allow_large=allow_large)
-    return _emit_dict(report.to_dict(), config.as_json)
-
-
-def _cmd_ribbon(config: RunConfig) -> int:
-    shape = config.shape()
-    size = config.parameters.get("power", 1)
-    if config.family == "ribbon-count":
-        value = count_ribbon_cst(shape, size, config.content())
-        if config.as_json:
-            print(json.dumps({
-                "family": config.family,
-                "parameters": {"shape": list(shape), "ribbon": size,
-                               "content": list(config.content())},
-                "count": value,
-            }, sort_keys=True))
-        else:
-            print(value)
-        return EXIT_PASS
-    report = kf_root_of_unity_check(shape, config.content(), size, cap=config.cap)
-    return _emit_dict(report.to_dict(), config.as_json)
+# Leaf subcommands: (command, name or None, arguments in usage order, handler).
+# Each handler takes the parsed arguments, with --shape and --content parsed
+# and the cap resolved, and returns the exit code.
+LEAVES = [
+    ("enumerate", None, "kind shape bound content json cap", _enumerate),
+    ("csp", "syt", "shape modulus json cap",
+     _csp(lambda a: syt_csp_report(a.shape, modulus=a.modulus, cap=a.cap))),
+    ("csp", "cst", "shape bound json cap",
+     _csp(lambda a: cst_csp_report(a.shape, _needs(a, "bound"), cap=a.cap))),
+    ("csp", "content", "shape content power json cap",
+     _csp(lambda a: content_csp_report(a.shape, _needs(a, "content"), a.power, cap=a.cap))),
+    ("csp", "handshake", "n json cap", _csp(lambda a: handshake_csp_report(a.n, cap=a.cap))),
+    ("csp", "noncrossing", "n json cap", _csp(lambda a: noncrossing_csp_report(a.n, cap=a.cap))),
+    ("csp", "bnwords", "n json cap", _csp(lambda a: bn_csp_report(a.n, cap=a.cap))),
+    ("dihedral", None, "shape bound json cap",
+     _check(lambda a: dihedral_report(a.shape, _needs(a, "bound"), cap=a.cap))),
+    ("kl", "table", "rank json cap allow-rank-7", _kl_table),
+    ("kl", "verify-promotion", "shape json cap allow-large",
+     _check(lambda a: verify_promotion_identity(a.shape, allow_large=a.allow_large, cap=a.cap))),
+    ("kl", "mu-invariance", "shape json cap allow-large",
+     _check(lambda a: mu_promotion_invariance(a.shape, allow_large=a.allow_large, cap=a.cap))),
+    ("kl", "immanants", "rank json cap allow-rank-7",
+     _check(lambda a: vanishing_criterion_check(a.rank, allow_large=a.allow_large))),
+    ("ribbon", "count", "shape content power json cap", _ribbon_count),
+    ("ribbon", "kf-check", "shape content power json cap",
+     _check(lambda a: kf_root_of_unity_check(
+         a.shape, _needs(a, "content"), a.power, cap=a.cap))),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,79 +228,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact cyclic-sieving and dihedral fixed-point verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, shape=False, bound=False, content=False, power=False,
-                   modulus=False, rank=False, n=False):
-        if shape:
-            p.add_argument("--shape", required=True, help="partition, e.g. 3,3,1 or 2^3")
-        if bound:
-            p.add_argument("--bound", type=int, default=None, help="entry bound k")
-        if content:
-            p.add_argument("--content", default=None, help="composition, e.g. 1,2,0,1")
-        if power:
-            p.add_argument("--power", type=int, default=1, help="promotion power / ribbon size")
-        if modulus:
-            p.add_argument("--modulus", type=int, default=None, help="root-of-unity order")
-        if rank:
-            p.add_argument("--rank", type=int, required=True, help="symmetric group rank")
-        if n:
-            p.add_argument("n", type=int, help="size parameter")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--cap", type=int, default=None, help="enumeration cap override")
-
-    p_enum = sub.add_parser("enumerate", help="list tableaux")
-    p_enum.add_argument("kind", choices=["syt", "cst", "rst"])
-    add_common(p_enum, shape=True, bound=True, content=True)
-    p_enum.set_defaults(func=_cmd_enumerate)
-
-    p_csp = sub.add_parser("csp", help="cyclic sieving verification")
-    csp_sub = p_csp.add_subparsers(dest="family", required=True)
-    p = csp_sub.add_parser("syt")
-    add_common(p, shape=True, modulus=True)
-    p.set_defaults(func=_cmd_csp)
-    p = csp_sub.add_parser("cst")
-    add_common(p, shape=True, bound=True)
-    p.set_defaults(func=_cmd_csp)
-    p = csp_sub.add_parser("content")
-    add_common(p, shape=True, content=True, power=True)
-    p.set_defaults(func=_cmd_csp)
-    for family in ("handshake", "noncrossing", "bnwords"):
-        p = csp_sub.add_parser(family)
-        add_common(p, n=True)
-        p.set_defaults(func=_cmd_csp)
-
-    p_di = sub.add_parser("dihedral", help="evacuation / promotion dihedral fixed points")
-    add_common(p_di, shape=True, bound=True)
-    p_di.set_defaults(func=_cmd_dihedral)
-
-    p_kl = sub.add_parser("kl", help="Kazhdan-Lusztig checks")
-    kl_sub = p_kl.add_subparsers(dest="action", required=True)
-    p = kl_sub.add_parser("table")
-    add_common(p, rank=True)
-    p.add_argument("--allow-large", action="store_true", help="permit rank 7")
-    p.set_defaults(func=_cmd_kl)
-    p = kl_sub.add_parser("verify-promotion")
-    add_common(p, shape=True)
-    p.add_argument("--allow-large", action="store_true")
-    p.set_defaults(func=_cmd_kl)
-    p = kl_sub.add_parser("mu-invariance")
-    add_common(p, shape=True)
-    p.add_argument("--allow-large", action="store_true")
-    p.set_defaults(func=_cmd_kl)
-    p = kl_sub.add_parser("immanants")
-    add_common(p, rank=True)
-    p.add_argument("--allow-large", action="store_true", help="permit rank 7")
-    p.set_defaults(func=_cmd_kl)
-
-    p_rib = sub.add_parser("ribbon", help="ribbon tableau counts and KF checks")
-    rib_sub = p_rib.add_subparsers(dest="action", required=True)
-    p = rib_sub.add_parser("count")
-    add_common(p, shape=True, content=True, power=True)
-    p.set_defaults(func=_cmd_ribbon)
-    p = rib_sub.add_parser("kf-check")
-    add_common(p, shape=True, content=True, power=True)
-    p.set_defaults(func=_cmd_ribbon)
-
+    parents = {}
+    for command, (help_text, dest) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        parents[command] = p.add_subparsers(dest=dest, required=True) if dest else p
+    for command, name, arguments, handler in LEAVES:
+        p = parents[command].add_parser(name) if name else parents[command]
+        for key in arguments.split():
+            flags, options = ARGUMENTS[key]
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -328,6 +245,16 @@ def build_parser() -> argparse.ArgumentParser:
 # importing this module stays cheap, and reused, since argparse keeps no state
 # between parses.  Environment reads such as CYCLOSIEVE_CAP stay per call.
 _parser: Optional[argparse.ArgumentParser] = None
+
+
+def _env_cap() -> Optional[int]:
+    env = os.environ.get("CYCLOSIEVE_CAP")
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"CYCLOSIEVE_CAP must be an integer, got {env!r}") from None
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
@@ -339,12 +266,14 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:
-        config = build_config(args)
-        return args.func(config)
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError) as exc:
+        if getattr(args, "shape", None) is not None:
+            args.shape = parse_shape(args.shape)
+        if getattr(args, "content", None) is not None:
+            args.content = parse_content(args.content)
+        if args.cap is None:
+            args.cap = _env_cap()
+        return args.func(args)
+    except (CapExceeded, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -292,16 +292,3 @@ def semistandardize(t: Tableau, alpha: Composition) -> Optional[Tableau]:
     if not out.is_row_strict(len(alpha)):
         raise AssertionError("semistandardization produced a non-row-strict filling")
     return out
-
-
-def promote_rst(u: Tableau, k: int) -> Tableau:
-    """Promotion on row-strict tableaux, via conjugation by transposition."""
-    return promote(u.transpose(), k).transpose()
-
-
-def demote_rst(u: Tableau, k: int) -> Tableau:
-    return demote(u.transpose(), k).transpose()
-
-
-def evacuate_rst(u: Tableau, k: int) -> Tableau:
-    return evacuate(u.transpose(), k).transpose()

@@ -315,25 +315,6 @@ def _generator_matrix(
     return tuple(map(tuple, matrix))
 
 
-@dataclass(frozen=True)
-class CellMatrix:
-    """The action of a Coxeter generator on the cellular module of a shape."""
-
-    shape: Partition
-    generator_index: int
-    matrix: tuple[tuple[int, ...], ...]
-
-
-def cell_generator_matrix(shape: Partition, i: int) -> CellMatrix:
-    """Matrix of s_i on the cellular module, in the canonical SYT basis."""
-    shape = Partition(shape)
-    n = shape.size
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range for n={n}")
-    _, _, descents, mu, _ = _cell_basis(shape)
-    return CellMatrix(shape, i, _generator_matrix(descents, mu, i))
-
-
 def _mat_mul(a, b):
     n = len(a)
     return tuple(

@@ -79,11 +79,6 @@ def long_cycle(n: int) -> Permutation:
     return Permutation(tuple(range(2, n + 1)) + (1,) if n else ())
 
 
-def left_right_descents(w: Permutation) -> tuple[frozenset[int], frozenset[int]]:
-    w = Permutation(w)
-    return w.left_descents(), w.right_descents()
-
-
 def cycle_type(w: Permutation) -> Partition:
     w = Permutation(w)
     seen = [False] * len(w)

@@ -44,10 +44,6 @@ class IntPolynomial:
         return cls((1,))
 
     @classmethod
-    def q(cls) -> "IntPolynomial":
-        return cls((0, 1))
-
-    @classmethod
     def monomial(cls, exponent: int, coeff: int = 1) -> "IntPolynomial":
         return cls((0,) * exponent + (coeff,))
 
@@ -332,15 +328,6 @@ def q_catalan_product(n: int) -> QProduct:
     )
 
 
-def q_binomial(n: int, k: int) -> IntPolynomial:
-    return q_binomial_product(n, k).expand()
-
-
-def q_hook_formula(shape: Partition) -> IntPolynomial:
-    """The q-analogue of the hook length formula, [n]!_q / prod [h_ij]_q."""
-    return q_hook_product(shape).expand()
-
-
 def kappa(shape: Partition) -> int:
     """0*l_1 + 1*l_2 + 2*l_3 + ...; equals b*a*(a-1)/2 on an a-row rectangle b^a."""
     return sum(i * part for i, part in enumerate(Partition(shape)))
@@ -490,8 +477,3 @@ def mn_character(shape: Partition, cycles: Partition, removal_order: str = "desc
         raise ValueError("removal_order must be 'asc' or 'desc'")
     beta = frozenset(beta_set(shape, len(shape) or 1))
     return _mn_recurse(beta, order)
-
-
-def q_catalan(n: int) -> IntPolynomial:
-    """The q-Catalan number [2n choose n]_q / [n+1]_q."""
-    return q_catalan_product(n).expand()

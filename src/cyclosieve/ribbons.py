@@ -43,11 +43,6 @@ def m_core(shape: Partition, m: int) -> Partition:
     )
 
 
-def m_quotient(shape: Partition, m: int) -> tuple[Partition, ...]:
-    """The m-tuple of partitions carved out of the abacus runners."""
-    return abacus(shape, m)[1]
-
-
 def _skew_cells(outer: Partition, inner: Partition) -> frozenset[Cell]:
     if not outer.contains(inner):
         raise ValueError(f"{tuple(inner)} is not contained in {tuple(outer)}")

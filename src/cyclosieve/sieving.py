@@ -7,7 +7,7 @@ permutation words, subset/multiset rotation).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd
@@ -36,42 +36,19 @@ from .tableaux import (
     enumerate_cst,
     enumerate_syt,
     syt_count,
-    tableaux_from_words,
     _resolve_cap,
 )
 
 
 class FiniteAction:
-    """A finite set with a distinguished permutation generating a cyclic action.
+    """A cyclic action on a finite set, held as the permutation that
+    generates it: the sequence of the indices of the elements' images."""
 
-    ``generator`` is either a map on the elements or the permutation itself,
-    as the sequence of the indices of the elements' images.  ``elements``
-    may also be a function that builds the element list; it is called when
-    ``elements`` is first read, and the generator must then be the
-    permutation.
-    """
-
-    def __init__(
-        self, elements: Sequence | Callable[[], list], generator: Callable | Sequence[int]
-    ):
-        self._elements: Optional[list] = None
-        if callable(elements):
-            if callable(generator):
-                raise TypeError("a generator given as a map needs the elements themselves")
-            self._build = elements
-        else:
-            self._elements = list(elements)
-        if callable(generator):
-            index = {x: i for i, x in enumerate(self._elements)}
-            if len(index) != len(self._elements):
-                raise ValueError("elements are not distinct")
-            generator = [index[generator(x)] for x in self._elements]
+    def __init__(self, generator: Sequence[int]):
         self.generator: tuple[int, ...] = tuple(generator)
-        n = len(self.generator if self._elements is None else self._elements)
+        n = len(self.generator)
         not_bijective = ValueError("the generator is not a bijection of the elements")
-        if len(self.generator) != n or (
-            n and not 0 <= min(self.generator) <= max(self.generator) < n
-        ):
+        if n and not 0 <= min(self.generator) <= max(self.generator) < n:
             raise not_bijective
         self._cycle_lengths: list[int] = []
         seen = [False] * n
@@ -92,14 +69,13 @@ class FiniteAction:
             order = order * size // gcd(order, size)
         self.order = order
 
-    @property
-    def elements(self) -> list:
-        if self._elements is None:
-            self._elements = self._build()
-        return self._elements
-
-    def __len__(self) -> int:
-        return len(self.generator)
+    @classmethod
+    def of_map(cls, elements: Sequence, image: Callable) -> "FiniteAction":
+        """The action of the map ``image`` on the distinct ``elements``."""
+        index = {x: i for i, x in enumerate(elements)}
+        if len(index) != len(elements):
+            raise ValueError("elements are not distinct")
+        return cls([index[image(x)] for x in elements])
 
     def orbit_sizes(self) -> list[int]:
         return sorted(self._cycle_lengths)
@@ -148,21 +124,6 @@ class CSPReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CSPReport":
-        rows = [
-            CSPRow(r["d"], r["fixed"], r["eval"], r["eval_repr"], r["match"])
-            for r in data["rows"]
-        ]
-        return cls(
-            family=data["family"],
-            parameters=data["parameters"],
-            modulus=data["m"],
-            rows=rows,
-            verdict=data["verdict"],
-            modulus_comparison=data["modulus_comparison"],
-        )
 
 
 def verify_csp(
@@ -229,12 +190,10 @@ def default_csp_polynomial(action: FiniteAction) -> IntPolynomial:
 
 
 def syt_promotion_action(shape: Partition, cap: Optional[int] = None) -> FiniteAction:
-    """Promotion on SYT(shape), computed on the packed words; the
-    ``Tableau`` elements are decoded only when read."""
+    """Promotion on SYT(shape), computed on the packed words."""
     shape = Partition(shape)
     words = enumerate_syt(shape, cap=cap, packed=True)
-    generator = promotion_permutation(words, shape, shape.size)
-    return FiniteAction(lambda: tableaux_from_words(words, shape), generator)
+    return FiniteAction(promotion_permutation(words, shape, shape.size))
 
 
 def promotion_action(
@@ -245,8 +204,7 @@ def promotion_action(
     cap: Optional[int] = None,
 ) -> FiniteAction:
     """The action of promotion (or of its ``power``-th power on a fixed
-    content class) on column-strict tableaux, computed on the packed words
-    as in :func:`syt_promotion_action`."""
+    content class) on column-strict tableaux, computed on the packed words."""
     shape = Partition(shape)
     if power < 1:
         raise ValueError(f"the promotion power must be positive, got {power}")
@@ -266,8 +224,7 @@ def promotion_action(
                 f"content {tuple(content)} is not invariant under rotation by {power} {places}"
             )
     words = enumerate_cst(shape, bound, content, cap=cap, packed=True)
-    generator = promotion_permutation(words, shape, bound, power)
-    return FiniteAction(lambda: tableaux_from_words(words, shape), generator)
+    return FiniteAction(promotion_permutation(words, shape, bound, power))
 
 
 def syt_csp_report(
@@ -564,7 +521,7 @@ def reflect_matching(matching: Matching, n: int) -> Matching:
 
 
 def handshake_action(n: int) -> FiniteAction:
-    return FiniteAction(handshake_patterns(n), lambda h: rotate_matching(h, n))
+    return FiniteAction.of_map(handshake_patterns(n), lambda h: rotate_matching(h, n))
 
 
 def handshake_to_tableau(matching: Matching) -> Tableau:
@@ -660,7 +617,7 @@ def kreweras_complement(pi: SetPartition, n: int) -> SetPartition:
 
 
 def noncrossing_action(n: int) -> FiniteAction:
-    return FiniteAction(noncrossing_partitions(n), lambda p: kreweras_complement(p, n))
+    return FiniteAction.of_map(noncrossing_partitions(n), lambda p: kreweras_complement(p, n))
 
 
 def noncrossing_to_handshake(pi: SetPartition, n: int) -> Matching:
@@ -706,10 +663,6 @@ def noncrossing_csp_report(n: int, cap: Optional[int] = None) -> CSPReport:
 
 
 # -- reduced words for the hyperoctahedral longest element -------------------
-
-
-def signed_identity(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
 
 
 def signed_length(w: tuple[int, ...]) -> int:
@@ -777,7 +730,7 @@ def bn_word_action(n: int, cap: Optional[int] = None) -> FiniteAction:
             f"reduced word count {count} disagrees with the hook formula {expected}"
         )
     words = bn_reduced_words(n)
-    return FiniteAction(words, lambda w: w[1:] + w[:1])
+    return FiniteAction.of_map(words, lambda w: w[1:] + w[:1])
 
 
 def bn_csp_report(n: int, cap: Optional[int] = None) -> CSPReport:
@@ -795,16 +748,12 @@ def bn_csp_report(n: int, cap: Optional[int] = None) -> CSPReport:
 
 def subsets_action(n: int, k: int) -> FiniteAction:
     elements = sorted(combinations(range(1, n + 1), k))
-    return FiniteAction(
-        elements, lambda s: tuple(sorted(x % n + 1 for x in s))
-    )
+    return FiniteAction.of_map(elements, lambda s: tuple(sorted(x % n + 1 for x in s)))
 
 
 def multisets_action(n: int, k: int) -> FiniteAction:
     elements = sorted(combinations_with_replacement(range(1, n + 1), k))
-    return FiniteAction(
-        elements, lambda s: tuple(sorted(x % n + 1 for x in s))
-    )
+    return FiniteAction.of_map(elements, lambda s: tuple(sorted(x % n + 1 for x in s)))
 
 
 def subsets_csp_report(n: int, k: int) -> CSPReport:

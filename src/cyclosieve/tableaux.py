@@ -42,10 +42,6 @@ class Partition(tuple):
     def size(self) -> int:
         return sum(self)
 
-    @property
-    def nrows(self) -> int:
-        return len(self)
-
     def conjugate(self) -> "Partition":
         if not self:
             return Partition(())
@@ -151,10 +147,6 @@ def abacus(shape: Partition, m: int) -> tuple[tuple[int, ...], tuple[Partition, 
     for b in beta_set(shape, m * ((max(len(shape), 1) + m - 1) // m)):
         runners[b % m].append(b // m)
     return tuple(map(len, runners)), tuple(map(partition_from_beta, runners))
-
-
-def conjugate(shape: Partition) -> Partition:
-    return Partition(shape).conjugate()
 
 
 def arm_leg(shape: Partition, cell: tuple[int, int]) -> tuple[int, int]:
@@ -284,10 +276,6 @@ class Tableau:
     @property
     def size(self) -> int:
         return sum(len(row) for row in self.rows)
-
-    def entry(self, cell: tuple[int, int]) -> int:
-        r, c = cell
-        return self.rows[r - 1][c - 1]
 
     def max_entry(self) -> int:
         return max((x for row in self.rows for x in row), default=0)

@@ -34,7 +34,6 @@ from cyclosieve import (
     long_element,
     promote,
     promote_power,
-    q_hook_formula,
     rsk,
     rsk_inverse,
     schur_evaluate,
@@ -48,6 +47,7 @@ from cyclosieve.klcells import (
     vanishing_criterion_check,
     verify_promotion_identity,
 )
+from cyclosieve.qpolys import q_hook_product
 from cyclosieve.ribbons import count_ribbon_cst, kf_root_of_unity_check, reduced_content
 from cyclosieve.sieving import (
     bn_csp_report,
@@ -176,7 +176,7 @@ def test_criterion_09_negative_control_331():
     started = time.time()
     action = syt_promotion_action(Partition((3, 3, 1)))
     assert action.orbit_sizes() == [3, 5, 13]
-    value = eval_at_root(q_hook_formula(Partition((3, 3, 1))), 195, 1)
+    value = eval_at_root(q_hook_product(Partition((3, 3, 1))).expand(), 195, 1)
     assert as_integer(value) is None
     rep = syt_csp_report(Partition((3, 3, 1)), modulus=195)
     assert not rep.verdict

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import shlex
@@ -72,6 +73,16 @@ class TestExitCodes:
     def test_invalid_shape_is_two(self, capsys):
         assert run(["csp", "syt", "--shape", "0,2"]) == 2
         assert run(["csp", "syt", "--shape", "abc"]) == 2
+        capsys.readouterr()
+        assert run(["csp", "syt", "--shape", "2^-1", "--json"]) == 2
+        assert capsys.readouterr() == ("", "error: negative exponent in shape token '2^-1'\n")
+        assert parse_shape("3^0") == Partition(())
+
+    def test_non_integer_env_cap_is_named(self, monkeypatch, capsys):
+        monkeypatch.setenv("CYCLOSIEVE_CAP", "x")
+        assert run(["csp", "syt", "--shape", "2,2"]) == 2
+        assert capsys.readouterr() == ("", "error: CYCLOSIEVE_CAP must be an integer, got 'x'\n")
+        assert run(["csp", "syt", "--shape", "2,2", "--cap", "10"]) == 0
 
     def test_cap_exceeded_is_two(self, capsys):
         assert run(["enumerate", "syt", "--shape", "4,4,4", "--cap", "5"]) == 2
@@ -175,6 +186,130 @@ class TestParserReuse:
         assert shared is not None and cli._parser is shared
         assert reused == replay(fresh=True)
         assert [code for _, code, _, _ in reused] == [0, 2, 0, 0, 0, 0, 2, 2, 0, 0, 0]
+
+
+def _parser_tree(parser, path=()):
+    """Every parser under ``parser`` with its subcommand path, parents first."""
+    yield path, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _parser_tree(child, path + (name,))
+
+
+PARSERS = {" ".join(path): p for path, p in _parser_tree(cli.build_parser())}
+LEAVES = [
+    name for name, p in PARSERS.items()
+    if not any(isinstance(a, argparse._SubParsersAction) for a in p._actions)
+]
+
+
+class TestParserTree:
+    # SHA-256 of each parser's --help output (exit 0) and of the usage error
+    # it prints when called with no further arguments (exit 2), recorded
+    # while each subcommand was still dispatched a second time on a family
+    # string.
+    PINNED = {
+        "": ("fa872c82fef21f2eb57b72c26d58f74bb47fab1e562d000453412fc68ffb8fb5",
+             "73cff20bcf99b21f48a8fca58c5c13e4dfd9e26a538c11bc8747b1f3cc8868f1"),
+        "enumerate": ("35570ae008bfa3bbcb2ebae72cb82dfe34a0123377a7a9ace3456ed7f128644e",
+                      "a0c82628045a439a3474601be453da5cfb61ac7de81645c599c22062cd48218f"),
+        "csp": ("fe00d9da26385d8f2c40c9cac3c4a299306997f9549ed58b46376895ac387409",
+                "8ac8305ef2a5f45d434f7fcda177c671d4eec65673da877e95a70ba16b95df2f"),
+        "csp syt": ("4dd2df01bb0747f85a269c69e6d141f84fd341d206df36d049b80dcc74d3eec8",
+                    "f544e4a0787b45ca7d8453fdede0197c9436ecbf3a3bde41adea3bd03b11f768"),
+        "csp cst": ("03aa9ec38380facf98f1d884ac1c0bbe8e8bec874b7c8267f61d71e9a8d831d1",
+                    "785a11dbc407dc7aab669032c3a0557035cab228601860e1435cfb492eee78b7"),
+        "csp content": ("1343d3820bd3010fc6f45a8476abf1fd5819d239ccfb0aae1710faab566d7df0",
+                        "d2550db7d5afaffacfe5a153b4d25449b8ab0ae7bd08b2c57b675a66725939cb"),
+        "csp handshake": ("833a71e211ee593044df7f52874e3e022faeedcba253c42d6e8e269e1c89c622",
+                          "5af715600742ccc364bb3eaa6f57eb79eacf2a64796e55a659bba6b41aa8478e"),
+        "csp noncrossing": ("ea7c1882e4e797114e9280b8243a08da3980ca14b0c952ff37725c5af0c5e06e",
+                            "3cbdc84c334aca7a34a8af3d6ad5ef1eee2ec6dc2b8c9680db0b6c4e8f27ee20"),
+        "csp bnwords": ("15d5cba78b3164bcfb8ae053aff565d94ac5f21097f80d13ecd3fef5495ff71c",
+                        "02fae3f46f1363c171415ba4eb49b77408cbf2b8f04d4a2f7819d750d66821a3"),
+        "dihedral": ("246f9b830cc14cbebde044763779cf4ea3b3221096bdd619176e7c94b3c25b18",
+                     "4302fbde4216bb1978b1605f3d28522f9301d3448fd33dfc8abda35ed9db5fda"),
+        "kl": ("9afd3d83baee7b990d4647e7a8adf9b6c1a5e0dadb5cceb20119d76e3bc41acc",
+               "2b678222de2c689e4ca8cc3c433912de4af5efd798772b20cc41412a39e3800d"),
+        "kl table": ("b9493f18e920ba1fa213a7dce2d29a5f193063197ec3cf56350ea56ab9d8f456",
+                     "726fe8ba0b1c48eed7ff66d9e8da6892f9267e854f3784201fe170aacd19de90"),
+        "kl verify-promotion": ("f99177af83961a9aefed26b3acf595d0a13c803deaa1aa5badbaa8831eb3c192",
+                                "fe3c648a1017250a9f2874a07fc0ab1bcf30fe9e9efd9fd05a802177658b3864"),
+        "kl mu-invariance": ("957c93d93fd3af49325866873edeaec47a6d54bd57c5c1e3675e42a1fc73ccf7",
+                             "69c5f8c6d069110b1af9cc75ec7184046808cb066f8aa6d74d6e22edae53f852"),
+        "kl immanants": ("3d55dab401ff276b6241e6cb8901318392c945e7e711f2b831071c0dedfdfe08",
+                         "53574389888006de1d6ab81d8ece39bdf06d31cf05554985a38ec91748aff016"),
+        "ribbon": ("85d3e485ab6bd0566abd00fdaf20e8a6303c31f7a96b0e9aaff77bc290efc067",
+                   "499e21769ebd950508811c79e2c49c149b5566c64a08860bde9f1af206aeb705"),
+        "ribbon count": ("312b72f24ffc2191aed3409b692878940df0c8745ac03e08285cd6a21a4c0e39",
+                         "65c58b2e31e88b078300531e8214a5c82a0cfaf07f007d9240fd45725872d299"),
+        "ribbon kf-check": ("a33c8d0a18d2837b7d203c6128856283982bec028faab7a9817e9a1ca31b810d",
+                            "61b338c074c950039a52f8211f176c132d9094ceca0706df821d0392730c0cb9"),
+    }
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="argparse lays out help differently across Python versions; "
+                               "the digests were recorded under 3.11")
+    def test_help_and_usage_errors_are_pinned(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        seen = {}
+        for name in PARSERS:
+            path = name.split()
+            assert run(path + ["--help"]) == 0, name
+            help_text = capsys.readouterr().out
+            assert run(path) == 2, name
+            usage_error = capsys.readouterr().err
+            seen[name] = tuple(hashlib.sha256(text.encode()).hexdigest()
+                               for text in (help_text, usage_error))
+        assert seen == self.PINNED
+
+
+class TestCapContract:
+    """Every leaf subcommand honours ``--cap`` and ``CYCLOSIEVE_CAP``: on a
+    small valid input, a cap of 1 makes it exit 2 with a one-line error.
+    The leaves are read off the parser, so a new one needs a case here."""
+
+    SMALL = {
+        "enumerate": "syt --shape 2,2",
+        "csp syt": "--shape 2,2",
+        "csp cst": "--shape 2,2 --bound 3",
+        "csp content": "--shape 2,2 --content 1,1,1,1 --power 2",
+        "csp handshake": "3",
+        "csp noncrossing": "3",
+        "csp bnwords": "2",
+        "dihedral": "--shape 2,2 --bound 3",
+        "kl table": "--rank 3",
+        "kl verify-promotion": "--shape 2,2",
+        "kl mu-invariance": "--shape 2,2",
+        "kl immanants": "--rank 3",
+        "ribbon count": "--shape 2,2 --power 2 --content 1,1",
+        "ribbon kf-check": "--shape 2,2 --content 1,1,1,1 --power 2",
+    }
+    # Documented exceptions: the KL table and the immanant check build all of
+    # S_n, bounded by --rank and --allow-large instead, and the ribbon count
+    # reads the abacus without enumerating anything.
+    CAP_FREE = {"kl table", "kl immanants", "ribbon count"}
+
+    def test_every_leaf_has_a_case(self):
+        assert sorted(self.SMALL) == sorted(LEAVES)
+        assert self.CAP_FREE <= set(LEAVES)
+
+    @pytest.mark.parametrize("leaf", LEAVES)
+    def test_cap_of_one(self, monkeypatch, capsys, leaf):
+        monkeypatch.delenv("CYCLOSIEVE_CAP", raising=False)
+        argv = leaf.split() + self.SMALL[leaf].split()
+        assert run(argv) == 0, argv
+        capsys.readouterr()
+        expected = 0 if leaf in self.CAP_FREE else 2
+        for through_env in (False, True):
+            if through_env:
+                monkeypatch.setenv("CYCLOSIEVE_CAP", "1")
+            code = run(argv if through_env else argv + ["--cap", "1"])
+            err = capsys.readouterr().err
+            assert code == expected, (argv, through_env)
+            if expected:
+                assert err.startswith("error: ") and len(err.splitlines()) == 1, err
 
 
 class TestJsonOutput:

@@ -11,7 +11,6 @@ from cyclosieve import (
     Partition,
     Tableau,
     demote,
-    demote_rst,
     descent_set,
     enumerate_cst,
     enumerate_rst,
@@ -21,7 +20,6 @@ from cyclosieve import (
     is_semistandardizable,
     promote,
     promote_power,
-    promote_rst,
     semistandardize,
     standardize,
 )
@@ -153,10 +151,10 @@ class TestPromotionOrder:
                 if not tabs:
                     continue
                 order = 1
-                state = {t: promote_rst(t, k) for t in tabs}
+                state = {t: promote(t.transpose(), k).transpose() for t in tabs}
                 while any(state[t] != t for t in tabs):
                     order += 1
-                    state = {t: promote_rst(state[t], k) for t in tabs}
+                    state = {t: promote(state[t].transpose(), k).transpose() for t in tabs}
                 ncols = lam[0]
                 assert order == (k if k > ncols else 1), (tuple(lam), k, order)
 
@@ -256,6 +254,8 @@ class TestSemistandardize:
 
 
 class TestRowStrictPromotion:
+    """Promotion on row-strict tableaux: transpose, promote, transpose back."""
+
     def test_intertwines_semistandardization(self):
         """j o rst_alpha = rst_(rotated alpha) o j^(alpha_k) on rectangles."""
         for lam in rectangles_up_to(8):
@@ -270,11 +270,11 @@ class TestRowStrictPromotion:
                             assert rhs_base is None
                             continue
                         assert rhs_base is not None
-                        assert promote_rst(lhs_in, k) == rhs_base
+                        assert promote(lhs_in.transpose(), k).transpose() == rhs_base
 
     def test_round_trip(self):
         for t in enumerate_rst(Partition((2, 2)), 4):
-            assert demote_rst(promote_rst(t, 4), 4) == t
+            assert demote(promote(t.transpose(), 4), 4).transpose() == t
 
 
 def _permutation_by_promote(elements, k, power=1):

@@ -20,9 +20,7 @@ from cyclosieve import (
     simple,
 )
 from cyclosieve.klcells import (
-    CellMatrix,
     Immanant,
-    cell_generator_matrix,
     kl_immanant,
     kl_table,
     mu_promotion_invariance,
@@ -190,10 +188,8 @@ class TestMu:
 
 class TestCellMatrices:
     def test_one_dimensional_modules(self):
-        row = cell_generator_matrix(Partition((4,)), 2)
-        assert row.matrix == ((1,),)
-        col = cell_generator_matrix(Partition((1, 1, 1, 1)), 2)
-        assert col.matrix == ((-1,),)
+        assert representation_matrix(Partition((4,)), simple(2, 4)) == ((1,),)
+        assert representation_matrix(Partition((1, 1, 1, 1)), simple(2, 4)) == ((-1,),)
 
     def test_22_matrix_against_direct_formula(self):
         lam = Partition((2, 2))
@@ -201,7 +197,7 @@ class TestCellMatrices:
         from cyclosieve.tableaux import descent_set
 
         for i in (1, 2, 3):
-            m = cell_generator_matrix(lam, i).matrix
+            m = representation_matrix(lam, simple(i, 4))
             for col, t in enumerate(basis):
                 if i in descent_set(t):
                     assert m[col][col] == -1
@@ -216,7 +212,7 @@ class TestCellMatrices:
                     continue
                 dim = len(enumerate_syt(lam))
                 ident = _identity_matrix(dim)
-                mats = {i: cell_generator_matrix(lam, i).matrix for i in range(1, size)}
+                mats = {i: representation_matrix(lam, simple(i, size)) for i in range(1, size)}
                 for i, m in mats.items():
                     assert _mat_mul(m, m) == ident, (lam, i)
                 for i in range(1, size):

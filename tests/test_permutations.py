@@ -12,7 +12,6 @@ from cyclosieve import (
     enumerate_syt,
     evacuate,
     identity,
-    left_right_descents,
     long_cycle,
     long_element,
     reading_word,
@@ -49,14 +48,11 @@ class TestPermutationBasics:
         assert w.length() == sum(
             1 for i in range(6) for j in range(i + 1, 6) if w[i] > w[j]
         )
-        dl, dr = left_right_descents(w)
-        assert dr == w.right_descents()
-        assert dl == w.inverse().right_descents()
+        assert w.left_descents() == w.inverse().right_descents()
 
     def test_trivial_descents(self):
-        assert left_right_descents(identity(4)) == (frozenset(), frozenset())
-        full = frozenset({1, 2, 3})
-        assert left_right_descents(long_element(4)) == (full, full)
+        for w, expected in ((identity(4), frozenset()), (long_element(4), frozenset({1, 2, 3}))):
+            assert w.left_descents() == w.right_descents() == expected
 
     def test_cycle_type(self):
         assert cycle_type(long_element(4)) == Partition((2, 2))
@@ -155,7 +151,7 @@ class TestRsk:
                 pw, qw = rsk(wo * w * wo)
                 assert pw == evacuate(p, n) and qw == evacuate(q, n)
                 # 5-6. descent sets match the tableaux
-                dl, dr = left_right_descents(w)
+                dl, dr = w.left_descents(), w.right_descents()
                 assert dl == descent_set(p)
                 assert dr == descent_set(q)
 

@@ -11,10 +11,10 @@ from cyclosieve.ribbons import (
     enumerate_tilings,
     kf_root_of_unity_check,
     m_core,
-    m_quotient,
     reduced_content,
     spin_sign,
 )
+from cyclosieve.tableaux import abacus
 
 EMPTY = Partition(())
 
@@ -83,15 +83,15 @@ class TestCoresAndQuotients:
         for lam in all_partitions_up_to(10):
             for m in range(1, 5):
                 core = m_core(lam, m)
-                quotient = m_quotient(lam, m)
+                quotient = abacus(lam, m)[1]
                 assert m * sum(q.size for q in quotient) + core.size == lam.size
 
     def test_trivial_quotient(self):
         for lam in all_partitions_up_to(6):
-            assert m_quotient(lam, 1) == (lam,)
+            assert abacus(lam, 1)[1] == (lam,)
 
     def test_22_domino_quotient(self):
-        quotient = m_quotient(Partition((2, 2)), 2)
+        quotient = abacus(Partition((2, 2)), 2)[1]
         assert sorted(q.size for q in quotient) in ([0, 2], [1, 1])
         assert sum(q.size for q in quotient) == 2
 
@@ -191,7 +191,7 @@ def _quotient_coefficient(lam: Partition, m: int, beta: Composition) -> int:
     counts: dict[tuple[int, ...], int] = {}
 
     def rec(i: int, acc: tuple[int, ...]) -> None:
-        quotient = m_quotient(lam, m)
+        quotient = abacus(lam, m)[1]
         if i == len(quotient):
             counts[acc] = counts.get(acc, 0) + 1
             return

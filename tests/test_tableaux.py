@@ -8,7 +8,6 @@ from cyclosieve import (
     Composition,
     Partition,
     Tableau,
-    conjugate,
     css,
     cst_count,
     cst_tuple_count,
@@ -32,9 +31,9 @@ class TestPartition:
         assert Partition(()) == ()
 
     def test_conjugate_examples(self):
-        assert conjugate(Partition((4, 4, 3, 1))) == Partition((4, 3, 3, 2))
-        assert conjugate(Partition((5,))) == Partition((1,) * 5)
-        assert conjugate(Partition((3, 3))) == Partition((2, 2, 2))
+        assert Partition((4, 4, 3, 1)).conjugate() == Partition((4, 3, 3, 2))
+        assert Partition((5,)).conjugate() == Partition((1,) * 5)
+        assert Partition((3, 3)).conjugate() == Partition((2, 2, 2))
 
     def test_conjugate_involution_up_to_12(self):
         for size in range(13):
