@@ -1,10 +1,16 @@
 """Kazhdan-Lusztig polynomials, the mu function, cellular matrices, and
 KL immanants for small symmetric groups.
 
-The table is built along increasing length with the descent recursion
-P_{u,w} = q^(1-c) P_{su,sw} + q^c P_{u,sw} - sum mu(z,sw) q^((l(w)-l(z))/2) P_{u,z},
-taking the smallest left descent of w each time.  Bruhat comparability uses
-the rank-table criterion, vectorized over the whole group.
+The table is built along increasing length.  Within the column of w, u
+runs from the longest down.  If some left descent t of w is not a left
+descent of u, or some right descent t of w is not a right descent of u,
+then P_{u,w} = P_{tu,w} or P_{ut,w} (Kazhdan-Lusztig 1979, 2.3), a value
+already stored since tu and ut are longer.  Only where u has every left
+and every right descent of w does the descent recursion run, with s the
+smallest left descent of w; s is then a left descent of u too, so
+P_{u,w} = P_{su,sw} + q P_{u,sw} - sum mu(z,sw) q^((l(w)-l(z))/2) P_{u,z}.
+Bruhat comparability uses the rank-table criterion, vectorized over the
+whole group.
 """
 
 from __future__ import annotations
@@ -56,9 +62,14 @@ class KLTable:
     """All Kazhdan-Lusztig polynomials P_{u,w} for a fixed S_n.
 
     Permutations are addressed by their index in ``perms`` (sorted by length,
-    then one-line order).  ``_left[i - 1][w]`` is the index of s_i * w and
-    ``_w0_left[w]`` the index of w0 * w, so the build and the queries never
-    rebuild a permutation tuple.
+    then one-line order).  ``_left[i - 1][w]`` is the index of s_i * w,
+    ``_right[i - 1][w]`` that of w * s_i and ``_w0_left[w]`` that of w0 * w,
+    so the build and the queries never rebuild a permutation tuple.
+
+    The build fills each column w from the longest u down.  P_{u,w} is
+    copied from P_{tu,w} or P_{ut,w} when a left or right descent t of w is
+    missing from u; the descent recursion runs only on the remaining u,
+    those whose left and right descents include all of w's.
     """
 
     def __init__(self, n: int):
@@ -83,11 +94,19 @@ class KLTable:
             [index[tuple(i + 1 if v == i else i if v == i + 1 else v for v in p)] for p in self.perms]
             for i in range(1, n)
         ]
+        self._right: list[list[int]] = [
+            [index[(*p[:i - 1], p[i], p[i - 1], *p[i + 1:])] for p in self.perms]
+            for i in range(1, n)
+        ]
         self._w0_left: list[int] = [index[tuple(n + 1 - v for v in p)] for p in self.perms]
-        # left descent bitmask: bit i-1 set iff s_i * w is shorter than w,
-        # that is, has a smaller index
+        # descent bitmasks: bit i-1 of _ldesc[w] (_rdesc[w]) is set iff
+        # s_i * w (w * s_i) is shorter than w, that is, has a smaller index
         self._ldesc = [
             sum(1 << i for i, s in enumerate(self._left) if s[w] < w)
+            for w in range(len(self.perms))
+        ]
+        self._rdesc = [
+            sum(1 << i for i, s in enumerate(self._right) if s[w] < w)
             for w in range(len(self.perms))
         ]
         # _polys[w] maps u to P_{u,w}; only polynomials other than 1 are stored
@@ -108,7 +127,8 @@ class KLTable:
     def _build(self) -> None:
         leq = self._leq
         lengths = self.lengths
-        ldesc = self._ldesc
+        left, right = self._left, self._right
+        ldesc, rdesc = self._ldesc, self._rdesc
         polys = self._polys
         # bit u of lower[w] is set iff u <= w; build-time only
         lower = [
@@ -119,8 +139,9 @@ class KLTable:
             if lengths[w] == 0:
                 self._mu_lists[w] = ()
                 continue
-            i = (ldesc[w] & -ldesc[w]).bit_length()  # smallest left descent
-            s = self._left[i - 1]
+            ldesc_w, rdesc_w = ldesc[w], rdesc[w]
+            i = (ldesc_w & -ldesc_w).bit_length()  # smallest left descent
+            s = left[i - 1]
             v = s[w]
             bit = 1 << (i - 1)
             lw = lengths[w]
@@ -131,31 +152,35 @@ class KLTable:
                 if ldesc[z] & bit
             ]
             mus: list[tuple[int, int]] = []
-            for u in np.flatnonzero(leq[:, w]).tolist():
-                if u == w:
-                    continue
-                su = s[u]
-                p_su = col_v.get(su, _ONE) if lower_v >> su & 1 else _ZERO
-                p_u = col_v.get(u, _ONE) if lower_v >> u & 1 else _ZERO
-                if ldesc[u] & bit:  # c = 1 in the recursion
-                    total = _plus_q_times(p_su, p_u)
-                else:
-                    total = _plus_q_times(p_u, p_su)
-                for z, mu, half, lower_z, col_z in mu_v:
-                    if lower_z >> u & 1:
-                        total = _minus_monomial_times(total, mu, half, col_z.get(u, _ONE))
+            # longest first, so tu and ut are done before u; w itself is last
+            # in index order and is skipped
+            for u in np.flatnonzero(leq[:, w])[-2::-1].tolist():
                 bound = (lw - lengths[u] - 1) // 2
-                if len(total) - 1 > bound:
-                    raise AssertionError(
-                        f"degree bound violated at {self.perms[u]} <= {pw}: {total}"
-                    )
+                missing = ldesc_w & ~ldesc[u]
+                if missing:  # P_{u,w} = P_{tu,w}
+                    total = col_w.get(left[(missing & -missing).bit_length() - 1][u], _ONE)
+                elif missing := rdesc_w & ~rdesc[u]:  # P_{u,w} = P_{ut,w}
+                    total = col_w.get(right[(missing & -missing).bit_length() - 1][u], _ONE)
+                else:
+                    # s is a left descent of u: c = 1 in the recursion, and
+                    # su <= sw = v since s is a left descent of both u and w
+                    p_su = col_v.get(s[u], _ONE)
+                    p_u = col_v.get(u, _ONE) if lower_v >> u & 1 else _ZERO
+                    total = _plus_q_times(p_su, p_u)
+                    for z, mu, half, lower_z, col_z in mu_v:
+                        if lower_z >> u & 1:
+                            total = _minus_monomial_times(total, mu, half, col_z.get(u, _ONE))
+                    if len(total) - 1 > bound:
+                        raise AssertionError(
+                            f"degree bound violated at {self.perms[u]} <= {pw}: {total}"
+                        )
                 if total != _ONE:
                     col_w[u] = total
                 if (lw - lengths[u]) % 2 == 1:
                     mu_val = total[bound] if bound < len(total) else 0
                     if mu_val:
                         mus.append((u, mu_val))
-            self._mu_lists[w] = tuple(mus)
+            self._mu_lists[w] = tuple(reversed(mus))
 
     # -- queries ------------------------------------------------------------
 

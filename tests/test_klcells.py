@@ -21,6 +21,7 @@ from cyclosieve import (
 )
 from cyclosieve.klcells import (
     Immanant,
+    KLTable,
     kl_immanant,
     kl_table,
     mu_promotion_invariance,
@@ -129,7 +130,57 @@ class TestTableAxioms:
                 assert table.perms[table._w0_left[wi]] == wo * w
                 for i in range(1, n):
                     assert table.perms[table._left[i - 1][wi]] == simple(i, n) * w
+                    assert table.perms[table._right[i - 1][wi]] == w * simple(i, n)
                 assert table._ldesc[wi] == sum(1 << (i - 1) for i in w.left_descents())
+                assert table._rdesc[wi] == sum(1 << (i - 1) for i in w.right_descents())
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_build_matches_the_full_descent_recursion(self, n):
+        table = KLTable(n)
+        polys, mu_lists = _reference_build(table)
+        assert table._polys == polys
+        assert table._mu_lists == mu_lists
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_inversion_identity(self, n):
+        """q^(l(w)-l(u)) P_{u,w}(1/q) = sum over u <= z <= w of R_{u,z} P_{z,w},
+        with R from its own recursion."""
+        table = kl_table(n)
+        r = _r_polynomials(table)
+        size = len(table.perms)
+        for u in range(size):
+            above = [(z, rz) for z, rz in enumerate(r[u]) if rz]
+            for w in range(size):
+                rhs = IntPolynomial.zero()
+                for z, rz in above:
+                    if z == w or table._leq[z, w]:
+                        rhs = rhs + IntPolynomial(rz) * IntPolynomial(table._coeffs(z, w))
+                diff = table.lengths[w] - table.lengths[u]
+                lhs = IntPolynomial.zero()
+                for k, c in enumerate(table._coeffs(u, w)):
+                    lhs = lhs + IntPolynomial.monomial(diff - k, c)
+                assert lhs == rhs, (table.perms[u], table.perms[w])
+
+    def test_recursion_runs_only_where_u_has_every_descent_of_w(self, monkeypatch):
+        """Every other pair u < w copies P_{tu,w} or P_{ut,w}."""
+        from cyclosieve import klcells
+
+        calls = []
+        original = klcells._plus_q_times
+        monkeypatch.setattr(
+            klcells, "_plus_q_times", lambda a, b: calls.append(None) or original(a, b)
+        )
+        table = KLTable(6)
+        perms = [Permutation(p) for p in table.perms]
+        left = [p.left_descents() for p in perms]
+        right = [p.right_descents() for p in perms]
+        expected = sum(
+            1
+            for w in range(len(perms))
+            for u in np.flatnonzero(table._leq[:, w]).tolist()
+            if u != w and left[w] <= left[u] and right[w] <= right[u]
+        )
+        assert len(calls) == expected == 2220
 
 
 class TestMu:
@@ -456,6 +507,86 @@ class TestVanishingCriterion:
         q231 = rsk(Permutation((2, 3, 1)))[1]
         assert is_semistandardizable(q213, Composition((2, 1)))
         assert not is_semistandardizable(q231, Composition((2, 1)))
+
+
+def _reference_build(table):
+    """Test oracle: every P_{u,w} by the descent recursion, with no copying.
+
+    P_{u,w} = q^(1-c) P_{su,sw} + q^c P_{u,sw} - sum mu(z,sw) q^((l(w)-l(z))/2) P_{u,z}
+    over z < sw with s a left descent of z, for s the smallest left descent of
+    w and c = 1 if s is a left descent of u, else 0.  Returns the columns
+    (u -> coefficients, 1 left out) and the mu lists in the table's layout.
+    """
+    lengths, left, ldesc = table.lengths, table._left, table._ldesc
+    polys = [{} for _ in table.perms]
+    mu_lists = {}
+
+    def coeffs(u, w):
+        if u == w:
+            return (1,)
+        return polys[w].get(u, (1,)) if table._leq[u, w] else ()
+
+    for w in range(len(table.perms)):
+        if lengths[w] == 0:
+            mu_lists[w] = ()
+            continue
+        i = (ldesc[w] & -ldesc[w]).bit_length()
+        s = left[i - 1]
+        v = s[w]
+        mu_v = [
+            (z, mu, (lengths[w] - lengths[z]) // 2)
+            for z, mu in mu_lists[v]
+            if ldesc[z] >> (i - 1) & 1
+        ]
+        mus = []
+        for u in np.flatnonzero(table._leq[:, w]).tolist():
+            if u == w:
+                continue
+            p_su, p_u = IntPolynomial(coeffs(s[u], v)), IntPolynomial(coeffs(u, v))
+            if ldesc[u] >> (i - 1) & 1:
+                total = p_su + p_u.shift(1)
+            else:
+                total = p_su.shift(1) + p_u
+            for z, mu, half in mu_v:
+                if table._leq[u, z]:
+                    total = total - IntPolynomial(coeffs(u, z)).shift(half) * mu
+            bound = (lengths[w] - lengths[u] - 1) // 2
+            assert total.degree <= bound
+            if total != IntPolynomial.one():
+                polys[w][u] = tuple(total.coeffs)
+            if (lengths[w] - lengths[u]) % 2 == 1 and total.coefficient(bound):
+                mus.append((u, total.coefficient(bound)))
+        mu_lists[w] = tuple(mus)
+    return polys, mu_lists
+
+
+def _r_polynomials(table):
+    """Test oracle: r[u][w] is R_{u,w} as a coefficient tuple, () off the order.
+
+    R_{u,e} is 1 at u = e; for s a left descent of w, R_{u,w} = R_{su,sw} if s
+    is a left descent of u, else (q - 1) R_{u,sw} + q R_{su,sw}.
+    """
+    size = len(table.perms)
+    left, ldesc = table._left, table._ldesc
+    cols = []
+    for w in range(size):
+        if table.lengths[w] == 0:
+            cols.append([(1,) if u == w else () for u in range(size)])
+            continue
+        i = (ldesc[w] & -ldesc[w]).bit_length()
+        s = left[i - 1]
+        prev = cols[s[w]]
+        col = []
+        for u in range(size):
+            if ldesc[u] >> (i - 1) & 1:
+                col.append(prev[s[u]])
+            else:
+                value = IntPolynomial((-1, 1)) * IntPolynomial(prev[u]) + IntPolynomial(
+                    prev[s[u]]
+                ).shift(1)
+                col.append(tuple(value.coeffs))
+        cols.append(col)
+    return [[cols[w][u] for w in range(size)] for u in range(size)]
 
 
 def _reference_dump(table, as_json: bool) -> str:
