@@ -23,7 +23,6 @@ from .klcells import (
 )
 from .ribbons import count_ribbon_cst, kf_root_of_unity_check
 from .sieving import (
-    CSPReport,
     bn_csp_report,
     cst_csp_report,
     content_csp_report,
@@ -82,18 +81,17 @@ def _needs(args: argparse.Namespace, name: str):
     return value
 
 
-def _emit_csp(report: CSPReport, as_json: bool) -> int:
+def _emit_csp(report: dict, as_json: bool) -> int:
     if as_json:
-        print(report.to_json())
-    else:
-        label = "|eval|" if report.modulus_comparison else "eval"
-        print(f"family: {report.family}  parameters: {report.parameters}  m={report.modulus}")
-        print(f"{'d':>4} {'fixed':>8} {label:>12} {'match':>6}")
-        for row in report.rows:
-            shown = row.evaluation if row.evaluation is not None else row.evaluation_repr
-            print(f"{row.power:>4} {row.fixed:>8} {str(shown):>12} {'ok' if row.match else 'FAIL':>6}")
-        print("verdict:", "PASS" if report.verdict else "FAIL")
-    return EXIT_PASS if report.verdict else EXIT_FAIL
+        return _emit_dict(report, as_json)
+    label = "|eval|" if report["modulus_comparison"] else "eval"
+    print(f"family: {report['family']}  parameters: {report['parameters']}  m={report['m']}")
+    print(f"{'d':>4} {'fixed':>8} {label:>12} {'match':>6}")
+    for row in report["rows"]:
+        shown = row["eval"] if row["eval"] is not None else row["eval_repr"]
+        print(f"{row['d']:>4} {row['fixed']:>8} {str(shown):>12} {'ok' if row['match'] else 'FAIL':>6}")
+    print("verdict:", "PASS" if report["verdict"] else "FAIL")
+    return EXIT_PASS if report["verdict"] else EXIT_FAIL
 
 
 def _emit_dict(payload: dict, as_json: bool) -> int:
@@ -111,8 +109,8 @@ def _csp(report):
 
 
 def _check(report):
-    """A handler that prints the check ``report(args)`` as a dict."""
-    return lambda args: _emit_dict(report(args).to_dict(), args.json)
+    """A handler that prints the payload ``report(args)`` key by key."""
+    return lambda args: _emit_dict(report(args), args.json)
 
 
 def _enumerate(args: argparse.Namespace) -> int:

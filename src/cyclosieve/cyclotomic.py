@@ -4,8 +4,10 @@ An element is held unreduced in Z[q]/(q^m - 1), as a sparse map from
 exponents mod m to nonzero coefficients, so ring arithmetic never divides
 and a product with a monomial is a rotation.  Phi_m divides q^m - 1, so the
 residue mod Phi_m is well defined and canonical; it is computed once, on
-first read, from a per-order table of q^e mod Phi_m, and cached.  Equality,
-hashing, ``is_zero``, ``as_integer`` and ``repr`` all read the residue.
+first read, and cached.  An element whose exponents are all below phi(m)
+is its own residue; otherwise it is read off a per-order table of
+q^e mod Phi_m, built for e from phi(m) to m - 1.  Equality, hashing,
+``is_zero``, ``as_integer`` and ``repr`` all read the residue.
 
 Floating point is never used: the sieving checks demand exact integer
 equality between fixed-point counts and polynomial evaluations.
@@ -16,7 +18,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Optional
 
-from .qpolys import IntPolynomial, cyclotomic_polynomial
+from .qpolys import IntPolynomial, cyclotomic_polynomial, totient
 
 _new = object.__new__
 _set = object.__setattr__
@@ -72,18 +74,23 @@ class CyclotomicElement:
         """The canonical representative mod Phi_m, of degree below phi(m)."""
         residue = self._residue
         if residue is None:
-            # One pass over the terms: q^e with e >= phi(m) is replaced by
-            # its tabulated residue.
-            table = _power_residues(self.order)
-            degree = self.order - len(table)
-            coeffs = [0] * degree
-            for e, c in self._terms.items():
-                if e < degree:
-                    coeffs[e] += c
-                else:
-                    for i, x in table[e - degree]:
-                        coeffs[i] += c * x
-            residue = IntPolynomial(coeffs)
+            terms = self._terms
+            degree = totient(self.order)
+            if max(terms, default=0) < degree:
+                # Already reduced: no table is built, whatever the order.
+                residue = IntPolynomial.from_terms(terms)
+            else:
+                # One pass over the terms: q^e with e >= phi(m) is replaced
+                # by its tabulated residue.
+                table = _power_residues(self.order)
+                coeffs = [0] * degree
+                for e, c in terms.items():
+                    if e < degree:
+                        coeffs[e] += c
+                    else:
+                        for i, x in table[e - degree]:
+                            coeffs[i] += c * x
+                residue = IntPolynomial(coeffs)
             _set(self, "_residue", residue)
         return residue
 

@@ -15,7 +15,6 @@ whole group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations as _itertools_permutations
 from operator import add
@@ -373,36 +372,6 @@ def representation_matrix(shape: Partition, w: Permutation) -> tuple[tuple[int, 
 # -- long-cycle promotion identity verification ------------------------------
 
 
-@dataclass
-class PromotionMatrixReport:
-    shape: Partition
-    sign: int
-    long_cycle_matches: bool
-    affine_generator_matches: bool
-    kl_basis_coefficient: int
-    kl_basis_coefficient_matches: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.long_cycle_matches
-            and self.affine_generator_matches
-            and self.kl_basis_coefficient_matches
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "family": "kl-promotion-identity",
-            "parameters": {"shape": list(self.shape)},
-            "sign": self.sign,
-            "long_cycle_matches": self.long_cycle_matches,
-            "affine_generator_matches": self.affine_generator_matches,
-            "kl_basis_coefficient": self.kl_basis_coefficient,
-            "kl_basis_coefficient_matches": self.kl_basis_coefficient_matches,
-            "verdict": self.ok,
-        }
-
-
 def _kl_basis_long_cycle_coefficient(base: Tableau, promoted: Tableau, table: KLTable) -> int:
     """Coefficient of the promoted superstandard KL basis element after
     multiplying C'_u(1) by the long cycle.
@@ -450,7 +419,7 @@ def _kl_basis_long_cycle_coefficient(base: Tableau, promoted: Tableau, table: KL
 
 def verify_promotion_identity(
     shape: Partition, allow_large: bool = False, cap: Optional[int] = None
-) -> PromotionMatrixReport:
+) -> dict:
     """Check rho(c_n) = (-1)^(a-1) J on the cellular module of an a x b
     rectangle with a >= 1.
 
@@ -486,61 +455,47 @@ def verify_promotion_identity(
     else:
         affine_matches = True
         coefficient = sign
-    return PromotionMatrixReport(
-        shape=shape,
-        sign=sign,
-        long_cycle_matches=long_cycle_matches,
-        affine_generator_matches=affine_matches,
-        kl_basis_coefficient=coefficient,
-        kl_basis_coefficient_matches=coefficient == sign,
-    )
+    return {
+        "family": "kl-promotion-identity",
+        "parameters": {"shape": list(shape)},
+        "sign": sign,
+        "long_cycle_matches": long_cycle_matches,
+        "affine_generator_matches": affine_matches,
+        "kl_basis_coefficient": coefficient,
+        "kl_basis_coefficient_matches": coefficient == sign,
+        "verdict": long_cycle_matches and affine_matches and coefficient == sign,
+    }
 
 
 # -- mu invariance under promotion -------------------------------------------
 
 
-@dataclass
-class MuInvarianceReport:
-    shape: Partition
-    pairs_checked: int
-    failures: tuple[tuple[Tableau, Tableau, int, int], ...]
-
-    @property
-    def holds(self) -> bool:
-        return not self.failures
-
-    def to_dict(self) -> dict:
-        return {
-            "family": "kl-mu-invariance",
-            "parameters": {"shape": list(self.shape)},
-            "pairs_checked": self.pairs_checked,
-            "failures": [
-                {
-                    "p": [list(r) for r in p.rows],
-                    "q": [list(r) for r in q.rows],
-                    "mu": before,
-                    "mu_after_promotion": after,
-                }
-                for p, q, before, after in self.failures
-            ],
-            "verdict": self.holds,
-        }
-
-
 def mu_promotion_invariance(
     shape: Partition, allow_large: bool = False, cap: Optional[int] = None
-) -> MuInvarianceReport:
-    """Exhaustively compare mu[P,Q] with mu[j(P),j(Q)] over a shape."""
+) -> dict:
+    """Exhaustively compare mu[P,Q] with mu[j(P),j(Q)] over a shape; each
+    failure lists the pair of tableaux and both values."""
     shape = Partition(shape)
     words, basis, _, mu, _ = _cell_basis(shape, allow_large, cap)
     promotion = promotion_permutation(words, shape, shape.size)
     pairs = list(combinations(range(len(basis)), 2))
-    failures = tuple(
-        (basis[a], basis[b], mu[a][b], mu[promotion[a]][promotion[b]])
+    failures = [
+        {
+            "p": [list(r) for r in basis[a].rows],
+            "q": [list(r) for r in basis[b].rows],
+            "mu": mu[a][b],
+            "mu_after_promotion": mu[promotion[a]][promotion[b]],
+        }
         for a, b in pairs
         if mu[a][b] != mu[promotion[a]][promotion[b]]
-    )
-    return MuInvarianceReport(shape=shape, pairs_checked=len(pairs), failures=failures)
+    ]
+    return {
+        "family": "kl-mu-invariance",
+        "parameters": {"shape": list(shape)},
+        "pairs_checked": len(pairs),
+        "failures": failures,
+        "verdict": not failures,
+    }
 
 
 # -- KL immanants and the vanishing criterion --------------------------------
@@ -632,33 +587,6 @@ def kl_immanant(
     return Immanant(terms)
 
 
-@dataclass
-class VanishingReport:
-    n: int
-    cases_checked: int
-    mismatches: tuple[tuple[Permutation, Composition], ...]
-    note: str = (
-        "the content labelling is read off the rows of the repeated-row matrix "
-        "itself, which is the only reading consistent with the vanishing rule"
-    )
-
-    @property
-    def holds(self) -> bool:
-        return not self.mismatches
-
-    def to_dict(self) -> dict:
-        return {
-            "family": "kl-immanant-vanishing",
-            "parameters": {"n": self.n},
-            "cases_checked": self.cases_checked,
-            "mismatches": [
-                {"w": list(w), "alpha": list(a)} for w, a in self.mismatches
-            ],
-            "note": self.note,
-            "verdict": self.holds,
-        }
-
-
 def _compositions(total: int, max_len: int) -> list[Composition]:
     """All compositions of ``total`` into positive parts, length <= max_len."""
     out: list[Composition] = []
@@ -680,9 +608,14 @@ def _compositions(total: int, max_len: int) -> list[Composition]:
 
 def vanishing_criterion_check(
     n: int, table: Optional[KLTable] = None, allow_large: bool = False
-) -> VanishingReport:
+) -> dict:
     """Imm_w(x_{alpha,1^n}) = 0 iff the recording tableau is not
-    alpha-semistandardizable, checked over all w and alpha."""
+    alpha-semistandardizable, checked over all w and alpha.
+
+    The content labelling alpha is read off the rows of the repeated-row
+    matrix itself: that is the only reading consistent with the vanishing
+    rule, and the report's ``note`` says so.
+    """
     if table is None:
         table = kl_table(n, allow_large=allow_large)
     ones = Composition((1,) * n)
@@ -694,5 +627,13 @@ def vanishing_criterion_check(
             cases += 1
             vanishes = kl_immanant(w, alpha, ones, table).is_zero()
             if vanishes == is_semistandardizable(q, alpha):
-                mismatches.append((w, alpha))
-    return VanishingReport(n=n, cases_checked=cases, mismatches=tuple(mismatches))
+                mismatches.append({"w": list(w), "alpha": list(alpha)})
+    return {
+        "family": "kl-immanant-vanishing",
+        "parameters": {"n": n},
+        "cases_checked": cases,
+        "mismatches": mismatches,
+        "note": "the content labelling is read off the rows of the repeated-row matrix "
+                "itself, which is the only reading consistent with the vanishing rule",
+        "verdict": not mismatches,
+    }

@@ -47,6 +47,14 @@ class IntPolynomial:
     def monomial(cls, exponent: int, coeff: int = 1) -> "IntPolynomial":
         return cls((0,) * exponent + (coeff,))
 
+    @classmethod
+    def from_terms(cls, terms: Mapping[int, int]) -> "IntPolynomial":
+        """The sum of c q^e over the items (e, c) of ``terms``, e >= 0."""
+        coeffs = [0] * (max(terms, default=-1) + 1)
+        for e, c in terms.items():
+            coeffs[e] = c
+        return cls(coeffs)
+
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -192,6 +200,15 @@ def _prime_factors(m: int) -> list[int]:
 
 
 @cache
+def totient(m: int) -> int:
+    """Euler's phi(m), the degree of Phi_m, read off the prime factors of m."""
+    phi = m
+    for p in _prime_factors(m):
+        phi = phi // p * (p - 1)
+    return phi
+
+
+@cache
 def cyclotomic_polynomial(m: int) -> IntPolynomial:
     """Phi_m(q) = prod_{d | m} (1 - q^d)^mu(m/d) for m > 1.
 
@@ -204,9 +221,7 @@ def cyclotomic_polynomial(m: int) -> IntPolynomial:
     if m == 1:
         return IntPolynomial((-1, 1))
     primes = _prime_factors(m)
-    degree = m
-    for p in primes:
-        degree = degree // p * (p - 1)
+    degree = totient(m)
     coeffs = [1] + [0] * degree
     for subset in range(1 << len(primes)):
         chosen = [p for i, p in enumerate(primes) if subset >> i & 1]
@@ -344,12 +359,7 @@ def schur_principal_specialization(shape: Partition, k: int) -> IntPolynomial:
     for t in enumerate_cst(shape, k):
         w = content_weight(t.content(k))
         coeffs[w] = coeffs.get(w, 0) + 1
-    if not coeffs:
-        return IntPolynomial.zero()
-    out = [0] * (max(coeffs) + 1)
-    for w, c in coeffs.items():
-        out[w] = c
-    return IntPolynomial(out)
+    return IntPolynomial.from_terms(coeffs)
 
 
 def schur_evaluate(shape: Partition, values: Sequence):
@@ -424,12 +434,7 @@ def _kostka_foulkes_sorted(shape: Partition, mu: Partition, cap: Optional[int]) 
     for t in enumerate_cst(shape, len(mu), Composition(mu), cap=cap):
         c = charge(_charge_word(t))
         coeffs[c] = coeffs.get(c, 0) + 1
-    if not coeffs:
-        return IntPolynomial.zero()
-    out = [0] * (max(coeffs) + 1)
-    for c, m in coeffs.items():
-        out[c] = m
-    return IntPolynomial(out)
+    return IntPolynomial.from_terms(coeffs)
 
 
 def kostka_foulkes(shape: Partition, alpha: Composition, cap: Optional[int] = None) -> IntPolynomial:
@@ -459,21 +464,15 @@ def _mn_recurse(beta: frozenset[int], cycles: tuple[int, ...]) -> int:
     return total
 
 
-def mn_character(shape: Partition, cycles: Partition, removal_order: str = "desc") -> int:
+def mn_character(shape: Partition, cycles: Partition) -> int:
     """Murnaghan-Nakayama evaluation of the irreducible character of S_n.
 
-    ``removal_order`` chooses the order in which cycle lengths are peeled;
-    the result is independent of it, which the tests assert.
+    Cycle lengths are peeled longest first; the result does not depend on
+    the order, which the tests assert.
     """
     shape = Partition(shape)
     cycles = Partition(cycles)
     if shape.size != cycles.size:
         raise ValueError("cycle type must have the same size as the shape")
-    if removal_order == "desc":
-        order = tuple(sorted(cycles, reverse=True))
-    elif removal_order == "asc":
-        order = tuple(sorted(cycles))
-    else:
-        raise ValueError("removal_order must be 'asc' or 'desc'")
     beta = frozenset(beta_set(shape, len(shape) or 1))
-    return _mn_recurse(beta, order)
+    return _mn_recurse(beta, tuple(cycles))

@@ -24,7 +24,6 @@ independent check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .cyclotomic import as_integer, eval_at_root
@@ -176,35 +175,6 @@ def count_ribbon_cst(shape: Partition, m: int, beta: Composition) -> int:
     return cst_tuple_count(quotient, beta)
 
 
-@dataclass
-class KFRootReport:
-    shape: Partition
-    alpha: Composition
-    order: int
-    evaluation: Optional[int]
-    divisible: bool
-    ribbon_count: Optional[int]
-    matches: bool
-    note: str = ""
-
-    def to_dict(self) -> dict:
-        out = {
-            "family": "kostka-foulkes-root-of-unity",
-            "parameters": {
-                "shape": list(self.shape),
-                "content": list(self.alpha),
-                "order": self.order,
-            },
-            "evaluation": self.evaluation,
-            "multiplicities_divisible": self.divisible,
-            "ribbon_count": self.ribbon_count,
-            "verdict": self.matches,
-        }
-        if self.note:
-            out["note"] = self.note
-        return out
-
-
 def reduced_content(alpha: Composition, d: int) -> Optional[Composition]:
     """Divide every part multiplicity of alpha by d, or None if not divisible."""
     mult: dict[int, int] = {}
@@ -221,7 +191,7 @@ def reduced_content(alpha: Composition, d: int) -> Optional[Composition]:
 
 def kf_root_of_unity_check(
     shape: Partition, alpha: Composition, d: int, cap: Optional[int] = None
-) -> KFRootReport:
+) -> dict:
     """Compare |K_{shape,alpha}| at an order-d root of unity with the
     d-ribbon tableau count of the reduced content.
 
@@ -230,7 +200,7 @@ def kf_root_of_unity_check(
     report still evaluates the claimed vanishing, but that claim is false
     in general (K at its own content is constant 1, and e.g. shape (4),
     content (3,1), d=2 evaluates to -1); none of the sieving results depend
-    on it.
+    on it, and the report ends in a ``note`` saying so.
     """
     shape = Partition(shape)
     alpha = Composition(alpha)
@@ -238,12 +208,18 @@ def kf_root_of_unity_check(
         raise ValueError("the root order must be positive")
     value = as_integer(eval_at_root(kostka_foulkes(shape, alpha, cap), d, 1))
     reduced = reduced_content(alpha, d)
+    expected = None if reduced is None else count_ribbon_cst(shape, d, reduced)
+    report = {
+        "family": "kostka-foulkes-root-of-unity",
+        "parameters": {"shape": list(shape), "content": list(alpha), "order": d},
+        "evaluation": value,
+        "multiplicities_divisible": reduced is not None,
+        "ribbon_count": expected,
+        "verdict": value == 0 if reduced is None else value is not None and abs(value) == expected,
+    }
     if reduced is None:
-        note = (
+        report["note"] = (
             "claimed vanishing outside the divisible branch; the claim fails "
             "in general and is reported as observed"
         )
-        return KFRootReport(shape, alpha, d, value, False, None, value == 0, note)
-    expected = count_ribbon_cst(shape, d, reduced)
-    matches = value is not None and abs(value) == expected
-    return KFRootReport(shape, alpha, d, value, True, expected, matches)
+    return report

@@ -6,8 +6,6 @@ permutation words, subset/multiset rotation).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd
@@ -85,47 +83,6 @@ class FiniteAction:
         return sum(size for size in self._cycle_lengths if power % size == 0)
 
 
-@dataclass
-class CSPRow:
-    power: int
-    fixed: int
-    evaluation: Optional[int]
-    evaluation_repr: str
-    match: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.power,
-            "fixed": self.fixed,
-            "eval": self.evaluation,
-            "eval_repr": self.evaluation_repr,
-            "match": self.match,
-        }
-
-
-@dataclass
-class CSPReport:
-    family: str
-    parameters: dict
-    modulus: int
-    rows: list[CSPRow]
-    verdict: bool
-    modulus_comparison: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "parameters": self.parameters,
-            "m": self.modulus,
-            "modulus_comparison": self.modulus_comparison,
-            "rows": [row.to_dict() for row in self.rows],
-            "verdict": self.verdict,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-
 def verify_csp(
     action: FiniteAction,
     polynomial: IntPolynomial | QProduct,
@@ -133,12 +90,15 @@ def verify_csp(
     family: str = "custom",
     parameters: Optional[dict] = None,
     modulus_comparison: bool = False,
-) -> CSPReport:
+) -> dict:
     """Compare |X^(c^d)| with X(zeta_m^d) for every power d in 0..m-1.
 
     With ``modulus_comparison`` the match uses |evaluation| instead, which is
     the form taken by the fixed-content promotion results.  A polynomial in
     factored form is reduced mod q^m - 1 first, by multiplication alone.
+    The report has one row per power: ``eval`` is the integer value of the
+    evaluation, or None when it is not rational, and ``eval_repr`` its
+    residue.
     """
     if modulus < 1 or modulus % action.order:
         raise ValueError(
@@ -147,27 +107,21 @@ def verify_csp(
     if isinstance(polynomial, QProduct):
         polynomial = polynomial.cyclic_reduction(modulus)
     rows = []
-    verdict = True
     for d in range(modulus):
         fixed = action.fixed_count(d)
         value = eval_at_root(polynomial, modulus, d)
         as_int = as_integer(value)
-        if as_int is None:
-            match = False
-        elif modulus_comparison:
-            match = abs(as_int) == fixed
-        else:
-            match = as_int == fixed
-        rows.append(CSPRow(d, fixed, as_int, repr(value), match))
-        verdict = verdict and match
-    return CSPReport(
-        family=family,
-        parameters=parameters or {},
-        modulus=modulus,
-        rows=rows,
-        verdict=verdict,
-        modulus_comparison=modulus_comparison,
-    )
+        match = as_int is not None and (abs(as_int) if modulus_comparison else as_int) == fixed
+        rows.append({"d": d, "fixed": fixed, "eval": as_int, "eval_repr": repr(value),
+                     "match": match})
+    return {
+        "family": family,
+        "parameters": parameters or {},
+        "m": modulus,
+        "modulus_comparison": modulus_comparison,
+        "rows": rows,
+        "verdict": all(row["match"] for row in rows),
+    }
 
 
 def default_csp_polynomial(action: FiniteAction) -> IntPolynomial:
@@ -229,7 +183,7 @@ def promotion_action(
 
 def syt_csp_report(
     shape: Partition, modulus: Optional[int] = None, cap: Optional[int] = None
-) -> CSPReport:
+) -> dict:
     """Promotion on standard tableaux against the q-hook length formula.
 
     The modulus defaults to n when the promotion order divides it (always
@@ -266,7 +220,7 @@ def _check_modulus(modulus: int, what: str, cap: Optional[int]) -> None:
         )
 
 
-def cst_csp_report(shape: Partition, bound: int, cap: Optional[int] = None) -> CSPReport:
+def cst_csp_report(shape: Partition, bound: int, cap: Optional[int] = None) -> dict:
     """Promotion on bounded column-strict tableaux against the shifted
     principal specialization of the Schur function, in its hook-content
     form (zero when the shape has more rows than the bound)."""
@@ -285,7 +239,7 @@ def cst_csp_report(shape: Partition, bound: int, cap: Optional[int] = None) -> C
 
 def content_csp_report(
     shape: Partition, alpha: Composition, power: int, cap: Optional[int] = None
-) -> CSPReport:
+) -> dict:
     """Fixed content: |X^(j^(d m))| against |K_{shape,alpha}(zeta^m)|."""
     shape = Partition(shape)
     alpha = Composition(alpha)
@@ -316,56 +270,6 @@ def _wo_cn_cycle_type(n: int) -> Partition:
     if n % 2 == 0:
         return Partition((2,) * (n // 2 - 1) + (1, 1))
     return Partition((2,) * ((n - 1) // 2) + (1,))
-
-
-@dataclass
-class DihedralReport:
-    """Fixed points of evacuation and of evacuation-after-promotion, with
-    their predicted values.
-
-    On bounded column-strict tableaux the predictions are signed Schur
-    evaluations at +/-1 arguments, read off hook-content products at q = -1;
-    for even bounds the argument list for the composite operator repeats the
-    final sign when the shape has an odd number of rows, and the correction
-    sign depends on the parities of the rectangle sides.  On standard
-    tableaux the predictions are character values at the cycle types of the
-    longest element and its product with the long cycle.
-    """
-
-    shape: Partition
-    bound: int
-    cst_e_fixed: int
-    cst_e_expected: int
-    cst_ej_fixed: int
-    cst_ej_expected: int
-    syt_e_fixed: int
-    syt_e_expected: int
-    syt_ej_fixed: int
-    syt_ej_expected: int
-
-    @property
-    def verdict(self) -> bool:
-        return (
-            self.cst_e_fixed == self.cst_e_expected
-            and self.cst_ej_fixed == self.cst_ej_expected
-            and self.syt_e_fixed == self.syt_e_expected
-            and self.syt_ej_fixed == self.syt_ej_expected
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "family": "dihedral",
-            "parameters": {"shape": list(self.shape), "bound": self.bound},
-            "cst": {
-                "e": {"fixed": self.cst_e_fixed, "expected": self.cst_e_expected},
-                "ej": {"fixed": self.cst_ej_fixed, "expected": self.cst_ej_expected},
-            },
-            "syt": {
-                "e": {"fixed": self.syt_e_fixed, "expected": self.syt_e_expected},
-                "ej": {"fixed": self.syt_ej_fixed, "expected": self.syt_ej_expected},
-            },
-            "verdict": self.verdict,
-        }
 
 
 def evacuation_fixed_expected(shape: Partition, bound: int) -> int:
@@ -452,7 +356,19 @@ def _dihedral_fixed_counts(words: np.ndarray, shape: Partition, k: int) -> tuple
     )
 
 
-def dihedral_report(shape: Partition, bound: int, cap: Optional[int] = None) -> DihedralReport:
+def dihedral_report(shape: Partition, bound: int, cap: Optional[int] = None) -> dict:
+    """Fixed points of evacuation (``e``) and of evacuation-after-promotion
+    (``ej``) on CST(shape, bound) and on SYT(shape), with their predicted
+    values.
+
+    On bounded column-strict tableaux the predictions are signed Schur
+    evaluations at +/-1 arguments, read off hook-content products at q = -1;
+    for even bounds the argument list for the composite operator repeats the
+    final sign when the shape has an odd number of rows, and the correction
+    sign depends on the parities of the rectangle sides.  On standard
+    tableaux the predictions are character values at the cycle types of the
+    longest element and its product with the long cycle.
+    """
     shape = Partition(shape)
     if not shape.is_rectangular():
         raise ValueError("the dihedral comparisons concern rectangular shapes")
@@ -460,18 +376,23 @@ def dihedral_report(shape: Partition, bound: int, cap: Optional[int] = None) -> 
     cst_e, cst_ej = _dihedral_fixed_counts(csts, shape, bound)
     syts = enumerate_syt(shape, cap=cap, packed=True)
     syt_e, syt_ej = _dihedral_fixed_counts(syts, shape, shape.size)
-    return DihedralReport(
-        shape=shape,
-        bound=bound,
-        cst_e_fixed=cst_e,
-        cst_e_expected=evacuation_fixed_expected(shape, bound),
-        cst_ej_fixed=cst_ej,
-        cst_ej_expected=evacuation_promotion_fixed_expected(shape, bound),
-        syt_e_fixed=syt_e,
-        syt_e_expected=syt_evacuation_expected(shape),
-        syt_ej_fixed=syt_ej,
-        syt_ej_expected=syt_evacuation_promotion_expected(shape),
-    )
+    sides = {
+        "cst": {
+            "e": {"fixed": cst_e, "expected": evacuation_fixed_expected(shape, bound)},
+            "ej": {"fixed": cst_ej, "expected": evacuation_promotion_fixed_expected(shape, bound)},
+        },
+        "syt": {
+            "e": {"fixed": syt_e, "expected": syt_evacuation_expected(shape)},
+            "ej": {"fixed": syt_ej, "expected": syt_evacuation_promotion_expected(shape)},
+        },
+    }
+    return {
+        "family": "dihedral",
+        "parameters": {"shape": list(shape), "bound": bound},
+        **sides,
+        "verdict": all(op["fixed"] == op["expected"] for side in sides.values()
+                       for op in side.values()),
+    }
 
 
 # -- handshake patterns and noncrossing partitions ---------------------------
@@ -646,7 +567,7 @@ def _check_cap(count: int, what: str, cap: Optional[int]) -> None:
 
 def _catalan_report(
     family: str, what: str, action: Callable[[int], FiniteAction], n: int, cap: Optional[int]
-) -> CSPReport:
+) -> dict:
     """The rotation CSP of a Catalan family, with C_n held against the cap
     before the family is enumerated."""
     predicted = q_catalan_product(n)
@@ -654,11 +575,11 @@ def _catalan_report(
     return verify_csp(action(n), predicted, 2 * n, family=family, parameters={"n": n})
 
 
-def handshake_csp_report(n: int, cap: Optional[int] = None) -> CSPReport:
+def handshake_csp_report(n: int, cap: Optional[int] = None) -> dict:
     return _catalan_report("handshake", "handshake patterns", handshake_action, n, cap)
 
 
-def noncrossing_csp_report(n: int, cap: Optional[int] = None) -> CSPReport:
+def noncrossing_csp_report(n: int, cap: Optional[int] = None) -> dict:
     return _catalan_report("noncrossing", "noncrossing partitions", noncrossing_action, n, cap)
 
 
@@ -733,7 +654,7 @@ def bn_word_action(n: int, cap: Optional[int] = None) -> FiniteAction:
     return FiniteAction.of_map(words, lambda w: w[1:] + w[:1])
 
 
-def bn_csp_report(n: int, cap: Optional[int] = None) -> CSPReport:
+def bn_csp_report(n: int, cap: Optional[int] = None) -> dict:
     return verify_csp(
         bn_word_action(n, cap=cap),
         q_hook_product(Partition((n,) * n)),
@@ -756,7 +677,7 @@ def multisets_action(n: int, k: int) -> FiniteAction:
     return FiniteAction.of_map(elements, lambda s: tuple(sorted(x % n + 1 for x in s)))
 
 
-def subsets_csp_report(n: int, k: int) -> CSPReport:
+def subsets_csp_report(n: int, k: int) -> dict:
     return verify_csp(
         subsets_action(n, k),
         q_binomial_product(n, k),
@@ -766,7 +687,7 @@ def subsets_csp_report(n: int, k: int) -> CSPReport:
     )
 
 
-def multisets_csp_report(n: int, k: int) -> CSPReport:
+def multisets_csp_report(n: int, k: int) -> dict:
     return verify_csp(
         multisets_action(n, k),
         q_binomial_product(n + k - 1, k),

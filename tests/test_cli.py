@@ -482,6 +482,43 @@ class TestJsonOutput:
         assert first == second
 
 
+class TestReportOutput:
+    @pytest.mark.parametrize("argv, code, digest", [
+        ("dihedral --shape 2,2 --bound 3", 0,
+         "5cb9447db831dd65807d8ae97b391eb74fbf1b7c38174598eb8b2d8416034b6f"),
+        ("kl verify-promotion --shape 3,3", 0,
+         "a67554ff7ef55d349c0cde9c27ae4df2fb39129da730e5f432978180dc407e43"),
+        ("kl mu-invariance --shape 3,1", 1,
+         "daa1de31659b5a2c70bb8081404d964116c6d20108cc65461ff965a794689840"),
+        ("csp content --shape 2,2,2 --content 1,2,1,2 --power 2", 0,
+         "c69fd043b4774e1333b31968cf057f72db70dfceb20e42871ca7ed9b0da0635c"),
+        ("csp syt --shape 3,3,1", 1,
+         "0b3298061512e95429f6396cc7a320a9ed07abbb002dcc4901d724a08f661169"),
+        ("kl immanants --rank 3", 0,
+         "fb805a7360108510519e0cc3182cafc150ec423647003a5a338f9c55d7e62a7e"),
+        ("kl immanants --rank 3 --json", 0,
+         "bdfaab0531c007d84a97451259af790ee8a204e66521a1b3ead252f530bbe538"),
+        ("ribbon kf-check --shape 2,2 --content 1,1,1,1 --power 2", 0,
+         "805fa3a23e4f67ee9384b36eebd4695cdfae33064ced06addaf56736f8bbac92"),
+        ("ribbon kf-check --shape 2,2 --content 1,1,1,1 --power 2 --json", 0,
+         "7273b0c0862c831a101ec07dc3034ac5cfea49712d9d7c8c4b953d0833cbfa3f"),
+        ("ribbon kf-check --shape 4 --content 3,1 --power 2", 1,
+         "0306fd1bb3d8b9acb8e47af58e91c77d9b42fd7a7b6e12afd3cd3e8e2378954c"),
+        ("ribbon kf-check --shape 4 --content 3,1 --power 2 --json", 1,
+         "803ef945d5570d94589a3a08b3e9890cf1b9b4d73c40c3fe00eaaf8150144366"),
+    ], ids=["dihedral-text", "verify-3,3-text", "mu-3,1-text", "content-power-2-text",
+            "syt-3,3,1-text", "immanants-3-text", "immanants-3-json", "kf-divisible-text",
+            "kf-divisible-json", "kf-note-text", "kf-note-json"])
+    def test_reports_are_pinned(self, capsys, argv, code, digest):
+        """SHA-256 of outputs recorded while each report was a dataclass
+        with its own ``to_dict``.  Text mode prints the payload's keys in
+        insertion order, so these pin that order; mu-invariance on 3,1 lists
+        its failures, 3,3,1 prints ``eval_repr`` rows, and kf-check on (4)
+        with content 3,1 takes the branch that ends in ``note``."""
+        assert run(argv.split()) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 class TestFamilies:
     def test_content_family(self):
         assert run(["csp", "content", "--shape", "2,2", "--content", "1,1,1,1",

@@ -83,6 +83,31 @@ class TestResidueTable:
                 poly = IntPolynomial(coeffs)
                 assert CyclotomicElement(m, poly).residue == poly.divmod(phi)[1], m
 
+    def test_reduced_elements_build_no_table(self, monkeypatch):
+        """An element whose exponents are all below phi(m) is its own
+        residue: neither Phi_m nor the table of q^e mod Phi_m is built, so
+        an order of 10^8 costs no more than a small one."""
+        from cyclosieve import cyclotomic, qpolys
+        from cyclosieve.ribbons import kf_root_of_unity_check
+
+        def forbidden(m):
+            raise AssertionError(f"built at order {m}")
+
+        monkeypatch.setattr(cyclotomic, "_power_residues", forbidden)
+        monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", forbidden)
+        monkeypatch.setattr(qpolys, "cyclotomic_polynomial", forbidden)
+        rng = random.Random(11)
+        for m in range(1, 61):
+            phi = _cyclotomic_by_division(m)
+            for _ in range(4):
+                poly = IntPolynomial(rng.randint(-50, 50) for _ in range(phi.degree))
+                assert CyclotomicElement(m, poly).residue == poly.divmod(phi)[1], m
+        order = 10**8
+        assert as_integer(CyclotomicElement(order, IntPolynomial((3, 0, -1)))) is None
+        assert as_integer(zeta(order, order) * 5 - 2) == 3
+        report = kf_root_of_unity_check(Partition((2, 2)), (1, 1, 1, 1), order)
+        assert report["evaluation"] is None and report["verdict"] is False
+
 
 class TestEvalAtRoot:
     def test_evaluation_table_222(self):

@@ -116,7 +116,7 @@ class TestTableAxioms:
     def test_one_build_per_rank(self):
         """Every call form of kl_table for one rank shares one memo entry."""
         kl_table.cache_clear()
-        assert verify_promotion_identity(Partition((2, 2))).ok
+        assert verify_promotion_identity(Partition((2, 2)))["verdict"]
         assert kl_table.cache_info().misses == 1
         assert kl_table(4) is kl_table(4, allow_large=True) is kl_table(n=4)
         assert kl_table.cache_info().misses == 1
@@ -298,12 +298,12 @@ class TestPromotionIdentity:
     )
     def test_small_rectangles(self, shape):
         report = verify_promotion_identity(Partition(shape))
-        assert report.ok
-        assert report.sign == (-1) ** (len(shape) - 1)
+        assert report["verdict"]
+        assert report["sign"] == (-1) ** (len(shape) - 1)
 
     def test_222_sign_and_cycle_structure(self):
         report = verify_promotion_identity(Partition((2, 2, 2)))
-        assert report.ok and report.sign == 1
+        assert report["verdict"] and report["sign"] == 1
 
     def test_non_rectangular_rejected(self):
         with pytest.raises(ValueError):
@@ -314,8 +314,8 @@ class TestPromotionIdentity:
         from cyclosieve import klcells
 
         monkeypatch.setattr(klcells, "DEFAULT_RANK_CAP", 3)
-        assert verify_promotion_identity(Partition((2, 2)), allow_large=True).ok
-        assert mu_promotion_invariance(Partition((2, 2)), allow_large=True).holds
+        assert verify_promotion_identity(Partition((2, 2)), allow_large=True)["verdict"]
+        assert mu_promotion_invariance(Partition((2, 2)), allow_large=True)["verdict"]
         with pytest.raises(ValueError, match="default cap 3"):
             verify_promotion_identity(Partition((2, 2)))
 
@@ -323,11 +323,11 @@ class TestPromotionIdentity:
 class TestMuInvariance:
     def test_holds_on_rectangles_and_near_rectangles(self):
         for shape in [(2, 2), (2, 1), (3, 2), (2, 2, 1), (3, 3), (2, 2, 2), (5,), (1, 1, 1, 1)]:
-            assert mu_promotion_invariance(Partition(shape)).holds, shape
+            assert mu_promotion_invariance(Partition(shape))["verdict"], shape
 
     def test_31_counterexample(self):
         report = mu_promotion_invariance(Partition((3, 1)))
-        assert not report.holds
+        assert not report["verdict"]
 
     def test_31_cycle_values(self):
         t1 = Tableau([(1, 2, 3), (4,)])
@@ -484,15 +484,15 @@ def _kl_immanant_by_walk(w, alpha, beta, table):
 class TestVanishingCriterion:
     def test_n3_matches_semistandardizability(self):
         report = vanishing_criterion_check(3)
-        assert report.holds and report.cases_checked == 24
+        assert report["verdict"] and report["cases_checked"] == 24
 
     def test_n4_exhaustive(self):
         report = vanishing_criterion_check(4)
-        assert report.holds and report.cases_checked == 192
+        assert report["verdict"] and report["cases_checked"] == 192
 
     def test_n5_exhaustive(self):
         report = vanishing_criterion_check(5)
-        assert report.holds and report.cases_checked == 1920
+        assert report["verdict"] and report["cases_checked"] == 1920
 
     def test_all_ones_never_vanishes(self):
         table = kl_table(4)
