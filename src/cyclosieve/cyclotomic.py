@@ -75,13 +75,16 @@ class CyclotomicElement:
         residue = self._residue
         if residue is None:
             terms = self._terms
-            degree = totient(self.order)
-            if max(terms, default=0) < degree:
+            top = max(terms, default=0)
+            # phi(m) >= sqrt(m / 2), so 2 top^2 < m puts every exponent below
+            # phi(m) without factoring m
+            if 2 * top * top < self.order or top < totient(self.order):
                 # Already reduced: no table is built, whatever the order.
                 residue = IntPolynomial.from_terms(terms)
             else:
                 # One pass over the terms: q^e with e >= phi(m) is replaced
                 # by its tabulated residue.
+                degree = totient(self.order)
                 table = _power_residues(self.order)
                 coeffs = [0] * degree
                 for e, c in terms.items():

@@ -9,8 +9,8 @@ already stored since tu and ut are longer.  Only where u has every left
 and every right descent of w does the descent recursion run, with s the
 smallest left descent of w; s is then a left descent of u too, so
 P_{u,w} = P_{su,sw} + q P_{u,sw} - sum mu(z,sw) q^((l(w)-l(z))/2) P_{u,z}.
-Bruhat comparability uses the rank-table criterion, vectorized over the
-whole group.
+The Bruhat table comes from the lifting property: for s a left descent of
+w, u <= w iff min(u, su) <= sw, one gather of the row of sw per w.
 """
 
 from __future__ import annotations
@@ -22,13 +22,15 @@ from typing import Optional, TextIO
 
 import numpy as np
 
-from .jeudetaquin import is_semistandardizable, promotion_permutation
+from .jeudetaquin import promotion_permutation
 from .permutations import Permutation, rsk, rsk_inverse
 from .qpolys import IntPolynomial
 from .tableaux import Composition, Partition, Tableau, css, descent_set, enumerate_syt
 from .tableaux import extended_descent_set, tableaux_from_words
 
 DEFAULT_RANK_CAP = 6
+# pairs (w, v) stacked per block of vanishing_criterion_check
+_BLOCK_ROWS = 1 << 16
 
 _Coeffs = tuple[int, ...]
 _ONE: _Coeffs = (1,)
@@ -80,14 +82,6 @@ class KLTable:
         self.perms: list[tuple[int, ...]] = [p for _, p in by_length]
         self.lengths: list[int] = [length for length, _ in by_length]
         self.index: dict[tuple[int, ...], int] = {p: i for i, p in enumerate(self.perms)}
-        # rank[w, (i-1)*n + (j-1)] counts the a <= i with w(a) >= j
-        size = len(self.perms)
-        above = np.array(self.perms, dtype=np.int8).reshape(size, n, 1) >= np.arange(1, n + 1)
-        rank = np.cumsum(above, axis=1, dtype=np.int8).reshape(size, n * n)
-        # column-blocked comparison keeps the peak memory linear in the group
-        self._leq = np.empty((len(self.perms), len(self.perms)), dtype=bool)
-        for w in range(len(self.perms)):
-            self._leq[:, w] = np.all(rank <= rank[w], axis=1)
         index = self.index
         self._left: list[list[int]] = [
             [index[tuple(i + 1 if v == i else i if v == i + 1 else v for v in p)] for p in self.perms]
@@ -97,7 +91,7 @@ class KLTable:
             [index[(*p[:i - 1], p[i], p[i - 1], *p[i + 1:])] for p in self.perms]
             for i in range(1, n)
         ]
-        self._w0_left: list[int] = [index[tuple(n + 1 - v for v in p)] for p in self.perms]
+        self._w0_left = np.array([index[tuple(n + 1 - v for v in p)] for p in self.perms])
         # descent bitmasks: bit i-1 of _ldesc[w] (_rdesc[w]) is set iff
         # s_i * w (w * s_i) is shorter than w, that is, has a smaller index
         self._ldesc = [
@@ -108,10 +102,22 @@ class KLTable:
             sum(1 << i for i, s in enumerate(self._right) if s[w] < w)
             for w in range(len(self.perms))
         ]
+        # below[w] marks the u <= w.  With s the smallest left descent of w,
+        # u <= w iff min(u, su) <= sw (Deodhar 1977), and the shorter of u and
+        # su has the smaller index, so row w is row sw gathered at min(u, su).
+        size = len(self.perms)
+        ids = np.arange(size)
+        lifts = [np.minimum(ids, s) for s in self._left]
+        below = np.zeros((size, size), dtype=bool)
+        below[0, 0] = True
+        for w in range(1, size):
+            i = (self._ldesc[w] & -self._ldesc[w]).bit_length() - 1
+            np.take(below[self._left[i][w]], lifts[i], out=below[w])
+        self._leq = below.T  # _leq[u, w] is u <= w; a view, never copied
+        self._parity = np.array(self.lengths) & 1  # l(w) mod 2
         # _polys[w] maps u to P_{u,w}; only polynomials other than 1 are stored
         self._polys: list[dict[int, _Coeffs]] = [{} for _ in self.perms]
         self._mu_lists: dict[int, tuple[tuple[int, int], ...]] = {}
-        self._supports: dict[int, tuple[tuple[int, int], ...]] = {}
         self._build()
 
     # -- construction -------------------------------------------------------
@@ -131,8 +137,8 @@ class KLTable:
         polys = self._polys
         # bit u of lower[w] is set iff u <= w; build-time only
         lower = [
-            int.from_bytes(np.packbits(leq[:, w], bitorder="little").tobytes(), "little")
-            for w in range(len(self.perms))
+            int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(leq.T, axis=1, bitorder="little")
         ]
         for w, pw in enumerate(self.perms):
             if lengths[w] == 0:
@@ -205,20 +211,17 @@ class KLTable:
         bound = (diff - 1) // 2
         return coeffs[bound] if bound < len(coeffs) else 0
 
-    def _signed_support(self, w: int) -> tuple[tuple[int, int], ...]:
-        """Pairs (v, (-1)^(l(v)-l(w)) P_{w0 v, w0 w}(1)) over v >= w with a
-        nonzero value, in one-line order of v; memoized per w."""
-        support = self._supports.get(w)
-        if support is None:
-            w0, lengths = self._w0_left, self.lengths
-            pairs = []
-            for v in np.flatnonzero(self._leq[w]).tolist():
-                value = sum(self._coeffs(w0[v], w0[w]))
-                if value:
-                    pairs.append((v, (-1) ** (lengths[v] - lengths[w]) * value))
-            support = tuple(sorted(pairs, key=lambda pair: self.perms[pair[0]]))
-            self._supports[w] = support
-        return support
+    def _signed_support(self, w: int) -> tuple[np.ndarray, np.ndarray]:
+        """The v >= w, as indices, and (-1)^(l(v)-l(w)) P_{w0 v, w0 w}(1) for
+        each, as an int64 array; no value is 0, since P_{u,x}(0) = 1 for u <= x."""
+        x = self._w0_left[w]
+        below = np.flatnonzero(self._leq[:, x])  # u <= w0 w, that is, w0 u >= w
+        values = np.ones(len(below), dtype=np.int64)
+        col = self._polys[x]
+        if col:
+            values[np.searchsorted(below, list(col))] = [sum(c) for c in col.values()]
+        values[self._parity[below] != self._parity[x]] *= -1
+        return self._w0_left[below], values
 
     def mu_sym(self, u: Permutation, w: Permutation) -> int:
         return max(self.mu(u, w), self.mu(w, u))
@@ -581,7 +584,8 @@ def kl_immanant(
     cols = beta.labels()
     perms = table.perms
     terms: dict[tuple[tuple[int, int], ...], int] = {}
-    for v, coeff in table._signed_support(table._idx(w)):
+    vs, coeffs = table._signed_support(table._idx(w))
+    for v, coeff in zip(vs.tolist(), coeffs.tolist()):
         mono = tuple(sorted(zip(rows, [cols[x - 1] for x in perms[v]])))
         terms[mono] = terms.get(mono, 0) + coeff
     return Immanant(terms)
@@ -606,6 +610,56 @@ def _compositions(total: int, max_len: int) -> list[Composition]:
     return out
 
 
+def _support_blocks(table: KLTable, words):
+    """The signed supports of ``words`` in order, in runs of whole supports
+    that stop once they hold _BLOCK_ROWS pairs (w, v)."""
+    block, size = [], 0
+    for word in words:
+        block.append(table._signed_support(table.index[word]))
+        size += len(block[-1][0])
+        if size >= _BLOCK_ROWS:
+            yield block
+            block, size = [], 0
+    if block:
+        yield block
+
+
+def _vanishing_matrix(table: KLTable, words, labels) -> np.ndarray:
+    """vanishes[i, a] is True iff Imm_w(x_{alpha,1^n}) = 0, for w = words[i]
+    and alpha the composition whose row labels are labels[a].
+
+    The signed supports of a block of w are stacked, and for each alpha
+    every v is keyed by its monomial, sum_p 2^((row_alpha(p) - 1) n + v(p) - 1),
+    above which sit the bits of the position of w in the block; with
+    n! < 2^13 that fits in int64 for n <= 7.  One sort and one integer
+    ``add.reduceat`` give every coefficient of every Imm_w(x_{alpha,1^n}) in
+    the block; w vanishes iff all of them are 0.
+    """
+    n = table.n
+    # weights[p, a] shifts the bit of v(p) into the n bits of row_alpha(p)
+    weights = np.array([[1 << (r - 1) * n for r in rows] for rows in labels],
+                       dtype=np.int64).reshape(len(labels), n).T
+    oneline = np.array(table.perms, dtype=np.int8).reshape(len(table.perms), n)
+    vanishes = np.ones((len(words), len(labels)), dtype=bool)
+    start = 0
+    for block in _support_blocks(table, words):
+        owner = np.repeat(np.arange(len(block), dtype=np.int64) << n * n,
+                          [len(v) for v, _ in block])
+        bits = np.left_shift(1, oneline[np.concatenate([v for v, _ in block])] - 1,
+                             dtype=np.int64)
+        coeffs = np.concatenate([c for _, c in block])
+        out = vanishes[start:start + len(block)]
+        for a in range(len(labels)):
+            keys = owner | bits @ weights[:, a]
+            order = np.argsort(keys)
+            keys = keys[order]
+            starts = np.flatnonzero(np.diff(keys, prepend=-1))
+            sums = np.add.reduceat(coeffs[order], starts)
+            out[keys[starts[sums != 0]] >> n * n, a] = False
+        start += len(block)
+    return vanishes
+
+
 def vanishing_criterion_check(
     n: int, table: Optional[KLTable] = None, allow_large: bool = False
 ) -> dict:
@@ -615,23 +669,34 @@ def vanishing_criterion_check(
     The content labelling alpha is read off the rows of the repeated-row
     matrix itself: that is the only reading consistent with the vanishing
     rule, and the report's ``note`` says so.
+
+    Both sides are read at set level: the immanants by ``_vanishing_matrix``
+    (``kl_immanant`` is the per-pair reading), semistandardizability by
+    comparing the descent bitmask of each recording tableau with the
+    positions i that share a block of alpha with i + 1.
     """
     if table is None:
         table = kl_table(n, allow_large=allow_large)
-    ones = Composition((1,) * n)
-    mismatches = []
-    cases = 0
-    for w in map(Permutation, _itertools_permutations(range(1, n + 1))):
-        q = rsk(w)[1]
-        for alpha in _compositions(n, n):
-            cases += 1
-            vanishes = kl_immanant(w, alpha, ones, table).is_zero()
-            if vanishes == is_semistandardizable(q, alpha):
-                mismatches.append({"w": list(w), "alpha": list(alpha)})
+    if table.n != n:
+        raise ValueError(f"the table is for rank {table.n}, not {n}")
+    alphas = _compositions(n, n)
+    labels = [alpha.labels() for alpha in alphas]
+    words = list(_itertools_permutations(range(1, n + 1)))
+    # bit i - 1 of inside[a] is set iff i and i + 1 fall in one block of alpha
+    inside = np.array([sum(1 << i - 1 for i in range(1, n) if r[i - 1] == r[i]) for r in labels])
+    descents = np.array([
+        sum(1 << i - 1 for i in descent_set(rsk(Permutation(p))[1])) for p in words
+    ])
+    semistandard = (inside & ~descents[:, None]) == 0
+    vanishes = _vanishing_matrix(table, words, labels)
+    mismatches = [
+        {"w": list(words[w]), "alpha": list(alphas[a])}
+        for w, a in np.argwhere(vanishes == semistandard).tolist()
+    ]
     return {
         "family": "kl-immanant-vanishing",
         "parameters": {"n": n},
-        "cases_checked": cases,
+        "cases_checked": vanishes.size,
         "mismatches": mismatches,
         "note": "the content labelling is read off the rows of the repeated-row matrix "
                 "itself, which is the only reading consistent with the vanishing rule",

@@ -108,6 +108,25 @@ class TestResidueTable:
         report = kf_root_of_unity_check(Partition((2, 2)), (1, 1, 1, 1), order)
         assert report["evaluation"] is None and report["verdict"] is False
 
+    def test_small_exponents_skip_the_factorization(self, monkeypatch):
+        """phi(m) >= sqrt(m / 2), so an element whose exponents e all have
+        2 e^2 < m is its own residue before m is factored: an order near
+        10^18 with no small prime factor costs no trial division."""
+        from cyclosieve import qpolys
+        from cyclosieve.ribbons import kf_root_of_unity_check
+
+        assert all(2 * qpolys.totient(m) ** 2 >= m for m in range(1, 20001))
+
+        def forbidden(m):
+            raise AssertionError(f"factored {m}")
+
+        monkeypatch.setattr(qpolys, "_prime_factors", forbidden)
+        order = 10**18 + 3
+        assert as_integer(CyclotomicElement(order, IntPolynomial((3, 0, -1)))) is None
+        assert as_integer(zeta(order, order) * 5 - 2) == 3
+        report = kf_root_of_unity_check(Partition((2, 2)), (1, 1, 1, 1), order)
+        assert report["evaluation"] is None and report["verdict"] is False
+
 
 class TestEvalAtRoot:
     def test_evaluation_table_222(self):

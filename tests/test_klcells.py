@@ -13,6 +13,7 @@ from cyclosieve import (
     Partition,
     Permutation,
     Tableau,
+    bruhat_leq,
     enumerate_syt,
     long_element,
     promote,
@@ -29,10 +30,12 @@ from cyclosieve.klcells import (
     representation_matrix,
     vanishing_criterion_check,
     verify_promotion_identity,
+    _compositions,
     _identity_matrix,
     _mat_mul,
+    _vanishing_matrix,
 )
-from cyclosieve.jeudetaquin import evacuate
+from cyclosieve.jeudetaquin import evacuate, is_semistandardizable
 from cyclosieve.permutations import rsk_inverse
 
 
@@ -181,6 +184,33 @@ class TestTableAxioms:
             if u != w and left[w] <= left[u] and right[w] <= right[u]
         )
         assert len(calls) == expected == 2220
+
+
+def _rank_criterion_leq(table):
+    """Test oracle: leq[u, w] iff r_u(i, j) <= r_w(i, j) for all i, j, where
+    r_w(i, j) counts the a <= i with w(a) >= j."""
+    n, size = table.n, len(table.perms)
+    above = np.array(table.perms, dtype=np.int8).reshape(size, n, 1) >= np.arange(1, n + 1)
+    rank = np.cumsum(above, axis=1, dtype=np.int8).reshape(size, n * n)
+    return np.array([np.all(rank <= rank[w], axis=1) for w in range(size)]).T
+
+
+class TestBruhatTable:
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_bruhat_leq(self, n):
+        table = KLTable(n)
+        perms = [Permutation(p) for p in table.perms]
+        expected = [[bruhat_leq(u, w) for w in perms] for u in perms]
+        assert table._leq.tolist() == expected
+
+    def test_matches_the_rank_criterion_at_rank_6(self):
+        table = kl_table(6)
+        assert np.array_equal(table._leq, _rank_criterion_leq(table))
+
+    def test_rows_are_contiguous(self):
+        """_leq is the transposed view of a table whose row w marks the u <= w."""
+        leq = kl_table(5)._leq
+        assert leq.T.flags.c_contiguous and leq.base is not None
 
 
 class TestMu:
@@ -494,6 +524,81 @@ class TestVanishingCriterion:
         report = vanishing_criterion_check(5)
         assert report["verdict"] and report["cases_checked"] == 1920
 
+    @pytest.mark.parametrize("n", range(6))
+    def test_matrix_matches_the_per_pair_immanants(self, n):
+        table = kl_table(n)
+        vanishes, mismatches = _vanishing_by_pairs(n, table)
+        words = list(itertools_permutations(range(1, n + 1)))
+        labels = [alpha.labels() for alpha in _compositions(n, n)]
+        assert _vanishing_matrix(table, words, labels).tolist() == vanishes
+        assert vanishing_criterion_check(n, table)["mismatches"] == mismatches
+
+    def test_blocks_cut_anywhere(self, monkeypatch):
+        """Cutting the stacked supports into blocks of any size leaves the
+        matrix as it is."""
+        from cyclosieve import klcells
+
+        table = kl_table(5)
+        words = list(itertools_permutations(range(1, 6)))
+        labels = [alpha.labels() for alpha in _compositions(5, 5)]
+        whole = _vanishing_matrix(table, words, labels)
+        for rows in (1, 7, 100, 1000):
+            monkeypatch.setattr(klcells, "_BLOCK_ROWS", rows)
+            assert np.array_equal(_vanishing_matrix(table, words, labels), whole), rows
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_keys_separate_monomials(self, monkeypatch, n):
+        """Give each w the support {v, v'} with coefficients 1 and -1, for
+        every pair v != v' of S_n: Imm_w(x_{alpha,1^n}) vanishes iff v and
+        v' give the same monomial, so no two monomials may share a key."""
+        table = kl_table(n)
+        words = list(itertools_permutations(range(1, n + 1)))
+        labels = [alpha.labels() for alpha in _compositions(n, n)]
+        size = len(words)
+        for shift in range(1, size):
+            partner = {table.index[w]: table.index[words[(i + shift) % size]]
+                       for i, w in enumerate(words)}
+            monkeypatch.setattr(
+                KLTable, "_signed_support",
+                lambda self, w: (np.array([w, partner[w]]), np.array([1, -1], dtype=np.int64)),
+            )
+            vanishes = _vanishing_matrix(table, words, labels)
+            expected = [
+                [sorted(zip(rows, v)) == sorted(zip(rows, words[(i + shift) % size]))
+                 for rows in labels]
+                for i, v in enumerate(words)
+            ]
+            assert vanishes.tolist() == expected, shift
+
+    def test_a_flipped_sign_is_caught(self, monkeypatch):
+        """Flipping the sign of one coefficient of one signed support, for any
+        w but w0, makes Imm_w(x_{(n),1^n}) nonzero: the verdict fails and
+        lists that w alone, with alpha = (n) among its mismatches."""
+        n = 4
+        table = KLTable(n)
+        original = KLTable._signed_support
+        for word in itertools_permutations(range(1, n + 1)):
+            if word == tuple(range(n, 0, -1)):
+                continue
+            target = table.index[word]
+
+            def flipped(self, w, target=target):
+                vs, coeffs = original(self, w)
+                if w == target:
+                    coeffs = coeffs.copy()
+                    coeffs[len(coeffs) // 2] *= -1
+                return vs, coeffs
+
+            monkeypatch.setattr(KLTable, "_signed_support", flipped)
+            report = vanishing_criterion_check(n, table)
+            assert not report["verdict"], word
+            assert {"w": list(word), "alpha": [n]} in report["mismatches"], word
+            assert {tuple(m["w"]) for m in report["mismatches"]} == {word}
+
+    def test_table_of_another_rank_is_rejected(self):
+        with pytest.raises(ValueError, match="rank 5, not 4"):
+            vanishing_criterion_check(4, kl_table(5))
+
     def test_all_ones_never_vanishes(self):
         table = kl_table(4)
         ones = Composition((1, 1, 1, 1))
@@ -507,6 +612,26 @@ class TestVanishingCriterion:
         q231 = rsk(Permutation((2, 3, 1)))[1]
         assert is_semistandardizable(q213, Composition((2, 1)))
         assert not is_semistandardizable(q231, Composition((2, 1)))
+
+
+def _vanishing_by_pairs(n, table):
+    """Test oracle: the vanishing rule read one immanant at a time.
+
+    Returns the matrix of kl_immanant(w, alpha, 1^n).is_zero() over w in
+    one-line order and alpha in _compositions order, and the (w, alpha)
+    where it disagrees with is_semistandardizable, as the report lists them.
+    """
+    ones = Composition((1,) * n)
+    vanishes, mismatches = [], []
+    for w in all_perms(n):
+        q = rsk(w)[1]
+        row = []
+        for alpha in _compositions(n, n):
+            row.append(kl_immanant(w, alpha, ones, table).is_zero())
+            if row[-1] == is_semistandardizable(q, alpha):
+                mismatches.append({"w": list(w), "alpha": list(alpha)})
+        vanishes.append(row)
+    return vanishes, mismatches
 
 
 def _reference_build(table):
