@@ -9,8 +9,9 @@ here is pure.
 from __future__ import annotations
 
 import math
+import operator
 from functools import cache
-from itertools import product
+from itertools import accumulate, product
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -64,16 +65,6 @@ class Partition(tuple):
             return False
         return all(o <= s for o, s in zip(other, self))
 
-    def remove_corner(self) -> "Partition":
-        """Drop the box at the end of the last row."""
-        if not self:
-            raise ValueError("empty partition has no corner")
-        parts = list(self)
-        parts[-1] -= 1
-        if parts[-1] == 0:
-            parts.pop()
-        return Partition(parts)
-
     def __repr__(self) -> str:
         return f"Partition{tuple(self)}"
 
@@ -103,9 +94,6 @@ class Composition(tuple):
         if not self:
             return self
         return Composition((self[-1],) + self[:-1])
-
-    def reversed_parts(self) -> "Composition":
-        return Composition(self[::-1])
 
     def sorted_partition(self) -> Partition:
         """Sort parts decreasingly and drop zeros."""
@@ -224,26 +212,35 @@ def _count_strips(rows: tuple[int, ...], ends: tuple[bool, ...], content: tuple[
         peeled: dict[tuple[int, ...], int] = {}
         for outer, ways in counts.items():
             floors = [0 if end else below for below, end in zip(outer[1:] + (0,), ends)]
-            keep = sum(outer) - part
-            for inner in product(*(range(floor, row + 1) for floor, row in zip(floors, outer))):
-                if sum(inner) == keep:
-                    peeled[inner] = peeled.get(inner, 0) + ways
+            for inner in _strips(outer, floors, part):
+                peeled[inner] = peeled.get(inner, 0) + ways
         counts = peeled
     return counts.get((0,) * len(rows), 0)
 
 
-def dominance_leq(mu: Partition, lam: Partition) -> bool:
-    """True iff mu <= lam in dominance order (partial sums comparison)."""
-    mu, lam = Partition(mu), Partition(lam)
-    if mu.size != lam.size:
+def _strips(outer: tuple[int, ...], floors: Sequence[int], size: Optional[int]) -> Iterator[tuple[int, ...]]:
+    """The tuples ``inner``, with ``floors[i] <= inner[i] <= outer[i]`` in
+    every row, that have ``size`` cells fewer than ``outer``, or any number
+    fewer when ``size`` is None.  With each floor the length of the row
+    below, outer/inner is a horizontal strip; :func:`_count_strips` and
+    :func:`_strip_words` peel the same strips.
+    """
+    most = sum(outer) if size is None else size  # cells that one row may lose
+    inners = product(*[range(max(floor, row - most), row + 1) if floor < row else (row,)
+                       for floor, row in zip(floors, outer)])
+    if size is None:
+        return inners
+    keep = sum(outer) - size
+    return (inner for inner in inners if sum(inner) == keep)
+
+
+def dominance_leq(mu: Sequence[int], lam: Sequence[int]) -> bool:
+    """True iff mu <= lam in dominance order: every partial sum of mu is at
+    most the partial sum of lam of the same length.  Trailing zero parts are
+    allowed, and a missing part counts as 0."""
+    if sum(mu) != sum(lam):
         raise ValueError("dominance order compares partitions of equal size")
-    total_mu = total_lam = 0
-    for i in range(max(len(mu), len(lam))):
-        total_mu += mu[i] if i < len(mu) else 0
-        total_lam += lam[i] if i < len(lam) else 0
-        if total_mu > total_lam:
-            return False
-    return True
+    return all(map(operator.le, accumulate(mu), accumulate(lam)))
 
 
 class Tableau:
@@ -427,63 +424,59 @@ def enumerate_syt(
     With ``packed`` no ``Tableau`` is built: row i of the N x (n + 2) result
     is the row-reading word of the i-th tableau followed by 0 and n + 1, the
     layout in which :func:`jeudetaquin.promotion_permutation` promotes a set.
-    The words are those of the standard content 1^n in :func:`_syt_words`.
+    The words are those of the content 1^n from :func:`_strip_words`, which
+    peels the values n, n - 1, ..., 1 off the shape one corner at a time.
     """
     shape = Partition(shape)
     limit = _resolve_cap(cap)
-    if syt_count(shape) > limit:
+    # n! bounds the count, and is far cheaper to compute on small shapes.
+    if math.factorial(shape.size) > limit and syt_count(shape) > limit:
         raise CapExceeded(f"SYT({tuple(shape)}) has {syt_count(shape)} > cap {limit} elements")
-    words = _syt_words(shape, Composition((1,) * shape.size))
+    words = _strip_words(shape, shape.size, Composition((1,) * shape.size))
     return words if packed else tableaux_from_words(words, shape)
 
 
-def _syt_words(shape: Partition, content: Composition) -> np.ndarray:
+def _strip_words(shape: Partition, k: int, content: Optional[Composition]) -> np.ndarray:
     """The packed, sorted row-reading words of the column-strict tableaux of
-    the given shape and content, as :func:`enumerate_cst` returns them with
-    ``packed``; SYT(shape) is the content 1^n.
+    the given shape with entries <= k, of the given content unless it is
+    None, as :func:`enumerate_cst` returns them with ``packed``.
 
-    A tableau of content a is a standard one whose values 1..a_1 are
-    labelled 1, the next a_2 values 2, and so on, where the values of each
-    label form a horizontal strip.  The values are placed in increasing
-    order, each at the end of a row that can take it, and written as their
-    labels.  A value that continues its label's block goes weakly north of
-    the value before it, which puts it strictly east.  Every completed word
-    is appended to one flat list, and the words are sorted as array rows.
+    The cells labelled v of such a tableau form a horizontal strip nu/rho,
+    where nu is the shape of its entries <= v.  The labels k, k - 1, ..., 1
+    are peeled off in turn, and the partial fillings of each inner shape are
+    one array: each strip off nu writes v into a copy of nu's array, one
+    slice per row it touches, and the copies are grouped by rho.  A rho that
+    no filling with entries < v completes is dropped: one with v or more
+    nonzero rows, or, with a content a, one that does not dominate the sorted
+    (a_1, ..., a_{v-1}), as the Kostka number K_{rho mu} is positive just
+    when rho dominates mu.  So every partial filling completes, no level
+    holds more fillings than the result, and one sort orders the words.
     """
-    n, nrows = shape.size, len(shape)
-    labels = (0,) + content.labels()  # a 0 for "no value" starts no block
-    starts = [sum(shape[:r]) for r in range(nrows)]
-    filled = [0] * nrows
-    row_of = [0] * (n + 1)  # the row where each placed value sits
-    word = [0] * n + [0, len(content) + 1]
-    flat: list[int] = []
-    # Depth-first, without recursion: ``value`` is the next value to place
-    # and ``r`` the first row to try it in.
-    value, r = 1, 0
-    while value:
-        if value > n:
-            flat.extend(word)
+    n = shape.size
+    starts = list(accumulate(shape, initial=0))
+    dtype = word_dtype(k)
+    blank = np.zeros((1, n + 2), dtype)
+    blank[0, n + 1] = k + 1
+    level = {tuple(shape): [blank]}
+    for v in range(k, 0, -1):
+        if content is None:
+            size, completes = None, lambda rho: len(rho) < v or not rho[v - 1]
         else:
-            stop = row_of[value - 1] + 1 if labels[value] == labels[value - 1] else nrows
-            while r < stop:
-                c = filled[r]
-                if c < shape[r] and (r == 0 or c < filled[r - 1]):
-                    break
-                r = stop if c == 0 else r + 1  # below an empty row all are empty
-            if r < stop:
-                word[starts[r] + c] = labels[value]
-                filled[r] = c + 1
-                row_of[value] = r
-                value, r = value + 1, 0
-                continue
-        # Take back the previous value and try it in the rows below its own.
-        value -= 1
-        if value:
-            r = row_of[value]
-            filled[r] -= 1
-            r += 1
-
-    words = np.array(flat, dtype=word_dtype(len(content))).reshape(-1, n + 2)
+            mu = sorted(content[:v - 1], reverse=True)
+            size, completes = content[v - 1], lambda rho: dominance_leq(mu, rho)
+        peeled: dict[tuple[int, ...], list[np.ndarray]] = {}
+        for nu, arrays in level.items():
+            words = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+            rhos = list(filter(completes, _strips(nu, nu[1:] + (0,), size)))
+            for rho in rhos:
+                out = words.copy() if rho != rhos[-1] else words  # the last strip takes nu's own array
+                for r, (lo, hi) in enumerate(zip(rho, nu)):
+                    if lo < hi:
+                        out[:, starts[r] + lo:starts[r] + hi] = v
+                peeled.setdefault(rho, []).append(out)
+        level = peeled
+    arrays = level.get((0,) * len(shape), [np.zeros((0, n + 2), dtype)])
+    words = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
     if len(words) > 1:
         words = words[np.lexsort(words.T[n - 1::-1])]
     return words
@@ -500,49 +493,6 @@ def tableaux_from_words(words: np.ndarray, shape: Partition) -> list[Tableau]:
     return list(map(Tableau._trusted, zip(*rows)))
 
 
-def _enumerate_fillings(shape: Partition, k: int) -> np.ndarray:
-    """The packed row-reading words of the column-strict fillings with
-    entries <= k, in the layout of :func:`enumerate_syt`.
-
-    Cells are filled in row-major order, smallest value first, so the words
-    come out sorted.  A cell takes at least its west neighbour and more than
-    its north neighbour, read through the always-0 sentinel at index n when
-    it has none, and at most k less the number of cells below it.
-    """
-    n = shape.size
-    west, north, top = [n] * n, [n] * n, [k] * n
-    start = 0
-    for r, length in enumerate(shape):
-        for i in range(start, start + length):
-            if i > start:
-                west[i] = i - 1
-            if r:
-                north[i] = i - shape[r - 1]
-        start += length
-    for i in reversed(range(n)):
-        if north[i] < n:
-            top[north[i]] = top[i] - 1
-    word = [0] * n + [0, k + 1]
-    flat: list[int] = []
-    # Depth-first, without recursion: ``i`` is the cell to fill and
-    # ``value`` the smallest value left to try there.
-    i, value = 0, 1
-    while i >= 0:
-        if i == n:
-            flat.extend(word)
-        else:
-            value = max(value, word[west[i]], word[north[i]] + 1)
-            if value <= top[i]:
-                word[i] = value
-                i, value = i + 1, 1
-                continue
-        # Take back the previous cell's value and try the next one there.
-        i -= 1
-        if i >= 0:
-            value = word[i] + 1
-    return np.array(flat, dtype=word_dtype(k)).reshape(-1, n + 2)
-
-
 def enumerate_cst(
     shape: Partition,
     k: int,
@@ -552,14 +502,14 @@ def enumerate_cst(
 ) -> list[Tableau] | np.ndarray:
     """All column-strict tableaux with entries <= k, sorted by row-reading word.
 
-    When ``content`` is given it must have length k and size |shape|; the
-    enumeration is then restricted to that content and placed value by value
-    (:func:`_syt_words`), and otherwise filled cell by cell
-    (:func:`_enumerate_fillings`).  Either way an exact count, the Kostka
-    number :func:`cst_tuple_count` or :func:`cst_count`, is held against the
-    cap before anything is filled.  With ``packed`` no ``Tableau`` is built:
-    row i of the N x (n + 2) result is the row-reading word of the i-th
-    tableau followed by 0 and k + 1, as :func:`enumerate_syt` returns it.
+    When ``content`` is given it must have length k and size |shape|, and
+    the enumeration is restricted to that content.  Either way the labels
+    k, ..., 1 are peeled off the shape as horizontal strips
+    (:func:`_strip_words`), after an exact count, the Kostka number
+    :func:`cst_tuple_count` or the hook-content count :func:`cst_count`, is
+    held against the cap.  With ``packed`` no ``Tableau`` is built: row i of
+    the N x (n + 2) result is the row-reading word of the i-th tableau
+    followed by 0 and k + 1, as :func:`enumerate_syt` returns it.
     """
     shape = Partition(shape)
     if content is not None:
@@ -572,15 +522,12 @@ def enumerate_cst(
         raise ValueError("bound must be nonnegative")
     limit = _resolve_cap(cap)
     # k^n bounds either count, and is far cheaper to compute on small sets.
-    small = k ** shape.size <= limit
-    if content is not None:
-        if not small and cst_tuple_count((shape,), content) > limit:
+    if k ** shape.size > limit:
+        if content is not None and cst_tuple_count((shape,), content) > limit:
             raise CapExceeded(f"enumeration exceeded cap {limit}")
-        words = _syt_words(shape, content)
-    else:
-        if not small and cst_count(shape, k) > limit:
+        if content is None and cst_count(shape, k) > limit:
             raise CapExceeded(f"CST({tuple(shape)}, {k}) has {cst_count(shape, k)} > cap {limit} elements")
-        words = _enumerate_fillings(shape, k)
+    words = _strip_words(shape, k, content)
     return words if packed else tableaux_from_words(words, shape)
 
 

@@ -506,15 +506,29 @@ class TestReportOutput:
          "0306fd1bb3d8b9acb8e47af58e91c77d9b42fd7a7b6e12afd3cd3e8e2378954c"),
         ("ribbon kf-check --shape 4 --content 3,1 --power 2 --json", 1,
          "803ef945d5570d94589a3a08b3e9890cf1b9b4d73c40c3fe00eaaf8150144366"),
+        ("enumerate cst --shape 3,2,2 --bound 5 --json", 0,
+         "614267a8e84ee46a23d9a1ba527efcebb4259f9e878112bd8873025d2ed1408f"),
+        ("enumerate cst --shape 3,3 --bound 4 --content 2,1,2,1 --json", 0,
+         "a395c9213bfe4cc13fe04ae7cfa30f65c72fffe7f9fb3a9b46a59541881b7ab0"),
+        ("enumerate rst --shape 3,2 --bound 4 --json", 0,
+         "a7c3c55673f2103dbf61a4d7fba7f36178a3352635774e8bfc17d1a6dec12fa5"),
+        ("enumerate rst --shape 2,2,1 --bound 3 --content 2,2,1 --json", 0,
+         "e5027e9c4fdd1824335fc0149d718c10b58b9794e2d0ab6024735a05bb628cee"),
+        ("enumerate syt --shape 4,3,1 --json", 0,
+         "b15b5c11c76aa7cbc2e8fd07217e3ba26b366d76dc394495b0c97d04ed822485"),
     ], ids=["dihedral-text", "verify-3,3-text", "mu-3,1-text", "content-power-2-text",
             "syt-3,3,1-text", "immanants-3-text", "immanants-3-json", "kf-divisible-text",
-            "kf-divisible-json", "kf-note-text", "kf-note-json"])
+            "kf-divisible-json", "kf-note-text", "kf-note-json", "enumerate-cst-json",
+            "enumerate-cst-content-json", "enumerate-rst-json", "enumerate-rst-content-json",
+            "enumerate-syt-json"])
     def test_reports_are_pinned(self, capsys, argv, code, digest):
         """SHA-256 of outputs recorded while each report was a dataclass
         with its own ``to_dict``.  Text mode prints the payload's keys in
         insertion order, so these pin that order; mu-invariance on 3,1 lists
         its failures, 3,3,1 prints ``eval_repr`` rows, and kf-check on (4)
-        with content 3,1 takes the branch that ends in ``note``."""
+        with content 3,1 takes the branch that ends in ``note``.  The
+        ``enumerate`` digests were recorded while CST(shape, k) was filled
+        cell by cell and every fixed content value by value."""
         assert run(argv.split()) == code
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 

@@ -169,7 +169,7 @@ class TestEvacuation:
                     for t in enumerate_cst(lam, k):
                         e = evacuate(t, k)
                         assert e.is_column_strict(k)
-                        assert e.content(k) == t.content(k).reversed_parts()
+                        assert e.content(k) == t.content(k)[::-1]
                         assert evacuate(e, k) == t
 
     def test_single_column_fixed(self):

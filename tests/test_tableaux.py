@@ -20,6 +20,7 @@ from cyclosieve import (
     hook_length,
     syt_count,
 )
+from cyclosieve.tableaux import word_dtype
 
 
 class TestPartition:
@@ -89,6 +90,59 @@ def _enumerate_syt_oracle(shape):
 
     place(1)
     return sorted(results, key=Tableau.row_word)
+
+
+def _row_major_oracle(shape, k):
+    """The packed words of CST(shape, k), filled depth first cell by cell in
+    row-major order, smallest value first, so they come out sorted with no
+    sort.  A cell takes at least its west neighbour and more than its north
+    neighbour, read through the always-0 sentinel at index n when it has
+    none, and at most k less the number of cells below it."""
+    n = shape.size
+    west, north, top = [n] * n, [n] * n, [k] * n
+    start = 0
+    for r, length in enumerate(shape):
+        for i in range(start, start + length):
+            if i > start:
+                west[i] = i - 1
+            if r:
+                north[i] = i - shape[r - 1]
+        start += length
+    for i in reversed(range(n)):
+        if north[i] < n:
+            top[north[i]] = top[i] - 1
+    word = [0] * n + [0, k + 1]
+    flat = []
+    i, value = 0, 1
+    while i >= 0:
+        if i == n:
+            flat.extend(word)
+        else:
+            value = max(value, word[west[i]], word[north[i]] + 1)
+            if value <= top[i]:
+                word[i] = value
+                i, value = i + 1, 1
+                continue
+        i -= 1
+        if i >= 0:
+            value = word[i] + 1
+    return np.array(flat, dtype=word_dtype(k)).reshape(-1, n + 2)
+
+
+@pytest.fixture
+def strip_calls(monkeypatch):
+    """The argument tuples of every call to the strip filler from here on."""
+    from cyclosieve import tableaux
+
+    calls = []
+    fill = tableaux._strip_words
+
+    def spy(*args):
+        calls.append(args)
+        return fill(*args)
+
+    monkeypatch.setattr(tableaux, "_strip_words", spy)
+    return calls
 
 
 class TestEnumerateSyt:
@@ -227,7 +281,7 @@ class TestEnumerateCst:
 
     def test_cap_is_checked_before_filling(self, monkeypatch):
         """With or without a content, an over-cap set is refused from its
-        count before either filler runs; the boundary is count > cap."""
+        count before the strip filler runs; the boundary is count > cap."""
         from cyclosieve import tableaux
 
         lam = Partition((2, 2))
@@ -241,8 +295,7 @@ class TestEnumerateCst:
         def refuse(*args):
             raise AssertionError("the filler ran")
 
-        monkeypatch.setattr(tableaux, "_enumerate_fillings", refuse)
-        monkeypatch.setattr(tableaux, "_syt_words", refuse)
+        monkeypatch.setattr(tableaux, "_strip_words", refuse)
         for shape, k, cap in [(lam, 3, 5), (lam, 3, 0), (Partition((6, 6, 6)), 12, None)]:
             with pytest.raises(CapExceeded):
                 enumerate_cst(shape, k, cap=cap)
@@ -257,47 +310,45 @@ class TestEnumerateCst:
         with pytest.raises(AssertionError, match="the filler ran"):
             enumerate_cst(Partition((3, 3)), 6, ones, cap=5)
 
-    def test_every_content_takes_the_labelled_filler(self, monkeypatch):
-        """Every content is placed value by value and never filled row-major:
-        its words are the unrestricted words of that content, with the same
-        dtype, and the row-major filler never runs."""
-        from cyclosieve import tableaux
-
-        oracle = {}
+    def test_words_are_the_row_major_oracle_words(self, strip_calls):
+        """Every call, with or without a content, runs the strip filler once,
+        and its words and dtype are the row-major oracle's: all of them
+        without a content, and those of the content with one."""
         for lam in all_partitions_up_to(7):
-            for k in range(0, 5):
-                words = enumerate_cst(lam, k, packed=True)
-                contents = [tuple(np.bincount(w[:lam.size], minlength=k + 1)[1:]) for w in words]
+            for k in range(0, 6):
+                oracle = _row_major_oracle(lam, k)
+                got = enumerate_cst(lam, k, packed=True)
+                assert got.dtype == oracle.dtype and np.array_equal(got, oracle), (lam, k)
+                contents = [tuple(np.bincount(w[:lam.size], minlength=k + 1)[1:]) for w in oracle]
                 for alpha in compositions_of(lam.size, k):
-                    oracle[lam, alpha] = words[[c == alpha for c in contents]]
+                    words = oracle[[c == alpha for c in contents]]
+                    got = enumerate_cst(lam, k, alpha, packed=True)
+                    assert got.dtype == words.dtype and np.array_equal(got, words), (lam, alpha)
+                assert len(strip_calls) == 1 + sum(1 for _ in compositions_of(lam.size, k)), (lam, k)
+                strip_calls.clear()
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("the row-major filler ran")
-
-        monkeypatch.setattr(tableaux, "_enumerate_fillings", refuse)
-        for (lam, alpha), words in oracle.items():
-            got = enumerate_cst(lam, len(alpha), alpha, packed=True)
-            assert got.dtype == words.dtype and np.array_equal(got, words), (lam, alpha)
-
-    def test_standard_content_takes_the_syt_filler(self, monkeypatch):
-        """A content of n ones gives the SYT words, behind a count check, and
-        not through ``enumerate_syt``, whose results the benchmark counts;
-        5^4 has 1,662,804 SYT and is refused from its count."""
+    def test_standard_content_is_the_syt_oracle(self, monkeypatch, strip_calls):
+        """A content of n ones gives the row words of the recursive SYT
+        oracle, through the strip filler behind a count check, and not
+        through ``enumerate_syt``, whose results the benchmark counts; 5^4
+        has 1,662,804 SYT and is refused from its count."""
         from cyclosieve import tableaux
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the wrong filler ran")
+            raise AssertionError("enumerate_syt ran")
 
-        monkeypatch.setattr(tableaux, "_enumerate_fillings", refuse)
-        oracle = {lam: enumerate_syt(lam, packed=True) for lam in all_partitions_up_to(7)}
         monkeypatch.setattr(tableaux, "enumerate_syt", refuse)
-        for lam, words in oracle.items():
-            ones = Composition((1,) * lam.size)
-            got = enumerate_cst(lam, lam.size, ones, packed=True)
-            assert got.dtype == words.dtype and np.array_equal(got, words), lam
+        for lam in all_partitions_up_to(7):
+            n = lam.size
+            ones = Composition((1,) * n)
+            got = enumerate_cst(lam, n, ones, packed=True)
+            expected = [[*t.row_word(), 0, n + 1] for t in _enumerate_syt_oracle(lam)]
+            assert got.dtype == np.int8 and got.tolist() == expected, lam
+        assert len(strip_calls) == len(list(all_partitions_up_to(7)))
         for shape, cap in [(Partition((2, 2)), 1), (Partition((5, 5, 5, 5)), None)]:
             with pytest.raises(CapExceeded, match="enumeration exceeded cap"):
                 enumerate_cst(shape, shape.size, Composition((1,) * shape.size), cap=cap)
+        assert len(strip_calls) == len(list(all_partitions_up_to(7)))
 
     def test_rst_is_transposed_cst(self):
         lam = Partition((3, 2))
@@ -358,6 +409,7 @@ class TestDominance:
         assert dominance_leq(Partition((2, 2)), Partition((3, 1)))
         assert dominance_leq(Partition((3, 1)), Partition((3, 1)))
         assert not dominance_leq(Partition((3, 1)), Partition((2, 2)))
+        assert dominance_leq((2, 1, 0), (3, 0, 0)) and not dominance_leq((3, 0), (2, 1))
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
