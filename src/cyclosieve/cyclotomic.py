@@ -59,7 +59,6 @@ class CyclotomicElement:
                 terms[e] = terms.get(e, 0) + c
         _set(self, "order", order)
         _set(self, "_terms", {e: c for e, c in terms.items() if c})
-        _set(self, "_residue", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicElement is immutable")
@@ -71,8 +70,10 @@ class CyclotomicElement:
 
     @property
     def residue(self) -> IntPolynomial:
-        """The canonical representative mod Phi_m, of degree below phi(m)."""
-        residue = self._residue
+        """The canonical representative mod Phi_m, of degree below phi(m).
+
+        The ``_residue`` slot stays empty until this first read fills it."""
+        residue = getattr(self, "_residue", None)
         if residue is None:
             terms = self._terms
             top = max(terms, default=0)
@@ -107,9 +108,10 @@ class CyclotomicElement:
         return NotImplemented  # type: ignore[return-value]
 
     def _plus(self, other, sign: int):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not CyclotomicElement or other.order != self.order:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         terms = dict(self._terms)
         for e, c in other._terms.items():
             total = terms.get(e, 0) + sign * c
@@ -135,19 +137,23 @@ class CyclotomicElement:
 
     def __mul__(self, other):
         m = self.order
-        if isinstance(other, int):
-            if not other:
-                return _element(m, {})
-            return _element(m, {e: c * other for e, c in self._terms.items()})
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not CyclotomicElement or other.order != m:
+            if isinstance(other, int):
+                if not other:
+                    return _element(m, {})
+                return _element(m, {e: c * other for e, c in self._terms.items()})
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
         if len(a) == 1:
             # A monomial c q^e: rotate the other factor by e and scale by c.
             ((e, c),) = a.items()
+            if len(b) == 1:
+                ((f, x),) = b.items()
+                return _element(m, {(e + f) % m: c * x})
             return _element(m, {(f + e) % m: c * x for f, x in b.items()})
         product: dict[int, int] = {}
         for e, c in a.items():
@@ -203,12 +209,17 @@ class CyclotomicElement:
 
 
 def _element(order: int, terms: dict[int, int]) -> CyclotomicElement:
-    """Wrap nonzero coefficients keyed by exponent mod ``order``, unchecked."""
+    """Wrap nonzero coefficients keyed by exponent mod ``order``, unchecked;
+    the residue slot is left for :attr:`CyclotomicElement.residue` to fill."""
     element = _new(CyclotomicElement)
-    _set(element, "order", order)
-    _set(element, "_terms", terms)
-    _set(element, "_residue", None)
+    _set_order(element, order)
+    _set_terms(element, terms)
     return element
+
+
+# The slots' own setters, which skip the by-name lookup of object.__setattr__.
+_set_order = CyclotomicElement.order.__set__
+_set_terms = CyclotomicElement._terms.__set__
 
 
 def zeta(m: int, d: int = 1) -> CyclotomicElement:

@@ -25,6 +25,7 @@ from .qpolys import (
     q_binomial_product,
     q_catalan_product,
     q_hook_product,
+    totient,
 )
 from .tableaux import (
     CapExceeded,
@@ -190,9 +191,11 @@ def syt_csp_report(
     the case on rectangles) and to the empirical order otherwise, so that
     non-rectangular shapes can be explored directly; the empty shape takes
     modulus 1.  The q-hook formula stays in factored form, so [n]!_q is
-    never expanded.  A modulus above the cap is refused, since every power
-    below it is evaluated: a given one before enumerating, the default one
-    as soon as the promotion order is known.
+    never expanded.  A modulus m above the cap is refused, since every power
+    below it is evaluated, and so is one whose m rows of up to phi(m)
+    residue terms each exceed TERMS_PER_CAP times the cap: a given modulus
+    before enumerating, the default one as soon as the promotion order is
+    known.
     """
     shape = Partition(shape)
     n = shape.size
@@ -211,11 +214,26 @@ def syt_csp_report(
     )
 
 
+# Residue terms that a report may print per unit of the cap.  The default
+# modulus of 6,2,1, 3,696 with 3,696 * phi(3,696) = 3,548,160 terms (11.5 MB
+# of --json), fits under the default cap; that of 5,2,1,1,1, 16,744 with
+# 106,089,984 terms (478 MB), does not.
+TERMS_PER_CAP = 10
+
+
 def _check_modulus(modulus: int, what: str, cap: Optional[int]) -> None:
     limit = _resolve_cap(cap)
     if modulus > limit:
         raise ValueError(
             f"{what} {modulus} exceeds the cap {limit}; "
+            "pass a smaller --modulus or a larger --cap"
+        )
+    budget = TERMS_PER_CAP * limit
+    # phi(m) <= m, so a modulus whose square is within the budget is not factored
+    if modulus > 0 and modulus * modulus > budget and modulus * totient(modulus) > budget:
+        raise ValueError(
+            f"{what} {modulus} gives {modulus} * phi({modulus}) = {modulus * totient(modulus)} "
+            f"residue terms, over {TERMS_PER_CAP} times the cap {limit}; "
             "pass a smaller --modulus or a larger --cap"
         )
 

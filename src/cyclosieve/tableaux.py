@@ -31,6 +31,8 @@ class Partition(tuple):
     """A weakly decreasing tuple of positive integers."""
 
     def __new__(cls, parts: Sequence[int] = ()) -> "Partition":
+        if type(parts) is cls:  # immutable, and checked when it was built
+            return parts
         parts = tuple(int(p) for p in parts)
         for i, p in enumerate(parts):
             if p < 1:
@@ -73,6 +75,8 @@ class Composition(tuple):
     """A tuple of nonnegative integers; zero parts are allowed and kept."""
 
     def __new__(cls, parts: Sequence[int] = ()) -> "Composition":
+        if type(parts) is cls:  # immutable, and checked when it was built
+            return parts
         parts = tuple(int(p) for p in parts)
         if any(p < 0 for p in parts):
             raise ValueError(f"composition parts must be nonnegative: {parts}")
@@ -126,11 +130,15 @@ def abacus(shape: Partition, m: int) -> tuple[tuple[int, ...], tuple[Partition, 
     The beads are the beta-set of ``shape`` whose length is the least positive
     multiple of m that is at least its row count.  Runner i holds the beads
     b = i mod m, and their levels b // m are the beta-set of the i-th
-    quotient partition.
+    quotient partition.  Results are memoised per (partition, m).
     """
     if m < 1:
         raise ValueError("ribbon size must be positive")
-    shape = Partition(shape)
+    return _abacus(Partition(shape), m)
+
+
+@cache
+def _abacus(shape: Partition, m: int) -> tuple[tuple[int, ...], tuple[Partition, ...]]:
     runners: list[list[int]] = [[] for _ in range(m)]
     for b in beta_set(shape, m * ((max(len(shape), 1) + m - 1) // m)):
         runners[b % m].append(b // m)
@@ -158,12 +166,22 @@ def hook_lengths(shape: Partition) -> dict[tuple[int, int], int]:
     return {(r, c): shape[r - 1] - c + columns[c - 1] - r + 1 for r, c in shape.cells()}
 
 
+def _hook_product(shape: Partition) -> int:
+    """The product of the hook lengths, arm + leg + 1, read off the conjugate
+    with no cell walk.  Cell (r, c), 0-indexed, has hook
+    (columns[c] - c) + (shape[r] - r - 1)."""
+    columns: list[int] = []
+    for r in range(len(shape), 0, -1):
+        columns.extend([r] * (shape[r - 1] - len(columns)))
+    drops = [height - c for c, height in enumerate(columns)]
+    return math.prod(d + length - r - 1 for r, length in enumerate(shape) for d in drops[:length])
+
+
 def syt_count(shape: Partition) -> int:
     """Number of standard fillings, by the hook length formula."""
     shape = Partition(shape)
     n = shape.size
-    denom = math.prod(hook_lengths(shape).values())
-    count, rem = divmod(math.factorial(n), denom)
+    count, rem = divmod(math.factorial(n), _hook_product(shape))
     if rem:
         raise AssertionError(f"hook product does not divide {n}! for {shape}")
     return count
@@ -175,9 +193,9 @@ def cst_count(shape: Partition, k: int) -> int:
     shape = Partition(shape)
     if k < 0:
         raise ValueError("bound must be nonnegative")
-    numer = math.prod(k + c - r for r, c in shape.cells())
-    denom = math.prod(hook_lengths(shape).values())
-    count, rem = divmod(numer, denom)
+    # row r (0-indexed) has the contents -r, ..., length - r - 1
+    numer = math.prod(math.prod(range(k - r, k - r + length)) for r, length in enumerate(shape))
+    count, rem = divmod(numer, _hook_product(shape))
     if rem:
         raise AssertionError(f"hook product does not divide the content product for {shape}, k = {k}")
     return count
@@ -287,7 +305,7 @@ class Tableau:
                 if x > k:
                     raise ValueError(f"entry {x} exceeds content length {k}")
                 counts[x - 1] += 1
-        return Composition(counts)
+        return tuple.__new__(Composition, counts)  # counts are never negative
 
     def position(self, value: int) -> tuple[int, int]:
         """1-indexed cell of a value that occurs exactly once."""

@@ -133,6 +133,34 @@ class TestExitCodes:
         assert run(["csp", "syt", "--shape", "4^4", "--modulus", str(10**41)]) == 2
         assert "--modulus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, terms", [
+        ("csp syt --shape 5,2,1,1,1 --json", 16744 * 6336),
+        ("csp syt --shape 2,2 --modulus 40 --cap 63", 40 * 16),
+    ], ids=["default-5,2,1,1,1", "given-40-cap-63"])
+    def test_output_terms_over_the_cap_are_two(self, monkeypatch, capsys, argv, terms):
+        """m rows of up to phi(m) residue terms each are held against ten
+        times the cap once m is known.  The default modulus of 5,2,1,1,1 is
+        16,744; its run used to take about a minute and print 478 MB.  A
+        given modulus is refused before anything is enumerated."""
+        from cyclosieve import sieving
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verified over the cap")
+
+        monkeypatch.setattr(sieving, "verify_csp", refuse)
+        if "--modulus" in argv:
+            monkeypatch.setattr(sieving, "enumerate_syt", refuse)
+        assert run(argv.split()) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+        assert f"= {terms} residue terms" in err and "--modulus" in err and "--cap" in err
+
+    def test_output_terms_at_the_cap_still_run(self, capsys):
+        """m * phi(m) equal to ten times the cap is allowed; 2,2 sieves only
+        at its own modulus 4, so the run ends in a FAIL verdict."""
+        assert run("csp syt --shape 2,2 --modulus 40 --cap 64 --json".split()) == 1
+        assert json.loads(capsys.readouterr().out)["m"] == 40
+
     def test_default_modulus_under_the_cap_still_runs(self, capsys):
         """6,2,1 takes its promotion order 3,696 as the modulus: the
         documented non-rectangle failure, unchanged by the cap check."""

@@ -1,3 +1,4 @@
+import operator
 import random
 from functools import cache
 
@@ -270,3 +271,67 @@ class TestAgainstReducedReference:
         assert repr(x) == "(z5^2)"
         with pytest.raises(AttributeError):
             x.residue = IntPolynomial.one()
+
+
+class TestSameOrderFastPath:
+    """Same-order operands skip the coercion step, and a product of two
+    monomials is one term; the reference reduces after every operation."""
+
+    @staticmethod
+    def monomials(m):
+        for e in range(m + 2):
+            for c in (-2, 1, 3):
+                p = IntPolynomial.monomial(e, c)
+                yield CyclotomicElement(m, p), reduced(m, p)
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_monomial_pairs_match_the_reference(self, m):
+        for x, rx in self.monomials(m):
+            for y, ry in self.monomials(m):
+                assert (x * y).residue == reduced(m, rx * ry)
+                assert (x + y).residue == reduced(m, rx + ry)
+                assert (x - y).residue == reduced(m, rx - ry)
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_integer_on_either_side_matches_the_reference(self, m):
+        for x, rx in self.monomials(m):
+            for n in (-3, 0, 1, 5):
+                rn = IntPolynomial((n,))
+                assert (x * n).residue == (n * x).residue == reduced(m, rx * rn)
+                assert (x + n).residue == (n + x).residue == reduced(m, rx + rn)
+                assert (x - n).residue == reduced(m, rx - rn)
+                assert (n - x).residue == reduced(m, rn - rx)
+
+    def test_same_order_operands_are_not_coerced(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("coerced a same-order operand")
+
+        x, y = zeta(7, 3) * 2, zeta(7, 5)
+        long = sum((zeta(7, d) * d for d in range(7)), zeta(7, 0))
+        monkeypatch.setattr(CyclotomicElement, "_coerce", refuse)
+        assert (x * y).residue == IntPolynomial.monomial(1, 2)
+        assert x + y == y + x and x - y == -(y - x)
+        assert (x * long) * y == x * (long * y)
+
+    @pytest.mark.parametrize("op", [operator.mul, operator.add, operator.sub])
+    def test_mixed_orders_still_raise(self, op):
+        with pytest.raises(ValueError, match="mixed orders 3 and 4"):
+            op(zeta(3), zeta(4))
+
+    def test_residue_is_filled_once_and_stays_read_only(self, monkeypatch):
+        from cyclosieve import cyclotomic
+
+        calls = []
+        real_totient = cyclotomic.totient
+        monkeypatch.setattr(cyclotomic, "totient", lambda m: calls.append(m) or real_totient(m))
+        x = zeta(7, 6) * 3 + zeta(7, 2)  # q^6 is above phi(7) = 6, so the table is read
+        for _ in range(2):
+            with pytest.raises(AttributeError):
+                x.residue = IntPolynomial.one()
+            with pytest.raises(AttributeError):
+                x._residue = IntPolynomial.one()
+            first = x.residue
+            filled = len(calls)
+            assert filled > 0
+            assert x.residue is first and len(calls) == filled
+        assert first == reduced(7, IntPolynomial.from_terms({6: 3, 2: 1}))

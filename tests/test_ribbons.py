@@ -1,10 +1,13 @@
 import collections
+import importlib
+from pathlib import Path
 
 import pytest
 
 from conftest import all_partitions_up_to, compositions_of, partitions_of, rectangles_up_to
 
-from cyclosieve import Composition, Partition, enumerate_cst
+import cyclosieve
+from cyclosieve import Composition, Partition, enumerate_cst, tableaux
 from cyclosieve.ribbons import (
     count_ribbon_cst,
     enumerate_ribbon_cst,
@@ -14,7 +17,7 @@ from cyclosieve.ribbons import (
     reduced_content,
     spin_sign,
 )
-from cyclosieve.tableaux import abacus
+from cyclosieve.tableaux import abacus, beta_set, partition_from_beta
 
 EMPTY = Partition(())
 
@@ -94,6 +97,61 @@ class TestCoresAndQuotients:
         quotient = abacus(Partition((2, 2)), 2)[1]
         assert sorted(q.size for q in quotient) in ([0, 2], [1, 1])
         assert sum(q.size for q in quotient) == 2
+
+
+def uncached_abacus(shape, m):
+    """The abacus read afresh on every call: bead counts and m-quotient."""
+    shape = Partition(shape)
+    runners = [[] for _ in range(m)]
+    for b in beta_set(shape, m * ((max(len(shape), 1) + m - 1) // m)):
+        runners[b % m].append(b // m)
+    return tuple(map(len, runners)), tuple(map(partition_from_beta, runners))
+
+
+class TestAbacusCache:
+    def test_matches_the_uncached_reading(self):
+        tableaux._abacus.cache_clear()
+        for lam in all_partitions_up_to(8):
+            for m in range(1, 6):
+                expected = uncached_abacus(lam, m)
+                assert abacus(list(lam), m) == expected, (lam, m)
+                assert abacus(lam, m) == expected and abacus(tuple(lam), m) == expected
+
+    def test_inputs_are_still_checked(self):
+        with pytest.raises(ValueError, match="ribbon size"):
+            abacus(Partition((2, 1)), 0)
+        with pytest.raises(ValueError):
+            abacus([1, 2], 2)
+
+    def test_benchmark_worker_clears_the_cache(self, monkeypatch):
+        """The benchmark worker clears every module-level memo cache before
+        each op, so that every op starts cold."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        worker = importlib.import_module("worker")
+        clears = worker.memo_caches(cyclosieve)
+        assert tableaux._abacus.cache_clear in clears
+        abacus([3, 1], 2)
+        assert tableaux._abacus.cache_info().currsize > 0
+        for clear in clears:
+            clear()
+        assert tableaux._abacus.cache_info().currsize == 0
+
+    def test_count_checks_the_size_first(self, monkeypatch):
+        """A content of the wrong size counts 0 without reading the abacus;
+        a ribbon size below 1 is still refused."""
+        from cyclosieve import ribbons
+
+        def refuse(*args):
+            raise AssertionError("read the abacus")
+
+        monkeypatch.setattr(ribbons, "abacus", refuse)
+        assert count_ribbon_cst(Partition((2, 2)), 2, Composition((1,))) == 0
+        assert count_ribbon_cst(Partition((2, 2)), 3, Composition((1, 1))) == 0
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="ribbon size"):
+            count_ribbon_cst(Partition((2, 2)), 0, Composition((1, 1)))
+        with pytest.raises(ValueError):
+            count_ribbon_cst([1, 2], 2, Composition((1,)))
 
 
 class TestTilingsAndSpin:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,35 @@ class TestPartition:
                 assert lam.conjugate().conjugate() == lam
 
 
+class TestConstructors:
+    """A value already of the exact type is returned as is; anything else,
+    plain tuples included, is still checked."""
+
+    def test_own_type_is_returned_as_is(self):
+        lam, alpha = Partition((3, 1, 1)), Composition((0, 2, 1))
+        assert Partition(lam) is lam and Composition(alpha) is alpha
+        assert Partition(()) == () and Composition(Composition(())) == ()
+
+    @pytest.mark.parametrize("make", [list, tuple, iter], ids=["list", "tuple", "generator"])
+    def test_other_inputs_are_still_checked(self, make):
+        for bad in ((1, 2), (2, 0), (2, -1)):
+            with pytest.raises(ValueError):
+                Partition(make(bad))
+        with pytest.raises(ValueError):
+            Composition(make((1, -1)))
+        assert type(Partition(make((2, 1)))) is Partition and Partition(make((2, 1))) == (2, 1)
+        assert type(Composition(make((0, 2)))) is Composition and Composition(make((0, 2))) == (0, 2)
+
+    def test_the_other_type_is_still_checked(self):
+        with pytest.raises(ValueError):
+            Partition(Composition((1, 2)))
+        assert type(Composition(Partition((2, 1)))) is Composition
+
+    def test_content_is_a_composition(self):
+        content = Tableau([(1, 1, 3), (2,)]).content(4)
+        assert type(content) is Composition and content == (2, 1, 1, 0)
+
+
 class TestComposition:
     def test_zero_parts_kept(self):
         alpha = Composition((0, 2, 1, 0, 1))
@@ -64,6 +95,16 @@ class TestHooks:
     def test_outside_cell_rejected(self):
         with pytest.raises(ValueError):
             hook_length(Partition((3, 1)), (2, 2))
+
+    def test_counts_match_the_hook_lengths(self):
+        """syt_count and cst_count against every cell's hook and content."""
+        for lam in all_partitions_up_to(10):
+            hooks = math.prod(hook_length(lam, cell) for cell in lam.cells())
+            assert syt_count(lam) == math.factorial(lam.size) // hooks
+            assert syt_count(list(lam)) == syt_count(lam)
+            for k in range(6):
+                contents = math.prod(k + c - r for r, c in lam.cells())
+                assert cst_count(lam, k) == contents // hooks, (lam, k)
 
     def test_counts(self):
         assert syt_count(Partition((2, 2, 2))) == 5
