@@ -212,14 +212,9 @@ def _element(order: int, terms: dict[int, int]) -> CyclotomicElement:
     """Wrap nonzero coefficients keyed by exponent mod ``order``, unchecked;
     the residue slot is left for :attr:`CyclotomicElement.residue` to fill."""
     element = _new(CyclotomicElement)
-    _set_order(element, order)
-    _set_terms(element, terms)
+    _set(element, "order", order)
+    _set(element, "_terms", terms)
     return element
-
-
-# The slots' own setters, which skip the by-name lookup of object.__setattr__.
-_set_order = CyclotomicElement.order.__set__
-_set_terms = CyclotomicElement._terms.__set__
 
 
 def zeta(m: int, d: int = 1) -> CyclotomicElement:

@@ -321,7 +321,7 @@ def q_binomial_product(n: int, k: int) -> QProduct:
 def q_hook_product(shape: Partition) -> QProduct:
     """The q-hook length formula [n]!_q / prod [h_ij]_q."""
     shape = Partition(shape)
-    return QProduct.from_q_integers(range(1, shape.size + 1), hook_lengths(shape).values())
+    return QProduct.from_q_integers(range(1, shape.size + 1), hook_lengths(shape))
 
 
 def hook_content_product(shape: Partition, k: int) -> QProduct:
@@ -329,9 +329,7 @@ def hook_content_product(shape: Partition, k: int) -> QProduct:
     u of a shape with at most k rows; it is q^(-kappa) times
     s_shape(1, q, ..., q^(k-1)) (Stanley, EC2 Thm 7.21.2)."""
     shape = Partition(shape)
-    return QProduct.from_q_integers(
-        (k + c - r for r, c in shape.cells()), hook_lengths(shape).values()
-    )
+    return QProduct.from_q_integers((k + c - r for r, c in shape.cells()), hook_lengths(shape))
 
 
 def q_catalan_product(n: int) -> QProduct:

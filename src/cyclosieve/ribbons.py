@@ -169,10 +169,10 @@ def count_ribbon_cst(shape: Partition, m: int, beta: Composition) -> int:
     shapes, none when the m-core is not empty (the quotient is then too
     small).
     """
-    shape = Partition(shape)
-    if m >= 1 and shape.size != m * Composition(beta).size:  # abacus refuses m < 1
+    _, quotient = abacus(shape, m)
+    if sum(shape) != m * Composition(beta).size:
         return 0
-    return cst_tuple_count(abacus(shape, m)[1], beta)
+    return cst_tuple_count(quotient, beta)
 
 
 def reduced_content(alpha: Composition, d: int) -> Optional[Composition]:

@@ -228,11 +228,10 @@ def _check_modulus(modulus: int, what: str, cap: Optional[int]) -> None:
             f"{what} {modulus} exceeds the cap {limit}; "
             "pass a smaller --modulus or a larger --cap"
         )
-    budget = TERMS_PER_CAP * limit
-    # phi(m) <= m, so a modulus whose square is within the budget is not factored
-    if modulus > 0 and modulus * modulus > budget and modulus * totient(modulus) > budget:
+    terms = modulus * totient(modulus) if modulus > 0 else 0
+    if terms > TERMS_PER_CAP * limit:
         raise ValueError(
-            f"{what} {modulus} gives {modulus} * phi({modulus}) = {modulus * totient(modulus)} "
+            f"{what} {modulus} gives {modulus} * phi({modulus}) = {terms} "
             f"residue terms, over {TERMS_PER_CAP} times the cap {limit}; "
             "pass a smaller --modulus or a larger --cap"
         )

@@ -159,29 +159,23 @@ def hook_length(shape: Partition, cell: tuple[int, int]) -> int:
     return arm + leg + 1
 
 
-def hook_lengths(shape: Partition) -> dict[tuple[int, int], int]:
-    """The hook length of every cell: arm + leg + 1, read off the conjugate."""
+def hook_lengths(shape: Partition) -> list[int]:
+    """The hook length, arm + leg + 1, of every cell in the order of
+    :meth:`Partition.cells`, read off the column heights, which are built
+    from the rows bottom up.  Cell (r, c), 0-indexed, has hook (columns[c] - c) + (shape[r] - r - 1)."""
     shape = Partition(shape)
-    columns = shape.conjugate()
-    return {(r, c): shape[r - 1] - c + columns[c - 1] - r + 1 for r, c in shape.cells()}
-
-
-def _hook_product(shape: Partition) -> int:
-    """The product of the hook lengths, arm + leg + 1, read off the conjugate
-    with no cell walk.  Cell (r, c), 0-indexed, has hook
-    (columns[c] - c) + (shape[r] - r - 1)."""
     columns: list[int] = []
     for r in range(len(shape), 0, -1):
         columns.extend([r] * (shape[r - 1] - len(columns)))
     drops = [height - c for c, height in enumerate(columns)]
-    return math.prod(d + length - r - 1 for r, length in enumerate(shape) for d in drops[:length])
+    return [d + length - r - 1 for r, length in enumerate(shape) for d in drops[:length]]
 
 
 def syt_count(shape: Partition) -> int:
     """Number of standard fillings, by the hook length formula."""
     shape = Partition(shape)
     n = shape.size
-    count, rem = divmod(math.factorial(n), _hook_product(shape))
+    count, rem = divmod(math.factorial(n), math.prod(hook_lengths(shape)))
     if rem:
         raise AssertionError(f"hook product does not divide {n}! for {shape}")
     return count
@@ -195,7 +189,7 @@ def cst_count(shape: Partition, k: int) -> int:
         raise ValueError("bound must be nonnegative")
     # row r (0-indexed) has the contents -r, ..., length - r - 1
     numer = math.prod(math.prod(range(k - r, k - r + length)) for r, length in enumerate(shape))
-    count, rem = divmod(numer, _hook_product(shape))
+    count, rem = divmod(numer, math.prod(hook_lengths(shape)))
     if rem:
         raise AssertionError(f"hook product does not divide the content product for {shape}, k = {k}")
     return count

@@ -22,7 +22,7 @@ from cyclosieve import (
     hook_length,
     syt_count,
 )
-from cyclosieve.tableaux import word_dtype
+from cyclosieve.tableaux import hook_lengths, word_dtype
 
 
 class TestPartition:
@@ -97,9 +97,12 @@ class TestHooks:
             hook_length(Partition((3, 1)), (2, 2))
 
     def test_counts_match_the_hook_lengths(self):
-        """syt_count and cst_count against every cell's hook and content."""
+        """hook_lengths, syt_count and cst_count against every cell's hook and content."""
         for lam in all_partitions_up_to(10):
-            hooks = math.prod(hook_length(lam, cell) for cell in lam.cells())
+            per_cell = [hook_length(lam, cell) for cell in lam.cells()]
+            assert hook_lengths(lam) == per_cell
+            assert hook_lengths(list(lam)) == per_cell
+            hooks = math.prod(per_cell)
             assert syt_count(lam) == math.factorial(lam.size) // hooks
             assert syt_count(list(lam)) == syt_count(lam)
             for k in range(6):
