@@ -11,13 +11,24 @@ smallest left descent of w; s is then a left descent of u too, so
 P_{u,w} = P_{su,sw} + q P_{u,sw} - sum mu(z,sw) q^((l(w)-l(z))/2) P_{u,z}.
 The Bruhat table comes from the lifting property: for s a left descent of
 w, u <= w iff min(u, su) <= sw, one gather of the row of sw per w.
+
+P_{u,w} = P_{u^-1,w^-1} = P_{w0 u w0, w0 w w0} (Kazhdan-Lusztig 1979), and
+these maps keep length and Bruhat order.  So the columns fall into classes
+{w, w^-1, w0 w w0, w0 w^-1 w0}: only the column of lowest index in each
+class is computed, and the others are filled from it by relabelling.
+
+The index tables are built from the one list of permutations at list
+level: its columns are zipped, with two columns or two values swapped, and
+looked up with ``map``, so no Python code runs per neighbour.  w0 w has
+the mirrored index, and w^-1 and w0 w w0 follow w = s v along the smallest
+left descent s, in the loop that fills the Bruhat table.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations, permutations as _itertools_permutations
-from operator import add
+from itertools import combinations, permutations as _itertools_permutations, repeat
+from operator import add, gt, lshift, or_
 from typing import Optional, TextIO
 
 import numpy as np
@@ -64,57 +75,71 @@ class KLTable:
 
     Permutations are addressed by their index in ``perms`` (sorted by length,
     then one-line order).  ``_left[i - 1][w]`` is the index of s_i * w,
-    ``_right[i - 1][w]`` that of w * s_i and ``_w0_left[w]`` that of w0 * w,
-    so the build and the queries never rebuild a permutation tuple.
+    ``_right[i - 1][w]`` that of w * s_i, ``_w0_left[w]`` that of w0 * w,
+    ``_inverse[w]`` that of w^-1 and ``_conj[w]`` that of w0 * w * w0, so
+    the build and the queries never rebuild a permutation tuple.  These
+    tables come from the one list of permutations: lengths from its
+    one-line order, neighbours by zipping its columns.
 
     The build fills each column w from the longest u down.  P_{u,w} is
     copied from P_{tu,w} or P_{ut,w} when a left or right descent t of w is
     missing from u; the descent recursion runs only on the remaining u,
-    those whose left and right descents include all of w's.
+    those whose left and right descents include all of w's.  It runs only
+    on the lowest index of each class {w, w^-1, w0 w w0, w0 w^-1 w0}; the
+    other columns of the class are that column relabelled.
     """
 
     def __init__(self, n: int):
         self.n = n
-        by_length = sorted(
-            (sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j]), p)
-            for p in _itertools_permutations(range(1, n + 1))
-        )
-        self.perms: list[tuple[int, ...]] = [p for _, p in by_length]
-        self.lengths: list[int] = [length for length, _ in by_length]
-        self.index: dict[tuple[int, ...], int] = {p: i for i, p in enumerate(self.perms)}
-        index = self.index
-        self._left: list[list[int]] = [
-            [index[tuple(i + 1 if v == i else i if v == i + 1 else v for v in p)] for p in self.perms]
-            for i in range(1, n)
-        ]
+        # in one-line order, a first entry a + 1 adds a inversions to the rest's
+        lex = list(_itertools_permutations(range(1, n + 1)))
+        lex_lengths = [0]
+        for k in range(2, n + 1):
+            lex_lengths = [a + length for a in range(k) for length in lex_lengths]
+        ids = range(len(lex))
+        order = sorted(ids, key=lex_lengths.__getitem__)
+        self.perms: list[tuple[int, ...]] = list(map(lex.__getitem__, order))
+        self.lengths: list[int] = sorted(lex_lengths)
+        self.index: dict[tuple[int, ...], int] = dict(zip(self.perms, ids))
+        get = self.index.__getitem__
+        cols = list(zip(*self.perms))
+        # w * s_i swaps two columns, s_i * w swaps two values in every column
         self._right: list[list[int]] = [
-            [index[(*p[:i - 1], p[i], p[i - 1], *p[i + 1:])] for p in self.perms]
+            list(map(get, zip(*cols[:i - 1], cols[i], cols[i - 1], *cols[i + 1:])))
             for i in range(1, n)
         ]
-        self._w0_left = np.array([index[tuple(n + 1 - v for v in p)] for p in self.perms])
+        self._left: list[list[int]] = [
+            list(map(get, zip(*[map(swap.__getitem__, c) for c in cols])))
+            for swap in ([*range(i), i + 1, i, *range(i + 2, n + 1)] for i in range(1, n))
+        ]
         # descent bitmasks: bit i-1 of _ldesc[w] (_rdesc[w]) is set iff
         # s_i * w (w * s_i) is shorter than w, that is, has a smaller index
-        self._ldesc = [
-            sum(1 << i for i, s in enumerate(self._left) if s[w] < w)
-            for w in range(len(self.perms))
-        ]
-        self._rdesc = [
-            sum(1 << i for i, s in enumerate(self._right) if s[w] < w)
-            for w in range(len(self.perms))
-        ]
-        # below[w] marks the u <= w.  With s the smallest left descent of w,
-        # u <= w iff min(u, su) <= sw (Deodhar 1977), and the shorter of u and
-        # su has the smaller index, so row w is row sw gathered at min(u, su).
+        self._ldesc = self._rdesc = [0] * len(ids)
+        for bit, s, t in zip(range(n), self._left, self._right):
+            self._ldesc = list(map(or_, self._ldesc, map(lshift, map(gt, ids, s), repeat(bit))))
+            self._rdesc = list(map(or_, self._rdesc, map(lshift, map(gt, ids, t), repeat(bit))))
+        # below[w] marks the u <= w.  With s the smallest left descent of w
+        # and v = sw, u <= w iff min(u, su) <= v (Deodhar 1977), and the
+        # shorter of u and su has the smaller index, so row w is row v
+        # gathered at min(u, su).  Also w^-1 = v^-1 s and w0 w w0 = s' w0 v w0
+        # with s' = w0 s w0, that is, s_{n-i} for s = s_i.
         size = len(self.perms)
         ids = np.arange(size)
+        # w0 * w complements every value, which reverses length and one-line
+        # order, so it reverses index order
+        self._w0_left = ids[::-1]
         lifts = [np.minimum(ids, s) for s in self._left]
         below = np.zeros((size, size), dtype=bool)
         below[0, 0] = True
+        self._inverse, self._conj = [0] * size, [0] * size
         for w in range(1, size):
             i = (self._ldesc[w] & -self._ldesc[w]).bit_length() - 1
-            np.take(below[self._left[i][w]], lifts[i], out=below[w])
+            v = self._left[i][w]
+            below[v].take(lifts[i], out=below[w])
+            self._inverse[w] = self._right[i][self._inverse[v]]
+            self._conj[w] = self._left[n - 2 - i][self._conj[v]]
         self._leq = below.T  # _leq[u, w] is u <= w; a view, never copied
-        self._parity = np.array(self.lengths) & 1  # l(w) mod 2
+        self._parity = np.bitwise_and(self.lengths, 1)  # l(w) mod 2
         # _polys[w] maps u to P_{u,w}; only polynomials other than 1 are stored
         self._polys: list[dict[int, _Coeffs]] = [{} for _ in self.perms]
         self._mu_lists: dict[int, tuple[tuple[int, int], ...]] = {}
@@ -134,16 +159,18 @@ class KLTable:
         lengths = self.lengths
         left, right = self._left, self._right
         ldesc, rdesc = self._ldesc, self._rdesc
-        polys = self._polys
+        polys, mu_lists = self._polys, self._mu_lists
+        inverse, conj = self._inverse, self._conj
+        images = (inverse, conj, list(map(conj.__getitem__, inverse)))
+        lowest = list(map(min, range(len(inverse)), *images))  # of each class
         # bit u of lower[w] is set iff u <= w; build-time only
-        lower = [
-            int.from_bytes(row.tobytes(), "little")
-            for row in np.packbits(leq.T, axis=1, bitorder="little")
-        ]
+        lower = list(map(int.from_bytes, np.packbits(leq.T, axis=1, bitorder="little"), repeat("little")))
         for w, pw in enumerate(self.perms):
             if lengths[w] == 0:
-                self._mu_lists[w] = ()
+                mu_lists[w] = ()
                 continue
+            if lowest[w] < w:
+                continue  # filled along with the lowest index of its class
             ldesc_w, rdesc_w = ldesc[w], rdesc[w]
             i = (ldesc_w & -ldesc_w).bit_length()  # smallest left descent
             s = left[i - 1]
@@ -153,13 +180,13 @@ class KLTable:
             lower_v, col_v, col_w = lower[v], polys[v], polys[w]
             mu_v = [
                 (z, mu, (lw - lengths[z]) // 2, lower[z], polys[z])
-                for z, mu in self._mu_lists[v]
+                for z, mu in mu_lists[v]
                 if ldesc[z] & bit
             ]
             mus: list[tuple[int, int]] = []
             # longest first, so tu and ut are done before u; w itself is last
             # in index order and is skipped
-            for u in np.flatnonzero(leq[:, w])[-2::-1].tolist():
+            for u in leq[:, w].nonzero()[0][-2::-1].tolist():
                 bound = (lw - lengths[u] - 1) // 2
                 missing = ldesc_w & ~ldesc[u]
                 if missing:  # P_{u,w} = P_{tu,w}
@@ -185,7 +212,11 @@ class KLTable:
                     mu_val = total[bound] if bound < len(total) else 0
                     if mu_val:
                         mus.append((u, mu_val))
-            self._mu_lists[w] = tuple(reversed(mus))
+            mu_lists[w] = tuple(reversed(mus))
+            for f in images:
+                if f[w] != w:
+                    polys[f[w]] = dict(zip(map(f.__getitem__, col_w), col_w.values()))
+                    mu_lists[f[w]] = tuple(sorted((f[u], mu) for u, mu in mu_lists[w]))
 
     # -- queries ------------------------------------------------------------
 

@@ -411,4 +411,5 @@ def test_criterion_16_property_suites():
                 assert m == table.mu(v * wo, u * wo)
                 assert m == table.mu(wo * u * wo, wo * v * wo)
                 assert m == table.mu(u.inverse(), v.inverse())
+    assert time.time() - started < 300
     report(16, "exhaustive property suites (round trips, rotations, axioms)", started)

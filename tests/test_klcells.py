@@ -125,17 +125,33 @@ class TestTableAxioms:
         assert kl_table.cache_info().misses == 1
 
     def test_index_tables(self):
-        for n in range(1, 6):
+        for n in range(1, 7):
             table = kl_table(n)
             wo = long_element(n)
+            assert table.perms == sorted(table.perms, key=lambda p: (Permutation(p).length(), p))
             for w in all_perms(n):
                 wi = table._idx(w)
                 assert table.perms[table._w0_left[wi]] == wo * w
+                assert table.perms[table._inverse[wi]] == w.inverse()
+                assert table.perms[table._conj[wi]] == wo * w * wo
                 for i in range(1, n):
                     assert table.perms[table._left[i - 1][wi]] == simple(i, n) * w
                     assert table.perms[table._right[i - 1][wi]] == w * simple(i, n)
                 assert table._ldesc[wi] == sum(1 << (i - 1) for i in w.left_descents())
                 assert table._rdesc[wi] == sum(1 << (i - 1) for i in w.right_descents())
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_index_tables_match_the_tuple_built_ones(self, n):
+        table = KLTable(n)
+        perms, lengths, index, left, right, w0_left, ldesc, rdesc = _tuple_index_tables(n)
+        assert table.perms == perms
+        assert table.lengths == lengths
+        assert table.index == index
+        assert table._left == left
+        assert table._right == right
+        assert table._w0_left.tolist() == w0_left
+        assert table._ldesc == ldesc
+        assert table._rdesc == rdesc
 
     @pytest.mark.parametrize("n", range(7))
     def test_build_matches_the_full_descent_recursion(self, n):
@@ -165,7 +181,9 @@ class TestTableAxioms:
                 assert lhs == rhs, (table.perms[u], table.perms[w])
 
     def test_recursion_runs_only_where_u_has_every_descent_of_w(self, monkeypatch):
-        """Every other pair u < w copies P_{tu,w} or P_{ut,w}."""
+        """Every other pair u < w copies P_{tu,w} or P_{ut,w}, and only the
+        column of lowest index in each class {w, w^-1, w0 w w0, w0 w^-1 w0}
+        is computed."""
         from cyclosieve import klcells
 
         calls = []
@@ -177,13 +195,19 @@ class TestTableAxioms:
         perms = [Permutation(p) for p in table.perms]
         left = [p.left_descents() for p in perms]
         right = [p.right_descents() for p in perms]
+        wo = long_element(6)
+        lowest = [
+            min(table.index[x] for x in (p, p.inverse(), wo * p * wo, wo * p.inverse() * wo))
+            for p in perms
+        ]
         expected = sum(
             1
             for w in range(len(perms))
+            if lowest[w] == w
             for u in np.flatnonzero(table._leq[:, w]).tolist()
             if u != w and left[w] <= left[u] and right[w] <= right[u]
         )
-        assert len(calls) == expected == 2220
+        assert len(calls) == expected == 811
 
 
 def _rank_criterion_leq(table):
@@ -683,6 +707,30 @@ def _reference_build(table):
                 mus.append((u, total.coefficient(bound)))
         mu_lists[w] = tuple(mus)
     return polys, mu_lists
+
+
+def _tuple_index_tables(n):
+    """Test oracle: the index tables built one permutation tuple at a time.
+
+    Returns perms sorted by (length, one-line), their lengths, the index of
+    each, the neighbours s_i w and w s_i as lists per i, w0 w, and the left
+    and right descent bitmasks.
+    """
+    by_length = sorted(
+        (sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j]), p)
+        for p in itertools_permutations(range(1, n + 1))
+    )
+    perms = [p for _, p in by_length]
+    index = {p: i for i, p in enumerate(perms)}
+    left = [
+        [index[tuple(i + 1 if v == i else i if v == i + 1 else v for v in p)] for p in perms]
+        for i in range(1, n)
+    ]
+    right = [[index[(*p[:i - 1], p[i], p[i - 1], *p[i + 1:])] for p in perms] for i in range(1, n)]
+    w0_left = [index[tuple(n + 1 - v for v in p)] for p in perms]
+    ldesc = [sum(1 << i for i, s in enumerate(left) if s[w] < w) for w in range(len(perms))]
+    rdesc = [sum(1 << i for i, s in enumerate(right) if s[w] < w) for w in range(len(perms))]
+    return perms, [length for length, _ in by_length], index, left, right, w0_left, ldesc, rdesc
 
 
 def _r_polynomials(table):
