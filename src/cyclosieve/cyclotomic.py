@@ -9,6 +9,14 @@ is its own residue; otherwise it is read off a per-order table of
 q^e mod Phi_m, built for e from phi(m) to m - 1.  Equality, hashing,
 ``is_zero``, ``as_integer`` and ``repr`` all read the residue.
 
+No operation mutates a terms map (a sum copies, every other operation builds
+a new one), so elements share them freely.  The 1 of every order holds one
+shared, read-only map, ``_UNIT``: ``zeta(m, 0)``, ``x ** 0`` and the start of
+a general power all hold it, and a same-order product with it returns the
+other factor itself, which is safe because elements are immutable.  Every
+operation builds its result with ``_element``, which fills the two slots
+through their descriptors' setters.
+
 Floating point is never used: the sieving checks demand exact integer
 equality between fixed-point counts and polynomial evaluations.
 """
@@ -16,12 +24,14 @@ equality between fixed-point counts and polynomial evaluations.
 from __future__ import annotations
 
 from functools import cache
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .qpolys import IntPolynomial, cyclotomic_polynomial, totient
 
 _new = object.__new__
-_set = object.__setattr__
+# The terms of 1, shared by every order and read-only.
+_UNIT = MappingProxyType({0: 1})
 
 
 @cache
@@ -57,8 +67,8 @@ class CyclotomicElement:
             if c:
                 e %= order
                 terms[e] = terms.get(e, 0) + c
-        _set(self, "order", order)
-        _set(self, "_terms", {e: c for e, c in terms.items() if c})
+        _set_order(self, order)
+        _set_terms(self, {e: c for e, c in terms.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicElement is immutable")
@@ -95,7 +105,7 @@ class CyclotomicElement:
                         for i, x in table[e - degree]:
                             coeffs[i] += c * x
                 residue = IntPolynomial(coeffs)
-            _set(self, "_residue", residue)
+            _set_residue(self, residue)
         return residue
 
     def _coerce(self, other) -> "CyclotomicElement":
@@ -137,11 +147,22 @@ class CyclotomicElement:
 
     def __mul__(self, other):
         m = self.order
-        if type(other) is not CyclotomicElement or other.order != m:
-            if isinstance(other, int):
-                if not other:
-                    return _element(m, {})
-                return _element(m, {e: c * other for e, c in self._terms.items()})
+        if type(other) is CyclotomicElement and other.order == m:
+            b = other._terms
+            if b is _UNIT:
+                return self
+            a = self._terms
+            if a is _UNIT:
+                return other
+            if len(a) == 1 == len(b):
+                ((e, c),) = a.items()
+                ((f, x),) = b.items()
+                return _element(m, {(e + f) % m: c * x})
+        elif isinstance(other, int):
+            if not other:
+                return _element(m, {})
+            return _element(m, {e: c * other for e, c in self._terms.items()})
+        else:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
@@ -151,9 +172,6 @@ class CyclotomicElement:
         if len(a) == 1:
             # A monomial c q^e: rotate the other factor by e and scale by c.
             ((e, c),) = a.items()
-            if len(b) == 1:
-                ((f, x),) = b.items()
-                return _element(m, {(e + f) % m: c * x})
             return _element(m, {(f + e) % m: c * x for f, x in b.items()})
         product: dict[int, int] = {}
         for e, c in a.items():
@@ -165,15 +183,14 @@ class CyclotomicElement:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
+        m = self.order
+        terms = self._terms
+        if len(terms) == 1 and exponent > 0:
+            ((e, c),) = terms.items()
+            return _element(m, {e * exponent % m: c**exponent})
         if exponent < 0:
             raise ValueError("negative powers are not supported")
-        m = self.order
-        if exponent == 0:
-            return _element(m, {0: 1})
-        if len(self._terms) == 1:
-            ((e, c),) = self._terms.items()
-            return _element(m, {e * exponent % m: c**exponent})
-        result = _element(m, {0: 1})
+        result = _element(m, _UNIT)
         base = self
         while exponent:
             if exponent & 1:
@@ -208,19 +225,26 @@ class CyclotomicElement:
         return f"({body})"
 
 
-def _element(order: int, terms: dict[int, int]) -> CyclotomicElement:
+# The slot descriptors' setters skip the __setattr__ that makes elements immutable.
+_set_order = CyclotomicElement.order.__set__
+_set_terms = CyclotomicElement._terms.__set__
+_set_residue = CyclotomicElement._residue.__set__
+
+
+def _element(order: int, terms: Mapping[int, int]) -> CyclotomicElement:
     """Wrap nonzero coefficients keyed by exponent mod ``order``, unchecked;
     the residue slot is left for :attr:`CyclotomicElement.residue` to fill."""
     element = _new(CyclotomicElement)
-    _set(element, "order", order)
-    _set(element, "_terms", terms)
+    _set_order(element, order)
+    _set_terms(element, terms)
     return element
 
 
 def zeta(m: int, d: int = 1) -> CyclotomicElement:
     """zeta_m ** d as an exact ring element."""
     _check_order(m)
-    return _element(m, {d % m: 1})
+    d %= m
+    return _element(m, {d: 1} if d else _UNIT)
 
 
 def eval_at_root(x: IntPolynomial, m: int, d: int) -> CyclotomicElement:

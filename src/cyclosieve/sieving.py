@@ -240,7 +240,10 @@ def _check_modulus(modulus: int, what: str, cap: Optional[int]) -> None:
 def cst_csp_report(shape: Partition, bound: int, cap: Optional[int] = None) -> dict:
     """Promotion on bounded column-strict tableaux against the shifted
     principal specialization of the Schur function, in its hook-content
-    form (zero when the shape has more rows than the bound)."""
+    form (zero when the shape has more rows than the bound).  The bound is
+    also the modulus, so it must be positive."""
+    if bound < 1:
+        raise ValueError("bound must be positive")
     shape = Partition(shape)
     action = promotion_action(shape, bound, cap=cap)
     poly = hook_content_product(shape, bound) if len(shape) <= bound else IntPolynomial.zero()

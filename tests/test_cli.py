@@ -57,6 +57,24 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err, argv
 
+    @pytest.mark.parametrize("shape", ["2,2", ""])
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_csp_cst_refuses_a_bound_below_one(self, monkeypatch, capsys, shape, bound):
+        """The bound is the modulus, so a bound of 0 is refused as such, not
+        as a modulus the user never passed, and before anything is enumerated."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated a bound below one")
+
+        monkeypatch.setattr("cyclosieve.sieving.enumerate_cst", refuse)
+        assert run(["csp", "cst", "--shape", shape, "--bound", bound]) == 2
+        assert capsys.readouterr() == ("", "error: bound must be positive\n")
+
+    def test_other_verbs_take_bound_zero(self, capsys):
+        assert run(["dihedral", "--shape", "2,2", "--bound", "0", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] is True
+        assert run(["enumerate", "cst", "--shape", "2,2", "--bound", "0", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 0
+
     def test_content_without_the_rotation_symmetry_is_two(self, capsys):
         """The message names the check: invariance under rotating the
         content by ``power`` places."""
@@ -464,8 +482,8 @@ class TestJsonOutput:
         """No ``csp cst`` or ``dihedral`` verdict builds a Tableau or calls
         evacuate, and none enumerates on its predicted side: with all three
         made to raise, every run on every rectangle of at most 8 cells still
-        passes.  ``csp cst`` starts at bound 1, since bound 0 is modulus 0,
-        which it refuses as a usage error."""
+        passes.  ``csp cst`` starts at bound 1, since its bound is the modulus,
+        and it refuses a bound of 0 as a usage error."""
         from cyclosieve import jeudetaquin, qpolys
         from cyclosieve.tableaux import Tableau
 

@@ -335,3 +335,69 @@ class TestSameOrderFastPath:
             assert filled > 0
             assert x.residue is first and len(calls) == filled
         assert first == reduced(7, IntPolynomial.from_terms({6: 3, 2: 1}))
+
+
+class TestSharedUnit:
+    """The 1 of every order holds one shared, read-only terms map; a product
+    with it returns the other factor itself."""
+
+    @staticmethod
+    def ones(m):
+        return [zeta(m, 0), zeta(m, 2) ** 0, (zeta(m) + 2) ** 0, CyclotomicElement.from_int(m, 1)]
+
+    @staticmethod
+    def operands(m):
+        polys = [IntPolynomial.monomial(e, c) for e in range(m + 1) for c in (-2, 1, 3)]
+        polys += [IntPolynomial(()), IntPolynomial((1,)), IntPolynomial((2, -1, 0, 4)),
+                  IntPolynomial(range(-3, 2 * m))]
+        for p in polys:
+            yield CyclotomicElement(m, p), reduced(m, p)
+        for one in TestSharedUnit.ones(m):
+            yield one, IntPolynomial.one()
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_the_one_on_either_side_matches_the_reference(self, m):
+        from cyclosieve import cyclotomic
+
+        r1 = IntPolynomial.one()
+        for one in self.ones(m):
+            assert one.residue == r1
+            for n in range(5):
+                assert (one**n).residue == r1
+            for x, rx in self.operands(m):
+                assert (x * one).residue == (one * x).residue == reduced(m, rx * r1)
+                assert (x + one).residue == (one + x).residue == reduced(m, rx + r1)
+                assert (x - one).residue == reduced(m, rx - r1)
+                assert (one - x).residue == reduced(m, r1 - rx)
+                assert (x * one) ** 2 == (one * x) ** 2 == x * x
+                assert (x**0).residue == r1
+        assert cyclotomic._UNIT == {0: 1}
+
+    def test_the_shared_terms_are_read_only(self):
+        from cyclosieve import cyclotomic
+
+        for key in (0, 1):
+            with pytest.raises(TypeError):
+                cyclotomic._UNIT[key] = 2
+        assert cyclotomic._UNIT == {0: 1}
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_a_product_with_the_one_returns_the_other_factor(self, m):
+        from cyclosieve import cyclotomic
+
+        for x, _ in self.operands(m):
+            assert x * zeta(m, 0) is x
+            assert x * x**0 is x
+            if x._terms is not cyclotomic._UNIT:
+                # Of two shared ones, the left factor comes back.
+                assert zeta(m, 0) * x is x
+
+
+class TestNegativePowers:
+    @pytest.mark.parametrize("x", [zeta(5, 2) * 3, zeta(5) + 1, zeta(5, 0) * 0, zeta(5, 0),
+                                   CyclotomicElement.from_int(5, 1)],
+                             ids=["monomial", "general", "zero", "one", "from-int-one"])
+    def test_negative_powers_raise(self, x):
+        for n in (-1, -3):
+            with pytest.raises(ValueError, match="negative powers are not supported"):
+                x**n
