@@ -35,7 +35,6 @@ from .permutations import (
     identity,
     long_cycle,
     long_element,
-    reading_word,
     rsk,
     rsk_inverse,
     simple,

@@ -195,8 +195,9 @@ class CyclotomicElement:
         while exponent:
             if exponent & 1:
                 result = result * base
-            base = base * base
             exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     def is_zero(self) -> bool:

@@ -172,14 +172,3 @@ def rsk_inverse(p: Tableau, q: Tableau) -> Permutation:
             row[lo - 1], value = value, row[lo - 1]
         letters.append(value)
     return Permutation(letters[::-1])
-
-
-def reading_word(t: Tableau) -> Permutation:
-    """Column reading word, bottom to top within columns, left to right."""
-    if not t.is_standard():
-        raise ValueError("reading words are taken on standard tableaux")
-    cols = t.transpose()
-    letters: list[int] = []
-    for col in cols.rows:
-        letters.extend(reversed(col))
-    return Permutation(letters)

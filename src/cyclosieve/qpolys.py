@@ -68,13 +68,6 @@ class IntPolynomial:
             return self.coeffs[exponent]
         return 0
 
-    def valuation(self) -> int:
-        """Lowest exponent with a nonzero coefficient (0 for the zero polynomial)."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return 0
-
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):

@@ -125,22 +125,6 @@ def verify_csp(
     }
 
 
-def default_csp_polynomial(action: FiniteAction) -> IntPolynomial:
-    """The orbit-stabilizer polynomial sum a_i q^i that always sieves.
-
-    a_i counts orbits whose stabilizer order (action order / orbit size)
-    divides i.
-    """
-    order = action.order
-    coeffs = [0] * order
-    for size in action.orbit_sizes():
-        stab = order // size
-        for i in range(order):
-            if i % stab == 0:
-                coeffs[i] += 1
-    return IntPolynomial(coeffs)
-
-
 # -- promotion actions -------------------------------------------------------
 
 
@@ -487,74 +471,46 @@ def tableau_to_handshake(t: Tableau) -> Matching:
 
 @cache
 def noncrossing_partitions(n: int) -> tuple[SetPartition, ...]:
-    """All noncrossing set partitions of [n], blocks sorted by minimum."""
+    """All noncrossing set partitions of [n], blocks sorted by minimum.
+
+    They are read off the handshake patterns of [2n] through the inverse of
+    the trace bijection (:func:`noncrossing_to_handshake`): an arc
+    (2a, 2b - 1) makes b the next element of a's block.
+    """
     if n > MAX_CATALAN_SIZE:
         raise CapExceeded(f"noncrossing partitions support n <= {MAX_CATALAN_SIZE}")
-
-    def set_partitions(items: tuple[int, ...]) -> list[list[list[int]]]:
-        if not items:
-            return [[]]
-        first, rest = items[0], items[1:]
-        out = []
-        for smaller in set_partitions(rest):
-            for i in range(len(smaller)):
-                out.append(smaller[:i] + [[first] + smaller[i]] + smaller[i + 1:])
-            out.append([[first]] + smaller)
-        return out
-
-    def is_noncrossing(blocks: list[list[int]]) -> bool:
-        owner = {}
-        for i, block in enumerate(blocks):
-            for x in block:
-                owner[x] = i
-        for a in range(1, n + 1):
-            for b in range(a + 1, n + 1):
-                for c in range(b + 1, n + 1):
-                    for d in range(c + 1, n + 1):
-                        if owner[a] == owner[c] and owner[b] == owner[d] and owner[a] != owner[b]:
-                            return False
-        return True
-
     out = []
-    for blocks in set_partitions(tuple(range(1, n + 1))):
-        if is_noncrossing(blocks):
-            out.append(tuple(sorted(tuple(sorted(b)) for b in blocks)))
+    for matching in handshake_patterns(n):
+        successor = {a // 2: (b + 1) // 2 for a, b in matching if a % 2 == 0}
+        blocks = []
+        for first in sorted(set(range(1, n + 1)).difference(successor.values())):
+            block = [first]
+            while block[-1] in successor:
+                block.append(successor[block[-1]])
+            blocks.append(tuple(block))
+        out.append(tuple(blocks))
     return tuple(sorted(out))
 
 
 def kreweras_complement(pi: SetPartition, n: int) -> SetPartition:
-    """The maximal noncrossing partition of the interleaved primed points.
-
-    Primed points i' and j' may share a block exactly when every block of pi
-    meeting the interval strictly between them is contained in it.
+    """The cycles of tau = pi^-1 c (Biane, "Some properties of crossings and
+    partitions", 1997): pi sends each element to the next element of its
+    block, cyclically, and c is the long cycle i -> i mod n + 1.
     """
-    owner = {}
-    for i, block in enumerate(pi):
-        for x in block:
-            owner[x] = i
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            interval = set(range(i + 1, j + 1))
-            ok = True
-            for block in pi:
-                hits = interval.intersection(block)
-                if hits and len(hits) != len(block):
-                    ok = False
-                    break
-            if ok:
-                parent[find(i)] = find(j)
-    blocks: dict[int, list[int]] = {}
-    for i in range(1, n + 1):
-        blocks.setdefault(find(i), []).append(i)
-    return tuple(sorted(tuple(sorted(b)) for b in blocks.values()))
+    previous = {b: a for block in pi for a, b in zip(block[-1:] + block[:-1], block)}
+    seen: set[int] = set()
+    blocks = []
+    for first in range(1, n + 1):  # each cycle is met first at its least element
+        if first in seen:
+            continue
+        cycle = []
+        i = first
+        while i not in seen:
+            seen.add(i)
+            cycle.append(i)
+            i = previous[i % n + 1]
+        blocks.append(tuple(sorted(cycle)))
+    return tuple(blocks)
 
 
 def noncrossing_action(n: int) -> FiniteAction:

@@ -1,6 +1,7 @@
 import operator
 import random
 from functools import cache
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -401,3 +402,25 @@ class TestNegativePowers:
         for n in (-1, -3):
             with pytest.raises(ValueError, match="negative powers are not supported"):
                 x**n
+
+
+class TestPowerProducts:
+    def test_squares_only_while_bits_remain(self, monkeypatch):
+        """Square-and-multiply makes one product per set bit of n and one
+        square per later bit: n = 1, 2, 4, 8 take 1, 2, 3, 4 products, and
+        x ** 0 is the shared 1 with none."""
+        from cyclosieve import cyclotomic
+
+        calls = []
+        real_mul = CyclotomicElement.__mul__
+        monkeypatch.setattr(CyclotomicElement, "__mul__",
+                            lambda self, other: calls.append(1) or real_mul(self, other))
+        x = zeta(5) + 1
+        assert (x**0)._terms is cyclotomic._UNIT and not calls
+        counts = []
+        for n in (1, 2, 4, 8):
+            calls.clear()
+            power = x**n
+            counts.append(len(calls))
+            assert power.residue == reduced(5, IntPolynomial([comb(n, i) for i in range(n + 1)]))
+        assert counts == [1, 2, 3, 4]

@@ -14,7 +14,6 @@ from cyclosieve import (
     identity,
     long_cycle,
     long_element,
-    reading_word,
     rsk,
     rsk_inverse,
     simple,
@@ -165,23 +164,10 @@ class TestRsk:
 
 
 class TestReadingWord:
-    def test_22_example(self):
-        assert reading_word(Tableau([(1, 3), (2, 4)])) == Permutation((2, 1, 4, 3))
-
-    def test_single_row(self):
-        assert reading_word(Tableau([(1, 2, 3)])) == identity(3)
-
     def test_insertion_recovers_tableau(self):
+        """RSK insertion of the column reading word (each column bottom to
+        top, left to right) gives back the tableau."""
         for lam in [(3, 1), (2, 2, 2), (3, 2), (4, 2, 1)]:
             for t in enumerate_syt(Partition(lam)):
-                assert rsk(reading_word(t))[0] == t
-
-    def test_promotion_orbit_words_222(self):
-        words = {tuple(reading_word(t)) for t in enumerate_syt(Partition((2, 2, 2)))}
-        assert words == {
-            (3, 2, 1, 6, 5, 4),
-            (5, 2, 1, 6, 4, 3),
-            (4, 3, 1, 6, 5, 2),
-            (4, 2, 1, 6, 5, 3),
-            (5, 3, 1, 6, 4, 2),
-        }
+                word = [x for col in t.transpose().rows for x in reversed(col)]
+                assert rsk(Permutation(word))[0] == t

@@ -6,9 +6,7 @@ from conftest import all_partitions_up_to, compositions_of, rectangles_up_to
 
 from cyclosieve import (
     Composition,
-    IntPolynomial,
     Partition,
-    cyclotomic_polynomial,
     enumerate_cst,
     enumerate_syt,
     evacuate,
@@ -28,7 +26,6 @@ from cyclosieve.sieving import (
     bn_longest,
     content_csp_report,
     cst_csp_report,
-    default_csp_polynomial,
     dihedral_report,
     evacuation_fixed_expected,
     evacuation_promotion_fixed_expected,
@@ -56,6 +53,74 @@ from cyclosieve.sieving import (
     _wo_cn_cycle_type,
 )
 from cyclosieve.tableaux import descent_set, extended_descent_set
+
+
+def set_partitions_oracle(items: tuple[int, ...]) -> list[list[list[int]]]:
+    """Every set partition of ``items``, by placing the first item."""
+    if not items:
+        return [[]]
+    first, rest = items[0], items[1:]
+    out = []
+    for smaller in set_partitions_oracle(rest):
+        for i in range(len(smaller)):
+            out.append(smaller[:i] + [[first] + smaller[i]] + smaller[i + 1:])
+        out.append([[first]] + smaller)
+    return out
+
+
+def noncrossing_partitions_oracle(n: int) -> tuple:
+    """The set partitions of [n] with no a < b < c < d where a, c share a
+    block that b, d share and the other does not."""
+
+    def is_noncrossing(blocks: list[list[int]]) -> bool:
+        owner = {}
+        for i, block in enumerate(blocks):
+            for x in block:
+                owner[x] = i
+        for a in range(1, n + 1):
+            for b in range(a + 1, n + 1):
+                for c in range(b + 1, n + 1):
+                    for d in range(c + 1, n + 1):
+                        if owner[a] == owner[c] and owner[b] == owner[d] and owner[a] != owner[b]:
+                            return False
+        return True
+
+    out = []
+    for blocks in set_partitions_oracle(tuple(range(1, n + 1))):
+        if is_noncrossing(blocks):
+            out.append(tuple(sorted(tuple(sorted(b)) for b in blocks)))
+    return tuple(sorted(out))
+
+
+def kreweras_complement_oracle(pi: tuple, n: int) -> tuple:
+    """The maximal noncrossing partition of the interleaved primed points.
+
+    Primed points i' and j' may share a block exactly when every block of pi
+    meeting the interval strictly between them is contained in it.
+    """
+    parent = list(range(n + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            interval = set(range(i + 1, j + 1))
+            ok = True
+            for block in pi:
+                hits = interval.intersection(block)
+                if hits and len(hits) != len(block):
+                    ok = False
+                    break
+            if ok:
+                parent[find(i)] = find(j)
+    blocks: dict[int, list[int]] = {}
+    for i in range(1, n + 1):
+        blocks.setdefault(find(i), []).append(i)
+    return tuple(sorted(tuple(sorted(b)) for b in blocks.values()))
 
 
 class TestFiniteAction:
@@ -158,31 +223,6 @@ class TestVerifyCsp:
         assert json.loads(json.dumps(report)) == report
 
 
-class TestDefaultPolynomial:
-    def test_always_sieves(self):
-        for action in [
-            syt_promotion_action(Partition((2, 2, 2))),
-            syt_promotion_action(Partition((3, 1))),
-            promotion_action(Partition((2, 2)), 3),
-            handshake_action(4),
-        ]:
-            poly = default_csp_polynomial(action)
-            assert verify_csp(action, poly, action.order)["verdict"]
-
-    def test_free_orbit(self):
-        action = FiniteAction.of_map(list(range(5)), lambda i: (i + 1) % 5)
-        assert default_csp_polynomial(action) == IntPolynomial((1, 1, 1, 1, 1))
-
-    def test_trivial_action(self):
-        action = FiniteAction.of_map(["x"], lambda v: v)
-        assert default_csp_polynomial(action) == IntPolynomial.one()
-
-    def test_congruent_to_hook_formula_mod_cyclotomic(self):
-        action = syt_promotion_action(Partition((2, 2, 2)))
-        diff = default_csp_polynomial(action) - q_hook_product(Partition((2, 2, 2))).expand()
-        assert diff.divmod(cyclotomic_polynomial(6))[1].is_zero()
-
-
 class TestFactoredPredictedSides:
     def test_no_verdict_expands_a_factorial_or_divides(self, monkeypatch):
         """The q-hook, q-binomial and q-Catalan sides are reduced mod
@@ -246,11 +286,27 @@ class TestClassicalTheorems:
 
 class TestHandshakesAndNoncrossing:
     def test_catalan_counts(self):
-        catalan = [1, 1, 2, 5, 14, 42, 132, 429]
-        for n in range(1, 8):
+        catalan = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
+        for n in range(1, 9):
             assert len(handshake_patterns(n)) == catalan[n]
-            if n <= 6:
-                assert len(noncrossing_partitions(n)) == catalan[n]
+            assert len(noncrossing_partitions(n)) == catalan[n]
+
+    def test_noncrossing_partitions_match_the_brute_force_oracle(self, monkeypatch):
+        """Up to n = 9, one past the size limit, which is lifted for the check."""
+        from cyclosieve import sieving
+
+        monkeypatch.setattr(sieving, "MAX_CATALAN_SIZE", 9)
+        try:
+            for n in range(10):
+                assert noncrossing_partitions(n) == noncrossing_partitions_oracle(n), n
+        finally:
+            noncrossing_partitions.cache_clear()
+            handshake_patterns.cache_clear()
+
+    def test_kreweras_matches_the_interval_oracle(self):
+        for n in range(9):
+            for pi in noncrossing_partitions(n):
+                assert kreweras_complement(pi, n) == kreweras_complement_oracle(pi, n), pi
 
     def test_catalan_actions_sieve(self):
         for n in range(1, 7):
@@ -264,7 +320,7 @@ class TestHandshakesAndNoncrossing:
 
     def test_kreweras_is_a_complement(self):
         """K(pi) joins pi to the full block and meets it at singletons."""
-        for n in range(1, 6):
+        for n in range(1, 8):
             full = tuple([tuple(range(1, n + 1))])
             for pi in noncrossing_partitions(n):
                 comp = kreweras_complement(pi, n)
