@@ -221,6 +221,9 @@ LEAVES = [
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one parse tree.  Its ``leaves`` attribute maps each leaf's command
+    path, such as ``("csp", "cst")`` or ``("dihedral",)``, to the leaf parser
+    and the dests that the subparser actions above it set on the way down."""
     parser = argparse.ArgumentParser(
         prog="cyclosieve",
         description="Exact cyclic-sieving and dihedral fixed-point verification",
@@ -230,13 +233,36 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (help_text, dest) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         parents[command] = p.add_subparsers(dest=dest, required=True) if dest else p
+    parser.leaves = {}
     for command, name, arguments, handler in LEAVES:
         p = parents[command].add_parser(name) if name else parents[command]
         for key in arguments.split():
             flags, options = ARGUMENTS[key]
             p.add_argument(*flags, **options)
         p.set_defaults(func=handler)
+        path = (command, name) if name else (command,)
+        parser.leaves[path] = (p, dict(zip(("command", COMMANDS[command][1]), path)))
     return parser
+
+
+def parse_args(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, entered at the leaf that argv names.
+
+    The root and middle parsers would only pass the arguments after the
+    command path down to that leaf, so the leaf parses them itself and the
+    dests those parsers set are filled in; left-over arguments fail as
+    ``parse_args`` fails them.  Any other argv goes through the whole tree.
+    """
+    for depth in (2, 1):
+        path = tuple(argv[:depth])
+        if path in parser.leaves:
+            leaf, dests = parser.leaves[path]
+            args, extra = leaf.parse_known_args(argv[depth:])
+            vars(args).update(dests)
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            return args
+    return parser.parse_args(argv)
 
 
 # One parser serves every call in a process: built on the first call, so that
@@ -260,7 +286,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     if _parser is None:
         _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = parse_args(_parser, sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:

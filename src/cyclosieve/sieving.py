@@ -109,6 +109,12 @@ def verify_csp(
         polynomial = polynomial.cyclic_reduction(modulus)
     rows = []
     for d in range(modulus):
+        # X(zeta^d) is a Galois conjugate of X(zeta^g), g = gcd(d, m), and the
+        # fixed count of d depends only on g: an integer row is copied.
+        g = gcd(d, modulus) % modulus
+        if g != d and rows[g]["eval"] is not None:
+            rows.append({**rows[g], "d": d})
+            continue
         fixed = action.fixed_count(d)
         value = eval_at_root(polynomial, modulus, d)
         as_int = as_integer(value)
@@ -206,13 +212,15 @@ TERMS_PER_CAP = 10
 
 
 def _check_modulus(modulus: int, what: str, cap: Optional[int]) -> None:
+    if modulus < 1:
+        raise ValueError("the modulus must be positive")
     limit = _resolve_cap(cap)
     if modulus > limit:
         raise ValueError(
             f"{what} {modulus} exceeds the cap {limit}; "
             "pass a smaller --modulus or a larger --cap"
         )
-    terms = modulus * totient(modulus) if modulus > 0 else 0
+    terms = modulus * totient(modulus)
     if terms > TERMS_PER_CAP * limit:
         raise ValueError(
             f"{what} {modulus} gives {modulus} * phi({modulus}) = {terms} "

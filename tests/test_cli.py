@@ -151,6 +151,18 @@ class TestExitCodes:
         assert run(["csp", "syt", "--shape", "4^4", "--modulus", str(10**41)]) == 2
         assert "--modulus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("modulus", ["0", "-20"])
+    def test_non_positive_modulus_is_refused_before_enumerating(self, monkeypatch, capsys, modulus):
+        """5^4 has 1,662,804 SYT; a modulus of 0 used to be refused only
+        after they were all enumerated and promoted (0.9 s, 211 MB)."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated before checking the modulus")
+
+        monkeypatch.setattr("cyclosieve.sieving.enumerate_syt", refuse)
+        argv = ["csp", "syt", "--shape", "5,5,5,5", "--modulus", modulus, "--cap", "3000000"]
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", "error: the modulus must be positive\n")
+
     @pytest.mark.parametrize("argv, terms", [
         ("csp syt --shape 5,2,1,1,1 --json", 16744 * 6336),
         ("csp syt --shape 2,2 --modulus 40 --cap 63", 40 * 16),
@@ -309,6 +321,86 @@ class TestParserTree:
             seen[name] = tuple(hashlib.sha256(text.encode()).hexdigest()
                                for text in (help_text, usage_error))
         assert seen == self.PINNED
+
+
+class TestLeafRoute:
+    """run() enters the parse tree at the leaf its argv names.  Every argv
+    variant below parses there exactly as the whole tree parses it: the
+    same exit code, stdout and stderr, and the same namespace."""
+
+    # Per leaf: a valid call, and the argument that it cannot go without.
+    CALLS = {
+        "enumerate": ("syt --shape 2,2", "--shape 2,2"),
+        "csp syt": ("--shape 2,2 --modulus 4", "--shape 2,2"),
+        "csp cst": ("--shape 2,2 --bound 3", "--shape 2,2"),
+        "csp content": ("--shape 2,2 --content 1,1,1,1 --power 2", "--shape 2,2"),
+        "csp handshake": ("3", "3"),
+        "csp noncrossing": ("3", "3"),
+        "csp bnwords": ("2", "2"),
+        "dihedral": ("--shape 2,2 --bound 3", "--shape 2,2"),
+        "kl table": ("--rank 3", "--rank 3"),
+        "kl verify-promotion": ("--shape 2,2", "--shape 2,2"),
+        "kl mu-invariance": ("--shape 2,2 --allow-large", "--shape 2,2"),
+        "kl immanants": ("--rank 3", "--rank 3"),
+        "ribbon count": ("--shape 2,2 --power 2 --content 1,1", "--shape 2,2"),
+        "ribbon kf-check": ("--shape 2,2 --content 1,1,1,1 --power 2", "--shape 2,2"),
+    }
+
+    @classmethod
+    def variants(cls, leaf: str) -> dict:
+        """Variant -> (argv, exit code of its parse, or None for a namespace)."""
+        call, required = cls.CALLS[leaf]
+        path, args = leaf.split(), call.split()
+        without = call.replace(required, "").split()
+        flag, _, value = required.partition(" ")
+        if value:  # a required option, e.g. --shape=2,2 and --sh 2,2
+            equals, abbreviated = without + [f"{flag}={value}"], without + [flag[:4], value]
+        else:  # a required positional, which may also follow "--"
+            equals, abbreviated = args + ["--cap=50"], args + ["--ca", "50"]
+        return {
+            "valid": (path + args, None),
+            "opt=value": (path + equals, None),
+            "abbreviated": (path + abbreviated + ["--js"], None),
+            "missing": (path + without, 2),
+            "bad-int": (path + args + ["--cap", "x"], 2),
+            "unknown": (path + args + ["--nope"], 2),
+            "help": (path + ["-h"], 0),
+            "no-value": (path + args + ["--cap"], 2),
+            "dash-dash": (path + ["--"] + args, 2 if value else None),
+            "option-first": (path[:-1] + ["--json"] + path[-1:] + args, 2),
+        }
+
+    def test_every_leaf_has_a_case(self):
+        names = [" ".join(filter(None, (command, name))) for command, name, _, _ in cli.LEAVES]
+        assert sorted(self.CALLS) == sorted(names) == sorted(LEAVES)
+        assert sorted(" ".join(path) for path in cli.build_parser().leaves) == sorted(names)
+
+    @staticmethod
+    def _parse(capsys, parse, argv):
+        try:
+            outcome = vars(parse(argv))
+        except SystemExit as exc:
+            outcome = exc.code
+        return outcome, *capsys.readouterr()
+
+    @pytest.mark.parametrize("variant", [
+        "valid", "opt=value", "abbreviated", "missing", "bad-int", "unknown", "help",
+        "no-value", "dash-dash", "option-first",
+    ])
+    @pytest.mark.parametrize("leaf", LEAVES)
+    def test_leaf_parses_as_the_tree(self, monkeypatch, capsys, leaf, variant):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv, expected = self.variants(leaf)[variant]
+        routed = self._parse(capsys, lambda a: cli.parse_args(cli.build_parser(), a), argv)
+        whole = self._parse(capsys, cli.build_parser().parse_args, argv)
+        assert routed == whole, argv
+        if expected is None:
+            assert isinstance(whole[0], dict), whole
+        else:
+            assert whole[0] == expected, whole
+            assert run(argv) == expected
+            out, err = capsys.readouterr()
+            assert (out, err) == whole[1:] and "Traceback" not in err
 
 
 class TestCapContract:

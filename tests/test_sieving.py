@@ -16,8 +16,10 @@ from cyclosieve import (
     promote_power,
     schur_evaluate,
 )
+from cyclosieve import sieving
+from cyclosieve.cyclotomic import as_integer, eval_at_root
 from cyclosieve.jeudetaquin import promotion_permutation
-from cyclosieve.qpolys import q_hook_product
+from cyclosieve.qpolys import QProduct, q_hook_product
 from cyclosieve.sieving import (
     FiniteAction,
     bn_csp_report,
@@ -193,6 +195,21 @@ class TestFiniteAction:
             assert action.generator == tuple(index[promote_power(t, k, power)] for t in tabs)
 
 
+def verify_csp_rows_oracle(action, polynomial, modulus, modulus_comparison=False) -> list:
+    """The rows of verify_csp with every power d evaluated on its own."""
+    if isinstance(polynomial, QProduct):
+        polynomial = polynomial.cyclic_reduction(modulus)
+    rows = []
+    for d in range(modulus):
+        fixed = action.fixed_count(d)
+        value = eval_at_root(polynomial, modulus, d)
+        as_int = as_integer(value)
+        match = as_int is not None and (abs(as_int) if modulus_comparison else as_int) == fixed
+        rows.append({"d": d, "fixed": fixed, "eval": as_int, "eval_repr": repr(value),
+                     "match": match})
+    return rows
+
+
 class TestVerifyCsp:
     def test_promotion_table_222(self):
         report = syt_csp_report(Partition((2, 2, 2)))
@@ -221,6 +238,38 @@ class TestVerifyCsp:
     def test_report_round_trips_through_json(self):
         report = syt_csp_report(Partition((2, 2)))
         assert json.loads(json.dumps(report)) == report
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Reports whose verify_csp rows are held against the oracle's."""
+        verdicts = []
+
+        def both(action, polynomial, modulus, *args, modulus_comparison=False, **kwargs):
+            report = verify_csp(action, polynomial, modulus, *args,
+                                modulus_comparison=modulus_comparison, **kwargs)
+            expected = verify_csp_rows_oracle(action, polynomial, modulus, modulus_comparison)
+            assert report["rows"] == expected, (report["parameters"], modulus)
+            verdicts.append(report["verdict"])
+            return report
+
+        monkeypatch.setattr(sieving, "verify_csp", both)
+        return verdicts
+
+    def test_syt_rows_equal_the_per_power_oracle(self, checked):
+        """Integer rows are copied across each class gcd(d, m) = g; the
+        non-rectangles among these fail, so irrational rows are covered."""
+        for shape in all_partitions_up_to(8):
+            syt_csp_report(shape)
+        syt_csp_report(Partition((3, 3, 1)), modulus=195)
+        assert len(checked) == 68 and not all(checked)
+
+    def test_cst_and_content_rows_equal_the_per_power_oracle(self, checked):
+        for shape in rectangles_up_to(7):
+            for bound in range(1, 7):
+                cst_csp_report(shape, bound)
+        content_csp_report(Partition((2, 2)), Composition((1, 1, 1, 1)), 1)
+        content_csp_report(Partition((3, 3)), Composition((1, 2, 1, 2)), 2)
+        assert len(checked) == 16 * 6 + 2
 
 
 class TestFactoredPredictedSides:
