@@ -61,14 +61,8 @@ class CyclotomicElement:
     __slots__ = ("order", "_terms", "_residue")
 
     def __init__(self, order: int, polynomial: IntPolynomial):
-        _check_order(order)
-        terms: dict[int, int] = {}
-        for e, c in enumerate(polynomial.coeffs):
-            if c:
-                e %= order
-                terms[e] = terms.get(e, 0) + c
         _set_order(self, order)
-        _set_terms(self, {e: c for e, c in terms.items() if c})
+        _set_terms(self, eval_at_root(polynomial, order, 1)._terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicElement is immutable")

@@ -160,15 +160,15 @@ def promotion_permutation(words: np.ndarray, shape: Partition, k: int, power: in
     ``words`` are the packed row-reading words of distinct tableaux of the
     given shape, sorted, as ``enumerate_syt`` and ``enumerate_cst`` return
     them with ``packed=True``.  Entry i of the result is the index of the
-    image of the i-th tableau.  Raises ``ValueError`` when a word is not
-    column-strict with entries <= k, or when promotion does not map the set
-    onto itself.
+    image of the i-th tableau.  Raises ``ValueError`` when the power is
+    negative, when a word is not column-strict with entries <= k, or when
+    promotion does not map the set onto itself.
     """
+    if power < 0:
+        raise ValueError(f"the promotion power must be nonnegative, got {power}")
     shape = tuple(shape)
     _check_words(words, shape, k)
-    order = _sort_images(words, _promote_words(words, shape, k, abs(power)), "promotion")
-    if power < 0:  # element order[j] demotes to element j
-        return order.tolist()
+    order = _sort_images(words, _promote_words(words, shape, k, power), "promotion")
     generator = np.empty(len(words), dtype=np.intp)
     generator[order] = np.arange(len(words))
     return generator.tolist()

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations, permutations as _itertools_permutations, repeat
-from operator import add, gt, lshift, or_
+from operator import add, gt, lshift, or_, sub
 from typing import Optional, TextIO
 
 import numpy as np
@@ -411,44 +411,22 @@ def _kl_basis_long_cycle_coefficient(base: Tableau, promoted: Tableau, table: KL
     multiplying C'_u(1) by the long cycle.
 
     ``base`` is the column superstandard tableau and ``promoted`` its
-    promotion.  The basis element is expanded in the group basis, every
-    permutation is composed with the long cycle (applied after it, i.e.
-    entries shift by one cyclically), and the result is re-expressed in the
-    KL basis by peeling Bruhat-maximal support elements.
+    promotion.  C'_u(1) = sum_x (-1)^(l(u)-l(x)) P_{x,u}(1) x over the
+    x <= u, the signed support of w0 u read back through w0; the long cycle
+    c, applied after x, shifts its entries by one cyclically.  By the
+    inversion formula (Kazhdan-Lusztig 1979, (3.1)) the group element y has
+    coefficient P_{w0 y, w0 v}(1) on C'_v(1), the absolute value of the
+    signed support of v at y, so the coefficient is one dot product.
     """
     n = base.size
-    u = rsk_inverse(base, base)
-    v = rsk_inverse(promoted, base)
-    ui = table._idx(u)
-    coeffs: dict[int, int] = {}
-    for x in np.nonzero(table._leq[:, ui])[0]:
-        x = int(x)
-        sign = (-1) ** (table.lengths[ui] - table.lengths[x])
-        value = sign * sum(table._coeffs(x, ui))
-        if value:
-            shifted = tuple(w % n + 1 for w in table.perms[x])
-            xc = table.index[shifted]
-            coeffs[xc] = coeffs.get(xc, 0) + value
-    target = table._idx(v)
-    result = 0
-    while coeffs:
-        y = max(coeffs, key=lambda idx: (table.lengths[idx], idx))
-        gamma = coeffs.pop(y)
-        if gamma == 0:
-            continue
-        if y == target:
-            result = gamma
-        for z in np.nonzero(table._leq[:, y])[0]:
-            z = int(z)
-            if z == y:
-                continue
-            sign = (-1) ** (table.lengths[y] - table.lengths[z])
-            value = gamma * sign * sum(table._coeffs(z, y))
-            if value:
-                coeffs[z] = coeffs.get(z, 0) - value
-                if coeffs[z] == 0:
-                    del coeffs[z]
-    return result
+    u = table._idx(rsk_inverse(base, base))
+    v = table._idx(rsk_inverse(promoted, base))
+    xs, values = table._signed_support(table._w0_left[u])  # w0 x for each x <= u
+    shifted = [table.index[tuple(w % n + 1 for w in table.perms[x])]
+               for x in table._w0_left[xs].tolist()]
+    ys, inverse = table._signed_support(v)
+    row = dict(zip(ys.tolist(), np.abs(inverse).tolist()))
+    return sum(value * row.get(y, 0) for value, y in zip(values.tolist(), shifted))
 
 
 def verify_promotion_identity(
@@ -622,23 +600,13 @@ def kl_immanant(
     return Immanant(terms)
 
 
-def _compositions(total: int, max_len: int) -> list[Composition]:
-    """All compositions of ``total`` into positive parts, length <= max_len."""
-    out: list[Composition] = []
-
-    def rec(remaining: int, parts: list[int]) -> None:
-        if remaining == 0:
-            out.append(Composition(parts))
-            return
-        if len(parts) == max_len:
-            return
-        for p in range(1, remaining + 1):
-            parts.append(p)
-            rec(remaining - p, parts)
-            parts.pop()
-
-    rec(total, [])
-    return out
+def _compositions(n: int) -> list[Composition]:
+    """All compositions of n in lexicographic order, one per set of cuts
+    among 1, ..., n - 1; the empty composition is the one of 0."""
+    if not n:
+        return [Composition()]
+    cut_sets = (cuts for k in range(n) for cuts in combinations(range(1, n), k))
+    return sorted(Composition(map(sub, (*cuts, n), (0, *cuts))) for cuts in cut_sets)
 
 
 def _support_blocks(table: KLTable, words):
@@ -710,7 +678,7 @@ def vanishing_criterion_check(
         table = kl_table(n, allow_large=allow_large)
     if table.n != n:
         raise ValueError(f"the table is for rank {table.n}, not {n}")
-    alphas = _compositions(n, n)
+    alphas = _compositions(n)
     labels = [alpha.labels() for alpha in alphas]
     words = list(_itertools_permutations(range(1, n + 1)))
     # bit i - 1 of inside[a] is set iff i and i + 1 fall in one block of alpha

@@ -15,10 +15,14 @@ the product is expanded, or reduced mod q^m - 1, by multiplication alone.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import Counter
 from functools import cache
+from itertools import accumulate
+from operator import lt
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .tableaux import Composition, Partition, Tableau, beta_set, enumerate_cst, hook_lengths
+from .tableaux import Composition, Partition, beta_set, enumerate_cst, hook_lengths
 
 
 class IntPolynomial:
@@ -229,24 +233,20 @@ def cyclotomic_polynomial(m: int) -> IntPolynomial:
 
 
 class QProduct:
-    """sign * q^shift * prod_d Phi_d(q)^e_d with every e_d >= 0.
+    """prod_d Phi_d(q)^e_d with every e_d >= 0.
 
     A polynomial held in factored form.  ``exponents`` maps d to e_d; a
     negative e_d raises ``ValueError``, since the product is then not a
     polynomial.
     """
 
-    __slots__ = ("sign", "shift", "exponents")
+    __slots__ = ("exponents",)
 
-    def __init__(self, exponents: Mapping[int, int], sign: int = 1, shift: int = 0):
+    def __init__(self, exponents: Mapping[int, int]):
         exponents = dict(sorted(exponents.items()))
         for d, e in exponents.items():
             if e < 0:
                 raise ValueError(f"not a polynomial: Phi_{d} has exponent {e}")
-        if sign not in (1, -1) or shift < 0:
-            raise ValueError(f"need a sign of +/-1 and a shift >= 0, got {sign} and {shift}")
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "exponents", {d: e for d, e in exponents.items() if e})
 
     def __setattr__(self, name, value):
@@ -275,7 +275,7 @@ class QProduct:
 
     def expand(self) -> IntPolynomial:
         """The polynomial itself, by repeated multiplication."""
-        out = IntPolynomial.monomial(self.shift, self.sign)
+        out = IntPolynomial.one()
         for d, e in self.exponents.items():
             for _ in range(e):
                 out = cyclotomic_polynomial(d) * out
@@ -286,7 +286,7 @@ class QProduct:
         its values at the m-th roots of unity are the product's."""
         if m < 1:
             raise ValueError("the modulus must be positive")
-        coeffs = [self.sign]
+        coeffs = [1]
         for d, e in self.exponents.items():
             phi = cyclotomic_polynomial(d).coeffs
             factor = [(j % m, c) for j, c in enumerate(phi) if c]
@@ -297,10 +297,6 @@ class QProduct:
                         for j, c in factor:
                             out[(i + j) % m] += x * c
                 coeffs = out
-        shift = self.shift % m
-        if shift:
-            coeffs += [0] * (m - len(coeffs))
-            coeffs = coeffs[-shift:] + coeffs[:-shift]
         return IntPolynomial(coeffs)
 
 
@@ -370,62 +366,39 @@ def schur_evaluate(shape: Partition, values: Sequence):
 def charge(word: Sequence[int]) -> int:
     """Lascoux-Schutzenberger charge of a word whose content is a partition.
 
-    Standard subwords are extracted scanning right to left, wrapping
-    cyclically; the index of a letter grows by one each time the scan wraps.
+    Standard subwords 1, 2, ..., r are extracted in turn: each letter is the
+    nearest unused copy left of the previous one, scanning cyclically from
+    the right end, and its index, added to the charge, grows by one each
+    time the scan wraps.  The 1 is the rightmost unused 1, of index 0.
     """
-    word = tuple(int(x) for x in word)
-    if not word:
-        return 0
-    k = max(word)
-    counts = [word.count(v) for v in range(1, k + 1)]
-    if any(counts[i] < counts[i + 1] for i in range(k - 1)) or 0 in counts:
+    word = [int(x) for x in word]
+    # the positions of each letter 1, 2, ..., in increasing order
+    places = [[i for i, x in enumerate(word) if x == v] for v in range(1, max(word, default=0) + 1)]
+    counts = list(map(len, places))
+    if sum(counts) != len(word) or 0 in counts or any(map(lt, counts, counts[1:])):
         raise ValueError(f"charge needs partition content, got {counts}")
-    used = [False] * len(word)
     total = 0
-    remaining = len(word)
-    while remaining:
-        # positions still available, scanned right to left
-        pos = len(word) - 1
-        target = 1
-        index = 0
-        largest = max(
-            v for v in range(1, k + 1)
-            if sum(1 for i, x in enumerate(word) if not used[i] and x == v) > 0
-        )
-        while target <= largest:
-            scanned = 0
-            while True:
-                if not used[pos] and word[pos] == target:
-                    used[pos] = True
-                    remaining -= 1
-                    total += index
-                    target += 1
-                    break
-                pos -= 1
-                scanned += 1
-                if pos < 0:
-                    pos = len(word) - 1
-                    index += 1
-                if scanned > len(word):
-                    raise AssertionError("charge extraction failed to find a letter")
+    while places and places[0]:
+        pos, index = len(word), 0
+        for letters in places:
+            if not letters:
+                break
+            left = bisect_left(letters, pos) - 1
+            if left < 0:
+                index, left = index + 1, len(letters) - 1
+            pos = letters.pop(left)
+            total += index
     return total
-
-
-def _charge_word(t: Tableau) -> tuple[int, ...]:
-    """Reverse row reading word: rows bottom to top, each left to right."""
-    out: list[int] = []
-    for row in reversed(t.rows):
-        out.extend(row)
-    return tuple(out)
 
 
 @cache
 def _kostka_foulkes_sorted(shape: Partition, mu: Partition, cap: Optional[int]) -> IntPolynomial:
-    coeffs: dict[int, int] = {}
-    for t in enumerate_cst(shape, len(mu), Composition(mu), cap=cap):
-        c = charge(_charge_word(t))
-        coeffs[c] = coeffs.get(c, 0) + 1
-    return IntPolynomial.from_terms(coeffs)
+    """The charge sum over the packed words of CST(shape) of content mu; a
+    charge word reads the rows bottom to top, each left to right."""
+    words = enumerate_cst(shape, len(mu), Composition(mu), cap=cap, packed=True)
+    starts = list(accumulate(shape, initial=0))
+    columns = [i for r in reversed(range(len(shape))) for i in range(starts[r], starts[r + 1])]
+    return IntPolynomial.from_terms(Counter(map(charge, words[:, columns].tolist())))
 
 
 def kostka_foulkes(shape: Partition, alpha: Composition, cap: Optional[int] = None) -> IntPolynomial:

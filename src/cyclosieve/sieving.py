@@ -15,6 +15,7 @@ import numpy as np
 
 from .cyclotomic import as_integer, eval_at_root
 from .jeudetaquin import evacuation_permutation, promotion_permutation
+from .permutations import cycle_type, long_cycle, long_element
 from .qpolys import (
     IntPolynomial,
     QProduct,
@@ -270,20 +271,6 @@ def content_csp_report(
 # -- dihedral fixed points ---------------------------------------------------
 
 
-def _wo_cycle_type(n: int) -> Partition:
-    if n % 2 == 0:
-        return Partition((2,) * (n // 2))
-    return Partition((2,) * ((n - 1) // 2) + (1,))
-
-
-def _wo_cn_cycle_type(n: int) -> Partition:
-    if n < 2:
-        return Partition((1,) * n)
-    if n % 2 == 0:
-        return Partition((2,) * (n // 2 - 1) + (1, 1))
-    return Partition((2,) * ((n - 1) // 2) + (1,))
-
-
 def evacuation_fixed_expected(shape: Partition, bound: int) -> int:
     """(-1)^kappa s_shape(1, -1, 1, ...) with ``bound`` arguments.
 
@@ -320,28 +307,16 @@ def evacuation_promotion_fixed_expected(shape: Partition, bound: int) -> int:
     return (-1) ** kappa(shape) * total
 
 
-def syt_evacuation_expected(shape: Partition) -> int:
-    shape = Partition(shape)
+@cache
+def _syt_dihedral_expected(shape: Partition, promoted: bool) -> int:
+    """The predicted #Fix(e) on SYT(shape), or #Fix(e after promotion) when
+    ``promoted``: a signed character value at the cycle type of the longest
+    element w0, or of w0 times the long cycle."""
     n = shape.size
-    ncols = shape[0] if shape else 0
-    nrows = len(shape)
-    chi = mn_character(shape, _wo_cycle_type(n))
-    sign = 1 if ncols % 2 == 0 else (-1) ** (nrows // 2)
-    return sign * chi
-
-def syt_evacuation_promotion_expected(shape: Partition) -> int:
-    shape = Partition(shape)
-    n = shape.size
-    ncols = shape[0] if shape else 0
-    nrows = len(shape)
-    chi = mn_character(shape, _wo_cn_cycle_type(n))
-    if ncols % 2 == 0:
-        sign = 1
-    elif nrows % 2 == 0:
-        sign = (-1) ** (nrows // 2 - 1)
-    else:
-        sign = (-1) ** (nrows // 2)
-    return sign * chi
+    w = long_element(n) * long_cycle(n) if promoted else long_element(n)
+    ncols, nrows = (shape[0], len(shape)) if shape else (0, 0)
+    half = nrows // 2 + (promoted and nrows % 2 == 0)
+    return (-1) ** (half * (ncols % 2)) * mn_character(shape, cycle_type(w))
 
 
 def _dihedral_fixed_counts(words: np.ndarray, shape: Partition, k: int) -> tuple[int, int]:
@@ -394,8 +369,8 @@ def dihedral_report(shape: Partition, bound: int, cap: Optional[int] = None) -> 
             "ej": {"fixed": cst_ej, "expected": evacuation_promotion_fixed_expected(shape, bound)},
         },
         "syt": {
-            "e": {"fixed": syt_e, "expected": syt_evacuation_expected(shape)},
-            "ej": {"fixed": syt_ej, "expected": syt_evacuation_promotion_expected(shape)},
+            "e": {"fixed": syt_e, "expected": _syt_dihedral_expected(shape, False)},
+            "ej": {"fixed": syt_ej, "expected": _syt_dihedral_expected(shape, True)},
         },
     }
     return {
@@ -422,25 +397,11 @@ MAX_CATALAN_SIZE = 8
 
 @cache
 def handshake_patterns(n: int) -> tuple[Matching, ...]:
-    """All noncrossing perfect matchings of [2n]."""
+    """All noncrossing perfect matchings of [2n], read off SYT(n, n) by
+    :func:`tableau_to_handshake`."""
     if n > MAX_CATALAN_SIZE:
         raise CapExceeded(f"handshake patterns support n <= {MAX_CATALAN_SIZE}")
-
-    def rec(points: tuple[int, ...]) -> list[Matching]:
-        if not points:
-            return [()]
-        first = points[0]
-        out = []
-        for gap in range(1, len(points), 2):
-            partner = points[gap]
-            inside = points[1:gap]
-            outside = points[gap + 1:]
-            for left in rec(inside):
-                for right in rec(outside):
-                    out.append(_canonical_matching(((first, partner),) + left + right))
-        return out
-
-    return tuple(sorted(rec(tuple(range(1, 2 * n + 1)))))
+    return tuple(sorted(map(tableau_to_handshake, enumerate_syt(Partition((n, n) if n else ())))))
 
 
 def rotate_matching(matching: Matching, n: int) -> Matching:
@@ -459,14 +420,13 @@ def handshake_action(n: int) -> FiniteAction:
 
 def handshake_to_tableau(matching: Matching) -> Tableau:
     """Two-row tableau: openers across the top, closers across the bottom."""
-    openers = sorted(min(p) for p in matching)
-    closers = sorted(max(p) for p in matching)
-    return Tableau([tuple(openers), tuple(closers)])
+    rows = [sorted(min(p) for p in matching), sorted(max(p) for p in matching)]
+    return Tableau(rows if matching else [])
 
 
 def tableau_to_handshake(t: Tableau) -> Matching:
     """Inverse of :func:`handshake_to_tableau`, by parenthesis matching."""
-    openers = set(t.rows[0])
+    openers = set(t.rows[0] if t.rows else ())
     stack: list[int] = []
     pairs = []
     for i in range(1, t.size + 1):
@@ -570,14 +530,6 @@ def noncrossing_csp_report(n: int, cap: Optional[int] = None) -> dict:
 # -- reduced words for the hyperoctahedral longest element -------------------
 
 
-def signed_length(w: tuple[int, ...]) -> int:
-    """Type-B length: inversions plus the sum of the negated values."""
-    n = len(w)
-    inv = sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
-    neg = sum(-v for v in w if v < 0)
-    return inv + neg
-
-
 def signed_right_descents(w: tuple[int, ...]) -> list[int]:
     out = []
     if w[0] < 0:
@@ -596,13 +548,6 @@ def signed_apply_right(w: tuple[int, ...], i: int) -> tuple[int, ...]:
 
 def bn_longest(n: int) -> tuple[int, ...]:
     return tuple(-i for i in range(1, n + 1))
-
-
-@cache
-def bn_reduced_word_count(w: tuple[int, ...]) -> int:
-    if signed_length(w) == 0:
-        return 1
-    return sum(bn_reduced_word_count(signed_apply_right(w, i)) for i in signed_right_descents(w))
 
 
 def bn_reduced_words(n: int) -> list[tuple[int, ...]]:
@@ -629,12 +574,11 @@ def bn_word_action(n: int, cap: Optional[int] = None) -> FiniteAction:
         raise ValueError(f"signed permutation words need n >= 1, got {n}")
     expected = syt_count(Partition((n,) * n))
     _check_cap(expected, "reduced words", cap)
-    count = bn_reduced_word_count(bn_longest(n))
-    if count != expected:
-        raise AssertionError(
-            f"reduced word count {count} disagrees with the hook formula {expected}"
-        )
     words = bn_reduced_words(n)
+    if len(words) != expected:
+        raise AssertionError(
+            f"reduced word count {len(words)} disagrees with the hook formula {expected}"
+        )
     return FiniteAction.of_map(words, lambda w: w[1:] + w[:1])
 
 

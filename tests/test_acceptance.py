@@ -315,10 +315,9 @@ def test_criterion_14_catalan_actions():
     for n in range(1, 7):
         assert handshake_csp_report(n)["verdict"], n
         assert noncrossing_csp_report(n)["verdict"], n
+    from cyclosieve.permutations import cycle_type, long_cycle, long_element
     from cyclosieve.qpolys import mn_character
     from cyclosieve.sieving import (
-        _wo_cn_cycle_type,
-        _wo_cycle_type,
         handshake_patterns,
         reflect_matching,
         rotate_matching,
@@ -326,10 +325,10 @@ def test_criterion_14_catalan_actions():
 
     for n in range(1, 7):
         hs = handshake_patterns(n)
-        chi_wo = mn_character(Partition((n, n)), _wo_cycle_type(2 * n))
+        chi_wo = mn_character(Partition((n, n)), cycle_type(long_element(2 * n)))
         expected = chi_wo if n % 2 == 0 else -chi_wo
         assert sum(1 for h in hs if reflect_matching(h, n) == h) == expected
-        chi_woc = mn_character(Partition((n, n)), _wo_cn_cycle_type(2 * n))
+        chi_woc = mn_character(Partition((n, n)), cycle_type(long_element(2 * n) * long_cycle(2 * n)))
         assert (
             sum(1 for h in hs if rotate_matching(reflect_matching(h, n), n) == h)
             == chi_woc

@@ -332,10 +332,13 @@ class TestPromotionPermutation:
             assert promotion_permutation(words, lam, k, power) == expected, (lam, alpha, power)
 
     def test_every_power_and_demotion(self):
+        """Every power from 0 to 5; a negative power, which would demote, is refused."""
         lam = Partition((3, 2))
         words, tabs = enumerate_cst(lam, 4, packed=True), enumerate_cst(lam, 4)
-        for power in range(-5, 6):
+        for power in range(6):
             assert promotion_permutation(words, lam, 4, power) == _permutation_by_promote(tabs, 4, power)
+        with pytest.raises(ValueError, match="nonnegative"):
+            promotion_permutation(words, lam, 4, -1)
 
     def test_edge_cases(self):
         column = Partition((1, 1, 1))

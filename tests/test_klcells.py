@@ -161,6 +161,23 @@ class TestTableAxioms:
         assert table._mu_lists == mu_lists
 
     @pytest.mark.parametrize("n", range(6))
+    def test_signed_supports_invert_the_kl_matrix(self, n):
+        """Row t of |_signed_support(t)|, P_{w0 v, w0 t}(1) at each v >= t, is
+        the two-sided inverse of M[x, y] = (-1)^(l(y)-l(x)) P_{x,y}(1)
+        (Kazhdan-Lusztig 1979, (3.1)); the KL-basis coefficient of the
+        promotion identity is read through it."""
+        table = kl_table(n)
+        size = len(table.perms)
+        m = np.array([[(-1) ** (table.lengths[y] - table.lengths[x]) * sum(table._coeffs(x, y))
+                       for y in range(size)] for x in range(size)], dtype=np.int64)
+        inverse = np.zeros((size, size), dtype=np.int64)
+        for t in range(size):
+            vs, values = table._signed_support(t)
+            inverse[t, vs] = np.abs(values)
+        identity = np.eye(size, dtype=np.int64)
+        assert (m @ inverse == identity).all() and (inverse @ m == identity).all()
+
+    @pytest.mark.parametrize("n", range(6))
     def test_inversion_identity(self, n):
         """q^(l(w)-l(u)) P_{u,w}(1/q) = sum over u <= z <= w of R_{u,z} P_{z,w},
         with R from its own recursion."""
@@ -355,6 +372,16 @@ class TestPromotionIdentity:
         assert report["verdict"]
         assert report["sign"] == (-1) ** (len(shape) - 1)
 
+    def test_every_rectangle_up_to_six_cells_and_rank_seven(self):
+        shapes = [(shape, False) for shape in rectangles_up_to(6)]
+        shapes += [(Partition((7,)), True), (Partition((1,) * 7), True)]
+        try:
+            for shape, allow_large in shapes:
+                report = verify_promotion_identity(shape, allow_large=allow_large)
+                assert report["verdict"] and report["kl_basis_coefficient"] == report["sign"], shape
+        finally:
+            kl_table.cache_clear()  # drop the rank-7 table
+
     def test_222_sign_and_cycle_structure(self):
         report = verify_promotion_identity(Partition((2, 2, 2)))
         assert report["verdict"] and report["sign"] == 1
@@ -536,6 +563,11 @@ def _kl_immanant_by_walk(w, alpha, beta, table):
 
 
 class TestVanishingCriterion:
+    def test_compositions_in_lexicographic_order(self):
+        for n in range(9):
+            expected = sorted(alpha for k in range(n + 1) for alpha in compositions_of(n, k, False))
+            assert _compositions(n) == expected, n
+
     def test_n3_matches_semistandardizability(self):
         report = vanishing_criterion_check(3)
         assert report["verdict"] and report["cases_checked"] == 24
@@ -553,7 +585,7 @@ class TestVanishingCriterion:
         table = kl_table(n)
         vanishes, mismatches = _vanishing_by_pairs(n, table)
         words = list(itertools_permutations(range(1, n + 1)))
-        labels = [alpha.labels() for alpha in _compositions(n, n)]
+        labels = [alpha.labels() for alpha in _compositions(n)]
         assert _vanishing_matrix(table, words, labels).tolist() == vanishes
         assert vanishing_criterion_check(n, table)["mismatches"] == mismatches
 
@@ -564,7 +596,7 @@ class TestVanishingCriterion:
 
         table = kl_table(5)
         words = list(itertools_permutations(range(1, 6)))
-        labels = [alpha.labels() for alpha in _compositions(5, 5)]
+        labels = [alpha.labels() for alpha in _compositions(5)]
         whole = _vanishing_matrix(table, words, labels)
         for rows in (1, 7, 100, 1000):
             monkeypatch.setattr(klcells, "_BLOCK_ROWS", rows)
@@ -577,7 +609,7 @@ class TestVanishingCriterion:
         v' give the same monomial, so no two monomials may share a key."""
         table = kl_table(n)
         words = list(itertools_permutations(range(1, n + 1)))
-        labels = [alpha.labels() for alpha in _compositions(n, n)]
+        labels = [alpha.labels() for alpha in _compositions(n)]
         size = len(words)
         for shift in range(1, size):
             partner = {table.index[w]: table.index[words[(i + shift) % size]]
@@ -650,7 +682,7 @@ def _vanishing_by_pairs(n, table):
     for w in all_perms(n):
         q = rsk(w)[1]
         row = []
-        for alpha in _compositions(n, n):
+        for alpha in _compositions(n):
             row.append(kl_immanant(w, alpha, ones, table).is_zero())
             if row[-1] == is_semistandardizable(q, alpha):
                 mismatches.append({"w": list(w), "alpha": list(alpha)})

@@ -23,7 +23,6 @@ from cyclosieve.qpolys import QProduct, q_hook_product
 from cyclosieve.sieving import (
     FiniteAction,
     bn_csp_report,
-    bn_reduced_word_count,
     bn_reduced_words,
     bn_longest,
     content_csp_report,
@@ -45,16 +44,14 @@ from cyclosieve.sieving import (
     reflect_matching,
     reflect_noncrossing,
     rotate_matching,
-    signed_length,
     subsets_csp_report,
     syt_csp_report,
     syt_promotion_action,
     tableau_to_handshake,
     verify_csp,
-    _wo_cycle_type,
-    _wo_cn_cycle_type,
 )
-from cyclosieve.tableaux import descent_set, extended_descent_set
+from cyclosieve.permutations import cycle_type, long_cycle, long_element
+from cyclosieve.tableaux import Tableau, descent_set, extended_descent_set
 
 
 def set_partitions_oracle(items: tuple[int, ...]) -> list[list[list[int]]]:
@@ -395,6 +392,13 @@ class TestHandshakesAndNoncrossing:
                             parent[find(a)] = find(b)
                 assert len({find(x) for x in range(1, n + 1)}) == 1
 
+    def test_empty_matching_is_the_empty_tableau(self):
+        assert handshake_to_tableau(()) == Tableau(())
+        assert handshake_patterns(0) == ((),)
+
+    def test_empty_tableau_is_the_empty_matching(self):
+        assert tableau_to_handshake(Tableau(())) == ()
+
     def test_white_bijection_intertwines_rotation_with_promotion(self):
         for n in range(1, 7):
             for h in handshake_patterns(n):
@@ -433,8 +437,9 @@ class TestHandshakesAndNoncrossing:
     def test_proposition_8_3(self):
         for n in range(1, 7):
             hs = handshake_patterns(n)
-            chi_wo = mn_character(Partition((n, n)), _wo_cycle_type(2 * n))
-            chi_woc = mn_character(Partition((n, n)), _wo_cn_cycle_type(2 * n))
+            w0 = long_element(2 * n)
+            chi_wo = mn_character(Partition((n, n)), cycle_type(w0))
+            chi_woc = mn_character(Partition((n, n)), cycle_type(w0 * long_cycle(2 * n)))
             expected_r = chi_wo if n % 2 == 0 else -chi_wo
             fixed_r = sum(1 for h in hs if reflect_matching(h, n) == h)
             assert fixed_r == expected_r
@@ -473,12 +478,13 @@ class TestSizeCaps:
 
 class TestBnWords:
     def test_lengths_and_counts(self):
-        for n in range(1, 4):
-            wo = bn_longest(n)
-            assert signed_length(wo) == n * n
-            from cyclosieve.tableaux import syt_count
+        """The longest signed permutation has length n^2, and SYT(n^n) count its reduced words."""
+        from cyclosieve.tableaux import syt_count
 
-            assert bn_reduced_word_count(wo) == syt_count(Partition((n,) * n))
+        for n in range(1, 4):
+            words = bn_reduced_words(n)
+            assert {len(word) for word in words} == {n * n}
+            assert len(words) == syt_count(Partition((n,) * n))
 
     def test_word_list_small(self):
         assert bn_reduced_words(1) == [(0,)]
@@ -517,11 +523,13 @@ class TestDihedral:
         assert report["verdict"]
 
     def test_cycle_type_formulas(self):
-        from cyclosieve.permutations import cycle_type, long_cycle, long_element
-
+        """w0 pairs i with n + 1 - i; w0 c fixes n, and n / 2 when n is even."""
         for n in range(0, 9):
-            assert cycle_type(long_element(n)) == _wo_cycle_type(n)
-            assert cycle_type(long_element(n) * long_cycle(n)) == _wo_cn_cycle_type(n)
+            pairs, odd = divmod(n, 2)
+            assert cycle_type(long_element(n)) == Partition((2,) * pairs + (1,) * odd)
+            fixed = min(n, 2 - odd)
+            w0c = Partition((2,) * ((n - fixed) // 2) + (1,) * fixed)
+            assert cycle_type(long_element(n) * long_cycle(n)) == w0c
 
     def test_non_rectangular_rejected(self):
         with pytest.raises(ValueError):
@@ -547,8 +555,9 @@ class TestDihedral:
                 assert (report["syt"]["e"]["fixed"], report["syt"]["ej"]["fixed"]) == syt_counts, tuple(lam)
 
     @pytest.mark.parametrize("broken", [
-        # not an involution, although demote∘promote is
-        lambda words, shape, k: promotion_permutation(words, shape, k, -1),
+        # demotion, the inverse of promotion: not an involution, although demote∘promote is
+        lambda words, shape, k: (lambda p: sorted(range(len(p)), key=p.__getitem__))(
+            promotion_permutation(words, shape, k)),
         # an involution that does not invert promotion by conjugation
         lambda words, shape, k: list(range(len(words))),
     ], ids=["demotion", "identity"])
