@@ -268,30 +268,46 @@ class KLTable:
         ``{"coeffs": [...], "u": [...], "v": [...]}``, the bytes that
         ``json.dumps(..., sort_keys=True)`` gives; as text each row is a line
         ``u v coeffs``.  Each permutation and each distinct coefficient tuple
-        is formatted once (``str`` of a list of ints is its JSON), and one
-        string is written per column, so the dump is never held whole.
+        is formatted once (``str`` of a list of ints is its JSON), and so is
+        every row head: in JSON ``{"coeffs": C, "u": `` per tuple, ``U, "v": ``
+        per permutation and, for P = 1, the two joined per permutation; as
+        text ``U `` per permutation and ``C`` plus a newline per tuple.  A row
+        is then a head or two and the column's tail.  One string is written
+        per column, so the dump is never held whole.
         """
         perm_text = [str(list(p)) for p in self.perms]
-        coeff_text = {c: str(list(c)) for col in self._polys for c in col.values()}
-        coeff_text[_ONE] = str(list(_ONE))
+        coeff_text = {
+            c: str(list(c)) for c in set().union(*map(dict.values, self._polys), [_ONE])
+        }
         pairs = 0
         if as_json:
+            coeff_rows = {c: '{"coeffs": ' + text + ', "u": ' for c, text in coeff_text.items()}
+            u_rows = [text + ', "v": ' for text in perm_text]
+            one_rows = [coeff_rows[_ONE] + row for row in u_rows]
             out.write(f'{{"n": {self.n}, "polynomials": [')
+        else:
+            heads = [text + " " for text in perm_text]
+            coeff_lines = {c: text + "\n" for c, text in coeff_text.items()}
         for w, col in enumerate(self._polys):
             # w itself comes last: every u < w is shorter, so has a smaller index
             below = np.flatnonzero(self._leq[:, w]).tolist()[:-1]
             if not below:
                 continue
             v = perm_text[w]
+            get = col.get  # None where P_{u,w} = 1
             if as_json:
+                tail = v + "}"
                 rows = ", ".join([
-                    f'{{"coeffs": {coeff_text[col.get(u, _ONE)]}, "u": {perm_text[u]}, "v": {v}}}'
+                    (one_rows[u] if (c := get(u)) is None else coeff_rows[c] + u_rows[u]) + tail
                     for u in below
                 ])
                 out.write(f", {rows}" if pairs else rows)
             else:
+                v_head = v + " "
+                one_tail = v_head + coeff_lines[_ONE]
                 out.write("".join([
-                    f"{perm_text[u]} {v} {coeff_text[col.get(u, _ONE)]}\n" for u in below
+                    heads[u] + (one_tail if (c := get(u)) is None else v_head + coeff_lines[c])
+                    for u in below
                 ]))
             pairs += len(below)
         if as_json:
@@ -307,13 +323,13 @@ def kl_table(n: int, allow_large: bool = False) -> KLTable:
     """
     if n < 0:
         raise ValueError(f"the rank must be nonnegative, got {n}")
+    if n > 7:
+        raise ValueError("ranks above 7 are not supported")
     if n > DEFAULT_RANK_CAP and not allow_large:
         raise ValueError(
             f"rank {n} exceeds the default cap {DEFAULT_RANK_CAP}; pass allow_large=True "
             "(--allow-large on the command line)"
         )
-    if n > 7:
-        raise ValueError("ranks above 7 are not supported")
     return _kl_table(n)
 
 

@@ -57,6 +57,18 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err, argv
 
+    @pytest.mark.parametrize("argv", [
+        "kl table --rank 8",
+        "kl immanants --rank 8",
+        "kl verify-promotion --shape 4,4",
+        "kl mu-invariance --shape 4,4",
+    ])
+    def test_rank_above_7_does_not_advise_the_flag(self, capsys, argv):
+        """--allow-large reaches rank 7 only, so the refusal must not name it."""
+        assert run(argv.split()) == 2
+        err = capsys.readouterr().err
+        assert err == "error: ranks above 7 are not supported\n", err
+
     @pytest.mark.parametrize("shape", ["2,2", ""])
     @pytest.mark.parametrize("bound", ["0", "-1"])
     def test_csp_cst_refuses_a_bound_below_one(self, monkeypatch, capsys, shape, bound):
@@ -482,6 +494,12 @@ class TestJsonOutput:
         assert run(["kl", "table", "--rank", "5"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "d9248c317224cc034faefa6a690cf72aca38a58733e0393a946f40d5a99a735f"
+
+    def test_kl_table_rank_6_text_dump_is_pinned(self, capsys):
+        """Recorded while each row was one f-string, before the row heads."""
+        assert run(["kl", "table", "--rank", "6"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "a1f6f27df5c440fe028dc5a446d5e992b627591b24b9e02e66627073c3a388fe"
 
     @pytest.mark.parametrize("argv, digest", [
         ("csp syt --shape 4^4 --json", "b1015585abcb602e42d5f80dd2d7c746f6c29a147719188df3000dc951769e59"),

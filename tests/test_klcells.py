@@ -113,8 +113,12 @@ class TestTableAxioms:
                 assert len(coeffs) - 1 <= (table.lengths[wi] - table.lengths[ui] - 1) // 2
 
     def test_rank_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="allow_large=True"):
             kl_table(7)
+        # the default cap's advice to pass allow_large would not help above 7
+        for allow_large in (False, True):
+            with pytest.raises(ValueError, match="ranks above 7 are not supported"):
+                kl_table(8, allow_large=allow_large)
 
     def test_one_build_per_rank(self):
         """Every call form of kl_table for one rank shares one memo entry."""
@@ -824,7 +828,7 @@ class TestDump:
         assert all(t["coeffs"] == [1] for t in triples)
 
     @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
-    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("n", range(7))
     def test_stream_matches_the_list_of_dicts(self, n, as_json):
         table = kl_table(n)
         out = io.StringIO()
