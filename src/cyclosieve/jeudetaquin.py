@@ -24,7 +24,9 @@ column by column, with the same rule; :func:`evacuation_permutation`
 evacuates a set of rectangular tableaux in the same array, where no slide
 is needed.  Enumerated sets arrive in that array
 straight from ``tableaux.enumerate_syt`` or ``tableaux.enumerate_cst`` with
-``packed=True``.
+``packed=True``.  Both return the permutation of the set as one ``np.intp``
+array, which ``sieving.FiniteAction`` keeps as it is and reads its cycle-size
+histogram from with whole-array steps.
 """
 
 from __future__ import annotations
@@ -138,40 +140,46 @@ def _promote_words(words: np.ndarray, shape: tuple[int, ...], k: int, power: int
     north, west, bottom, reach, _, _ = _cells(shape)
     n = len(north) - 1
     images = words.copy()
+    flat = images.reshape(-1)  # a view: cell c of word i is flat[i * (n + 2) + c]
     for _ in range(power):
         # A column's k can only sit at its bottom, and a column keeps its
         # entries until its own hole slides.
         holes = images.take(bottom, 1) == k
         for column in np.flatnonzero(holes.any(axis=0)):
-            which, at = np.flatnonzero(holes[:, column]), bottom[column]
+            rows, at = np.flatnonzero(holes[:, column]) * (n + 2), bottom[column]
             for _ in range(reach[column]):
                 up, left = north[at], west[at]
-                up_value, left_value = images[which, up], images[which, left]
+                up_value, left_value = flat.take(rows + up), flat.take(rows + left)
                 west_wins = left_value > up_value
-                images[which, at] = np.where(west_wins, left_value, up_value)
+                flat[rows + at] = np.where(west_wins, left_value, up_value)
                 at = np.where(west_wins, left, up)
         images[:, :n] += 1
     return images
 
 
-def promotion_permutation(words: np.ndarray, shape: Partition, k: int, power: int = 1) -> list[int]:
+def promotion_permutation(words: np.ndarray, shape: Partition, k: int, power: int = 1) -> np.ndarray:
     """The permutation by which ``promote_power(., k, power)`` acts on a set.
 
     ``words`` are the packed row-reading words of distinct tableaux of the
     given shape, sorted, as ``enumerate_syt`` and ``enumerate_cst`` return
-    them with ``packed=True``.  Entry i of the result is the index of the
-    image of the i-th tableau.  Raises ``ValueError`` when the power is
-    negative, when a word is not column-strict with entries <= k, or when
-    promotion does not map the set onto itself.
+    them with ``packed=True``.  Entry i of the resulting ``np.intp`` array
+    is the index of the image of the i-th tableau.  Raises ``ValueError``
+    when the power is negative, when a word is not column-strict with
+    entries <= k, or when promotion does not map the set onto itself.
     """
     if power < 0:
         raise ValueError(f"the promotion power must be nonnegative, got {power}")
     shape = tuple(shape)
     _check_words(words, shape, k)
+    return _promotion_generator(words, shape, k, power)
+
+
+def _promotion_generator(words: np.ndarray, shape: tuple[int, ...], k: int, power: int = 1) -> np.ndarray:
+    """:func:`promotion_permutation` on words that have passed ``_check_words``."""
     order = _sort_images(words, _promote_words(words, shape, k, power), "promotion")
     generator = np.empty(len(words), dtype=np.intp)
     generator[order] = np.arange(len(words))
-    return generator.tolist()
+    return generator
 
 
 def _sort_images(words: np.ndarray, images: np.ndarray, action: str) -> np.ndarray:
@@ -187,9 +195,10 @@ def _sort_images(words: np.ndarray, images: np.ndarray, action: str) -> np.ndarr
     return order
 
 
-def evacuation_permutation(words: np.ndarray, shape: Partition, k: int) -> list[int]:
+def evacuation_permutation(words: np.ndarray, shape: Partition, k: int) -> np.ndarray:
     """The permutation by which ``evacuate(., k)`` acts on a set of tableaux
-    of rectangular shape, given as in :func:`promotion_permutation`.
+    of rectangular shape, given as in :func:`promotion_permutation`, as an
+    ``np.intp`` array.
 
     On a rectangle evacuation slides nothing: it rotates the tableau by 180
     degrees and replaces every entry x by k + 1 - x, which reverses the row
@@ -206,7 +215,7 @@ def evacuation_permutation(words: np.ndarray, shape: Partition, k: int) -> list[
     images[:, :n] = k + 1 - words[:, :n][:, ::-1]
     # Evacuation is an involution, so the order that sorts the images is
     # the permutation itself.
-    return _sort_images(words, images, "evacuation").tolist()
+    return _sort_images(words, images, "evacuation")
 
 
 def evacuate(t: Tableau, k: Optional[int] = None) -> Tableau:

@@ -461,7 +461,7 @@ def verify_promotion_identity(
     n = shape.size
     sign = (-1) ** (len(shape) + 1)
     words, basis, descents, mu, table = _cell_basis(shape, allow_large, cap)
-    promotion = promotion_permutation(words, shape, n)
+    promotion = promotion_permutation(words, shape, n).tolist()
     dim = len(promotion)
     gens = [_generator_matrix(descents, mu, i) for i in range(1, n)]
     rho_cn = _identity_matrix(dim)
@@ -505,7 +505,7 @@ def mu_promotion_invariance(
     failure lists the pair of tableaux and both values."""
     shape = Partition(shape)
     words, basis, _, mu, _ = _cell_basis(shape, allow_large, cap)
-    promotion = promotion_permutation(words, shape, shape.size)
+    promotion = promotion_permutation(words, shape, shape.size).tolist()
     pairs = list(combinations(range(len(basis)), 2))
     failures = [
         {

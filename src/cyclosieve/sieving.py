@@ -8,13 +8,13 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations, combinations_with_replacement
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .cyclotomic import as_integer, eval_at_root
-from .jeudetaquin import evacuation_permutation, promotion_permutation
+from .jeudetaquin import _promotion_generator, evacuation_permutation, promotion_permutation
 from .permutations import cycle_type, long_cycle, long_element
 from .qpolys import (
     IntPolynomial,
@@ -42,32 +42,35 @@ from .tableaux import (
 
 class FiniteAction:
     """A cyclic action on a finite set, held as the permutation that
-    generates it: the sequence of the indices of the elements' images."""
+    generates it: the ``np.intp`` array of the indices of the elements'
+    images.  By cyclic sieving every verdict reads only its cycle sizes, so
+    the action keeps them as ``histogram``, {cycle size: number of cycles}."""
 
-    def __init__(self, generator: Sequence[int]):
-        self.generator: tuple[int, ...] = tuple(generator)
-        n = len(self.generator)
-        not_bijective = ValueError("the generator is not a bijection of the elements")
-        if n and not 0 <= min(self.generator) <= max(self.generator) < n:
-            raise not_bijective
-        self._cycle_lengths: list[int] = []
-        seen = [False] * n
-        for start in range(n):
-            if seen[start]:
-                continue
-            size = 0
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                i = self.generator[i]
-                size += 1
-            if i != start:  # every walk closes into a cycle iff the map is a bijection
-                raise not_bijective
-            self._cycle_lengths.append(size)
-        order = 1
-        for size in self._cycle_lengths:
-            order = order * size // gcd(order, size)
-        self.order = order
+    def __init__(self, generator: Sequence[int] | np.ndarray):
+        self.generator: np.ndarray = np.asarray(generator, dtype=np.intp)
+        n = self.generator.size
+        # Viewed as unsigned, a negative index is huge, so one comparison
+        # bounds every entry to 0..n-1; a bijection then hits every index.
+        if (self.generator.ndim != 1 or np.count_nonzero(self.generator.view(np.uintp) >= n)
+                or np.count_nonzero(np.bincount(self.generator, minlength=n)) != n):
+            raise ValueError("the generator is not a bijection of the elements")
+        # Label every element with the least index on its cycle by pointer
+        # doubling: label[i] is the least of the first `span` points of i's
+        # walk and step = generator^span.  A round that changes no label, or
+        # a span of n, which covers every cycle, settles them all.
+        label, step, span = np.arange(n), self.generator, 1
+        while span < n:
+            least = np.minimum(label, label.take(step))
+            if not np.count_nonzero(least != label):
+                break
+            label, step, span = least, step.take(step), 2 * span
+        # Entry s of counts is the number of cycles of size s; entry 0, the
+        # number of elements that are not the least of their cycle, is dropped.
+        counts = np.bincount(np.bincount(label, minlength=n))
+        counts[:1] = 0
+        sizes = counts.nonzero()[0]
+        self.histogram: dict[int, int] = dict(zip(sizes.tolist(), counts[sizes].tolist()))
+        self.order = lcm(*self.histogram)
 
     @classmethod
     def of_map(cls, elements: Sequence, image: Callable) -> "FiniteAction":
@@ -78,11 +81,11 @@ class FiniteAction:
         return cls([index[image(x)] for x in elements])
 
     def orbit_sizes(self) -> list[int]:
-        return sorted(self._cycle_lengths)
+        return [size for size, count in self.histogram.items() for _ in range(count)]
 
     def fixed_count(self, power: int) -> int:
         """Number of elements fixed by the generator raised to ``power``."""
-        return sum(size for size in self._cycle_lengths if power % size == 0)
+        return sum(size * count for size, count in self.histogram.items() if power % size == 0)
 
 
 def verify_csp(
@@ -330,17 +333,14 @@ def _dihedral_fixed_counts(words: np.ndarray, shape: Partition, k: int) -> tuple
     element i exactly when P[i] = E[i].
     """
     evac = evacuation_permutation(words, shape, k)
-    prom = promotion_permutation(words, shape, k)
-    identity = list(range(len(words)))
-    if [evac[i] for i in evac] != identity:
+    prom = _promotion_generator(words, tuple(shape), k)  # the words passed evacuation's check
+    identity = np.arange(len(words))
+    if (evac[evac] != identity).any():
         raise AssertionError("evacuation is not an involution on the set")
-    reflection = [evac[i] for i in prom]
-    if [reflection[i] for i in reflection] != identity:
+    reflection = evac[prom]
+    if (reflection[reflection] != identity).any():
         raise AssertionError("evacuation does not conjugate promotion to its inverse")
-    return (
-        sum(1 for i, j in enumerate(evac) if i == j),
-        sum(1 for i, j in zip(prom, evac) if i == j),
-    )
+    return int(np.count_nonzero(evac == identity)), int(np.count_nonzero(prom == evac))
 
 
 def dihedral_report(shape: Partition, bound: int, cap: Optional[int] = None) -> dict:

@@ -314,13 +314,13 @@ class TestPromotionPermutation:
     def test_every_syt_up_to_10_cells(self):
         for lam in all_partitions_up_to(10):
             words, tabs = enumerate_syt(lam, packed=True), enumerate_syt(lam)
-            assert promotion_permutation(words, lam, lam.size) == _permutation_by_promote(tabs, lam.size)
+            assert promotion_permutation(words, lam, lam.size).tolist() == _permutation_by_promote(tabs, lam.size)
 
     def test_every_cst_up_to_8_cells_and_bound_5(self):
         for lam in all_partitions_up_to(8):
             for k in range(1, 6):
                 words, tabs = enumerate_cst(lam, k, packed=True), enumerate_cst(lam, k)
-                assert promotion_permutation(words, lam, k) == _permutation_by_promote(tabs, k), (lam, k)
+                assert promotion_permutation(words, lam, k).tolist() == _permutation_by_promote(tabs, k), (lam, k)
 
     def test_benchmark_fixed_content_powers(self):
         cases = _benchmark_content_cases()
@@ -329,35 +329,43 @@ class TestPromotionPermutation:
             k = len(alpha)
             words, tabs = enumerate_cst(lam, k, alpha, packed=True), enumerate_cst(lam, k, alpha)
             expected = _permutation_by_promote(tabs, k, power)
-            assert promotion_permutation(words, lam, k, power) == expected, (lam, alpha, power)
+            assert promotion_permutation(words, lam, k, power).tolist() == expected, (lam, alpha, power)
 
     def test_every_power_and_demotion(self):
         """Every power from 0 to 5; a negative power, which would demote, is refused."""
         lam = Partition((3, 2))
         words, tabs = enumerate_cst(lam, 4, packed=True), enumerate_cst(lam, 4)
         for power in range(6):
-            assert promotion_permutation(words, lam, 4, power) == _permutation_by_promote(tabs, 4, power)
+            assert promotion_permutation(words, lam, 4, power).tolist() == _permutation_by_promote(tabs, 4, power)
         with pytest.raises(ValueError, match="nonnegative"):
             promotion_permutation(words, lam, 4, -1)
 
     def test_edge_cases(self):
         column = Partition((1, 1, 1))
-        assert promotion_permutation(enumerate_cst(column, 2, packed=True), column, 2) == []
-        assert promotion_permutation(_words([[(1,)]], 1), Partition((1,)), 1) == [0]
+        assert promotion_permutation(enumerate_cst(column, 2, packed=True), column, 2).tolist() == []
+        assert promotion_permutation(_words([[(1,)]], 1), Partition((1,)), 1).tolist() == [0]
         one_row = Partition((4,))
-        assert promotion_permutation(enumerate_cst(one_row, 1, packed=True), one_row, 1) == [0]
-        assert promotion_permutation(_words([[]], 3), Partition(()), 3) == [0]
-        assert promotion_permutation(enumerate_cst(Partition(()), 3, packed=True), Partition(()), 3) == [0]
+        assert promotion_permutation(enumerate_cst(one_row, 1, packed=True), one_row, 1).tolist() == [0]
+        assert promotion_permutation(_words([[]], 3), Partition(()), 3).tolist() == [0]
+        assert promotion_permutation(enumerate_cst(Partition(()), 3, packed=True), Partition(()), 3).tolist() == [0]
+
+    def test_returns_an_intp_array(self):
+        """Both kernels hand the permutation on as one np.intp array."""
+        lam = Partition((2, 2))
+        words = enumerate_cst(lam, 3, packed=True)
+        for permutation in (promotion_permutation(words, lam, 3), evacuation_permutation(words, lam, 3)):
+            assert isinstance(permutation, np.ndarray)
+            assert permutation.dtype == np.intp and permutation.shape == (len(words),)
 
     def test_entries_beyond_a_byte(self):
         """k = 200 (the set of ``csp syt --shape 200``) needs a wider type
         than int8; on two rows the big entries travel."""
         row = Partition((200,))
         words, tabs = enumerate_syt(row, packed=True), enumerate_syt(row)
-        assert promotion_permutation(words, row, 200) == _permutation_by_promote(tabs, 200) == [0]
+        assert promotion_permutation(words, row, 200).tolist() == _permutation_by_promote(tabs, 200) == [0]
         lam = Partition((130, 1))
         words, tabs = enumerate_syt(lam, packed=True), enumerate_syt(lam)
-        assert promotion_permutation(words, lam, 131) == _permutation_by_promote(tabs, 131)
+        assert promotion_permutation(words, lam, 131).tolist() == _permutation_by_promote(tabs, 131)
 
     def test_rejects_non_column_strict_input(self):
         lam = Partition((2, 2))
@@ -395,7 +403,7 @@ class TestPromotionPermutation:
             words = enumerate_syt(lam, packed=True)
             standard = enumerate_cst(lam, n, Composition((1,) * n), packed=True)
             assert words.dtype == standard.dtype and np.array_equal(words, standard), lam
-            assert promotion_permutation(words, lam, n) == promotion_permutation(standard, lam, n), lam
+            assert promotion_permutation(words, lam, n).tolist() == promotion_permutation(standard, lam, n).tolist(), lam
         lam = Partition((2, 2))
         words = enumerate_syt(lam, packed=True)
         bad = words.copy()
@@ -437,28 +445,28 @@ class TestEvacuationPermutation:
         for lam in rectangles_up_to(8):
             for k in range(6):
                 words, tabs = enumerate_cst(lam, k, packed=True), enumerate_cst(lam, k)
-                assert evacuation_permutation(words, lam, k) == _permutation_by_evacuate(tabs, k), (lam, k)
+                assert evacuation_permutation(words, lam, k).tolist() == _permutation_by_evacuate(tabs, k), (lam, k)
 
     def test_every_syt_of_rectangles_up_to_12_cells(self):
         for lam in rectangles_up_to(12):
             words, tabs = enumerate_syt(lam, packed=True), enumerate_syt(lam)
-            assert evacuation_permutation(words, lam, lam.size) == _permutation_by_evacuate(tabs, lam.size), lam
+            assert evacuation_permutation(words, lam, lam.size).tolist() == _permutation_by_evacuate(tabs, lam.size), lam
 
     def test_empty_shape(self):
         empty = Partition(())
         for k in range(3):
-            assert evacuation_permutation(enumerate_cst(empty, k, packed=True), empty, k) == [0]
-        assert evacuation_permutation(enumerate_syt(empty, packed=True), empty, 0) == [0]
+            assert evacuation_permutation(enumerate_cst(empty, k, packed=True), empty, k).tolist() == [0]
+        assert evacuation_permutation(enumerate_syt(empty, packed=True), empty, 0).tolist() == [0]
 
     def test_entries_beyond_a_byte(self):
         row = Partition((130,))
         words, tabs = enumerate_syt(row, packed=True), enumerate_syt(row)
         assert words.dtype == np.int16
-        assert evacuation_permutation(words, row, 130) == _permutation_by_evacuate(tabs, 130) == [0]
+        assert evacuation_permutation(words, row, 130).tolist() == _permutation_by_evacuate(tabs, 130) == [0]
         row = Partition((2,))
         words, tabs = enumerate_cst(row, 130, packed=True), enumerate_cst(row, 130)
         assert words.dtype == np.int16
-        assert evacuation_permutation(words, row, 130) == _permutation_by_evacuate(tabs, 130)
+        assert evacuation_permutation(words, row, 130).tolist() == _permutation_by_evacuate(tabs, 130)
 
     def test_rejects_a_non_rectangle(self):
         lam = Partition((2, 1))

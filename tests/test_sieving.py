@@ -1,5 +1,8 @@
 import json
+import random
+from math import lcm
 
+import numpy as np
 import pytest
 
 from conftest import all_partitions_up_to, compositions_of, rectangles_up_to
@@ -122,6 +125,92 @@ def kreweras_complement_oracle(pi: tuple, n: int) -> tuple:
     return tuple(sorted(tuple(sorted(b)) for b in blocks.values()))
 
 
+def cycle_walk_oracle(generator) -> list[int]:
+    """The cycle lengths of a permutation, by walking each cycle one element
+    at a time; raises ValueError unless the generator is a bijection of its
+    indices."""
+    generator = list(generator)
+    n = len(generator)
+    if n and not all(isinstance(i, int) and 0 <= i < n for i in generator):
+        raise ValueError("not a bijection")
+    lengths = []
+    seen = [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        size, i = 0, start
+        while not seen[i]:
+            seen[i] = True
+            i = generator[i]
+            size += 1
+        if i != start:  # every walk closes into a cycle iff the map is a bijection
+            raise ValueError("not a bijection")
+        lengths.append(size)
+    return lengths
+
+
+def assert_matches_cycle_walk(action: FiniteAction) -> None:
+    """The histogram, order, orbit sizes and fixed counts of an action
+    against the cycle walk of its generator.  Every power d up to the order
+    is compared when the order is at most 1,000; above that, d up to 1,000,
+    every cycle size and lcm of two sizes, and the order and the next power."""
+    assert action.generator.dtype == np.intp and action.generator.ndim == 1
+    lengths = cycle_walk_oracle(action.generator.tolist())
+    histogram = {}
+    for size in sorted(lengths):
+        histogram[size] = histogram.get(size, 0) + 1
+    assert action.histogram == histogram and list(action.histogram) == sorted(histogram)
+    assert action.order == lcm(*lengths)
+    assert action.orbit_sizes() == sorted(lengths)
+    powers = set(range(min(action.order, 1000) + 1)) | {action.order, action.order + 1}
+    powers |= {lcm(a, b) for a in histogram for b in histogram}
+    for d in sorted(powers):
+        assert action.fixed_count(d) == sum(size for size in lengths if d % size == 0), d
+
+
+class TestCycleHistogramAgainstWalk:
+    """FiniteAction reads its cycles by pointer doubling; the walk it
+    replaced is the oracle."""
+
+    def test_every_syt_action_up_to_10_cells(self):
+        for lam in all_partitions_up_to(10):
+            assert_matches_cycle_walk(syt_promotion_action(lam))
+
+    def test_every_cst_action_up_to_8_cells_and_bound_5(self):
+        for lam in all_partitions_up_to(8):
+            for k in range(1, 6):
+                assert_matches_cycle_walk(promotion_action(lam, k))
+
+    def test_every_map_family(self):
+        actions = [handshake_action(n) for n in range(9)]
+        actions += [noncrossing_action(n) for n in range(9)]
+        actions += [sieving.bn_word_action(n) for n in range(1, 4)]
+        actions += [sieving.subsets_action(n, k) for n in range(8) for k in range(n + 1)]
+        actions += [sieving.multisets_action(n, k) for n in range(1, 7) for k in range(5)]
+        for action in actions:
+            assert_matches_cycle_walk(action)
+
+    def test_random_permutations(self):
+        rng = random.Random(2004)
+        for n in (1, 2, 3, 5, 10, 100, 1000, 10_000, 100_000):
+            for _ in range(3 if n < 10_000 else 1):
+                generator = list(range(n))
+                rng.shuffle(generator)
+                assert_matches_cycle_walk(FiniteAction(generator))
+
+    def test_one_cycle_the_identity_and_the_empty_set(self):
+        n = 100_000
+        cycle = FiniteAction(np.roll(np.arange(n), 1))
+        assert cycle.histogram == {n: 1} and cycle.order == n
+        assert_matches_cycle_walk(cycle)
+        identity = FiniteAction(range(n))
+        assert identity.histogram == {1: n} and identity.order == 1
+        assert_matches_cycle_walk(identity)
+        empty = FiniteAction([])
+        assert empty.histogram == {} and empty.order == 1 and empty.orbit_sizes() == []
+        assert_matches_cycle_walk(empty)
+
+
 class TestFiniteAction:
     def test_order_is_minimal(self):
         for action in [
@@ -163,15 +252,28 @@ class TestFiniteAction:
 
     def test_precomputed_permutation(self):
         action = FiniteAction([1, 2, 0, 4, 3])
-        assert action.generator == (1, 2, 0, 4, 3)
+        assert action.generator.tolist() == [1, 2, 0, 4, 3]
         assert action.orbit_sizes() == [2, 3] and action.order == 6
         by_map = FiniteAction.of_map("abcde", lambda x: "bcaed"["abcde".index(x)])
-        assert by_map.generator == action.generator
+        assert by_map.generator.tolist() == action.generator.tolist()
 
     def test_rejects_a_generator_that_is_not_a_bijection(self):
+        """Duplicates, out-of-range and negative indices, as a list or an
+        array, as the cycle walk rejects them, and input that is not one
+        row of indices."""
         with pytest.raises(ValueError, match="not a bijection"):
             FiniteAction.of_map([0, 1, 2], lambda i: 0)
-        for bad in ([0, 0, 1], [1, 2, 3], [-1, 0, 1]):
+        shuffled = list(range(1000))
+        random.Random(2010).shuffle(shuffled)
+        for bad in ([0, 0, 1], [1, 2, 0, 2], shuffled[:-1] + shuffled[:1],  # duplicates
+                    [1, 2, 3], [0, 5],  # out of range
+                    [-1, 0, 1], [1, -2, 0]):  # negative
+            with pytest.raises(ValueError, match="not a bijection"):
+                cycle_walk_oracle(bad)
+            for generator in (bad, np.array(bad)):
+                with pytest.raises(ValueError, match="not a bijection"):
+                    FiniteAction(generator)
+        for bad in ([[0, 1], [1, 0]], np.zeros((0, 2), dtype=np.intp), 0):
             with pytest.raises(ValueError, match="not a bijection"):
                 FiniteAction(bad)
         with pytest.raises(ValueError, match="not distinct"):
@@ -189,7 +291,7 @@ class TestFiniteAction:
         ]
         for action, tabs, k, power in cases:
             index = {t: i for i, t in enumerate(tabs)}
-            assert action.generator == tuple(index[promote_power(t, k, power)] for t in tabs)
+            assert action.generator.tolist() == [index[promote_power(t, k, power)] for t in tabs]
 
 
 def verify_csp_rows_oracle(action, polynomial, modulus, modulus_comparison=False) -> list:
@@ -556,10 +658,9 @@ class TestDihedral:
 
     @pytest.mark.parametrize("broken", [
         # demotion, the inverse of promotion: not an involution, although demote∘promote is
-        lambda words, shape, k: (lambda p: sorted(range(len(p)), key=p.__getitem__))(
-            promotion_permutation(words, shape, k)),
+        lambda words, shape, k: np.argsort(promotion_permutation(words, shape, k)),
         # an involution that does not invert promotion by conjugation
-        lambda words, shape, k: list(range(len(words))),
+        lambda words, shape, k: np.arange(len(words)),
     ], ids=["demotion", "identity"])
     def test_broken_evacuation_raises(self, monkeypatch, broken):
         from cyclosieve import sieving
