@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 when every requested verdict holds, 1 when a verification
-fails, 2 for usage, validation, or resource errors.  ``--json`` switches the
-output to stable machine-readable JSON (keys sorted, canonical row order).
+fails, 2 for usage, validation, or resource errors, a stdout closed by its
+reader among them.  ``--json`` switches the output to stable
+machine-readable JSON (keys sorted, canonical row order).
 The enumeration cap may be overridden globally with the CYCLOSIEVE_CAP
 environment variable or per run with ``--cap``.
 """
@@ -300,10 +301,21 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (CapExceeded, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:  # the reader closed stdout, as ``| head`` does
+        return EXIT_USAGE
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at os.devnull, so that the interpreter's final flush of
+        # what is still buffered prints nothing (the SIGPIPE note in the
+        # documentation of Python's signal module).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -5,9 +5,16 @@ The table is built along increasing length.  Within the column of w, u
 runs from the longest down.  If some left descent t of w is not a left
 descent of u, or some right descent t of w is not a right descent of u,
 then P_{u,w} = P_{tu,w} or P_{ut,w} (Kazhdan-Lusztig 1979, 2.3), a value
-already stored since tu and ut are longer.  Only where u has every left
-and every right descent of w does the descent recursion run, with s the
-smallest left descent of w; s is then a left descent of u too, so
+already stored since tu and ut are longer.  The t taken, the lowest missing
+left descent, else the lowest missing right one, depends only on the
+descent masks of w and u, so a step table per side, built once, maps the
+two masks to the neighbour list of t: a copy step is two list lookups and a
+dict get.  Such a pair has mu(u, w) = 0 unless tu = w (or ut = w), that
+is, unless u is a coatom of w, since P_{tu,w} has degree at most
+(l(w) - l(tu) - 1)/2 < (l(w) - l(u) - 1)/2; on a coatom mu(u, w) = 1, so a
+copy step reads no coefficient.  Only where u has every left and every
+right descent of w does the descent recursion run, with s the smallest left
+descent of w; s is then a left descent of u too, so
 P_{u,w} = P_{su,sw} + q P_{u,sw} - sum mu(z,sw) q^((l(w)-l(z))/2) P_{u,z}.
 The Bruhat table comes from the lifting property: for s a left descent of
 w, u <= w iff min(u, su) <= sw, one gather of the row of sw per w.
@@ -70,6 +77,15 @@ def _minus_monomial_times(a: _Coeffs, c: int, k: int, b: _Coeffs) -> _Coeffs:
     return tuple(out)
 
 
+def _step_table(neighbours: list[list[int]]) -> list[list[Optional[list[int]]]]:
+    """table[dw][du] is the neighbour list of the lowest descent in the mask dw
+    that the mask du lacks, or None when du contains dw; bit i - 1 of a mask
+    stands for s_i, whose neighbour list is ``neighbours[i - 1]``."""
+    masks = range(1 << len(neighbours))
+    by_missing = [None, *(neighbours[(m & -m).bit_length() - 1] for m in masks[1:])]
+    return [[by_missing[dw & ~du] for du in masks] for dw in masks]
+
+
 class KLTable:
     """All Kazhdan-Lusztig polynomials P_{u,w} for a fixed S_n.
 
@@ -83,10 +99,14 @@ class KLTable:
 
     The build fills each column w from the longest u down.  P_{u,w} is
     copied from P_{tu,w} or P_{ut,w} when a left or right descent t of w is
-    missing from u; the descent recursion runs only on the remaining u,
-    those whose left and right descents include all of w's.  It runs only
-    on the lowest index of each class {w, w^-1, w0 w w0, w0 w^-1 w0}; the
-    other columns of the class are that column relabelled.
+    missing from u: ``_step_table`` gives, for the descent masks of w and u,
+    the neighbour list that takes u to tu or ut.  Where that neighbour is w,
+    u is a coatom of w, P_{u,w} = 1 and mu(u, w) = 1; elsewhere on a copied
+    pair mu(u, w) = 0.  The descent recursion runs only on the remaining u,
+    those whose left and right descents include all of w's.  Columns are
+    computed only for the lowest index of each class
+    {w, w^-1, w0 w w0, w0 w^-1 w0}; the other columns of the class are that
+    column relabelled.
     """
 
     def __init__(self, n: int):
@@ -165,19 +185,22 @@ class KLTable:
         lowest = list(map(min, range(len(inverse)), *images))  # of each class
         # bit u of lower[w] is set iff u <= w; build-time only
         lower = list(map(int.from_bytes, np.packbits(leq.T, axis=1, bitorder="little"), repeat("little")))
+        lsteps_of, rsteps_of = _step_table(left), _step_table(right)
         for w, pw in enumerate(self.perms):
             if lengths[w] == 0:
                 mu_lists[w] = ()
                 continue
             if lowest[w] < w:
                 continue  # filled along with the lowest index of its class
-            ldesc_w, rdesc_w = ldesc[w], rdesc[w]
+            ldesc_w = ldesc[w]
+            lsteps, rsteps = lsteps_of[ldesc_w], rsteps_of[rdesc[w]]
             i = (ldesc_w & -ldesc_w).bit_length()  # smallest left descent
             s = left[i - 1]
             v = s[w]
             bit = 1 << (i - 1)
             lw = lengths[w]
             lower_v, col_v, col_w = lower[v], polys[v], polys[w]
+            get = col_w.get
             mu_v = [
                 (z, mu, (lw - lengths[z]) // 2, lower[z], polys[z])
                 for z, mu in mu_lists[v]
@@ -187,25 +210,27 @@ class KLTable:
             # longest first, so tu and ut are done before u; w itself is last
             # in index order and is skipped
             for u in leq[:, w].nonzero()[0][-2::-1].tolist():
+                step = lsteps[ldesc[u]] or rsteps[rdesc[u]]
+                if step:  # P_{u,w} = P_{tu,w} or P_{ut,w}
+                    t = step[u]
+                    if t == w:  # a coatom: P_{u,w} = 1 and mu(u, w) = 1
+                        mus.append((u, 1))
+                    elif (total := get(t)) is not None:  # else P_{u,w} = 1
+                        col_w[u] = total
+                    continue
+                # s is a left descent of u: c = 1 in the recursion, and
+                # su <= sw = v since s is a left descent of both u and w
+                p_su = col_v.get(s[u], _ONE)
+                p_u = col_v.get(u, _ONE) if lower_v >> u & 1 else _ZERO
+                total = _plus_q_times(p_su, p_u)
+                for z, mu, half, lower_z, col_z in mu_v:
+                    if lower_z >> u & 1:
+                        total = _minus_monomial_times(total, mu, half, col_z.get(u, _ONE))
                 bound = (lw - lengths[u] - 1) // 2
-                missing = ldesc_w & ~ldesc[u]
-                if missing:  # P_{u,w} = P_{tu,w}
-                    total = col_w.get(left[(missing & -missing).bit_length() - 1][u], _ONE)
-                elif missing := rdesc_w & ~rdesc[u]:  # P_{u,w} = P_{ut,w}
-                    total = col_w.get(right[(missing & -missing).bit_length() - 1][u], _ONE)
-                else:
-                    # s is a left descent of u: c = 1 in the recursion, and
-                    # su <= sw = v since s is a left descent of both u and w
-                    p_su = col_v.get(s[u], _ONE)
-                    p_u = col_v.get(u, _ONE) if lower_v >> u & 1 else _ZERO
-                    total = _plus_q_times(p_su, p_u)
-                    for z, mu, half, lower_z, col_z in mu_v:
-                        if lower_z >> u & 1:
-                            total = _minus_monomial_times(total, mu, half, col_z.get(u, _ONE))
-                    if len(total) - 1 > bound:
-                        raise AssertionError(
-                            f"degree bound violated at {self.perms[u]} <= {pw}: {total}"
-                        )
+                if len(total) - 1 > bound:
+                    raise AssertionError(
+                        f"degree bound violated at {self.perms[u]} <= {pw}: {total}"
+                    )
                 if total != _ONE:
                     col_w[u] = total
                 if (lw - lengths[u]) % 2 == 1:

@@ -1,7 +1,11 @@
 import argparse
+import errno
 import hashlib
+import io
 import json
+import os
 import shlex
+import subprocess
 import sys
 
 import pytest
@@ -56,6 +60,40 @@ class TestExitCodes:
             assert run(argv.split()) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err, argv
+
+    @pytest.mark.parametrize("argv", [
+        "kl table --rank 6 --json",
+        "kl table --rank 6",
+        "csp syt --shape 3,3,1 --json",
+    ])
+    def test_closed_stdout_is_two_without_traceback(self, monkeypatch, capsys, argv):
+        """A reader that closes the pipe early, as ``| head -c 10`` does, is a
+        resource error, not a crash."""
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert run(argv.split()) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", ["csp syt --shape 2,2", "csp syt --shape 3,3,1 --json"])
+    def test_closed_pipe_in_a_fresh_interpreter(self, argv):
+        """The pipe's read end is closed before the child starts, so every
+        write fails.  Block-buffered, the small report fails only in main's
+        flush, and the 148 KB one inside run; main then points stdout at
+        os.devnull, so the interpreter's final flush prints nothing."""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("PYTHONUNBUFFERED", None)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "cyclosieve.cli", *argv.split()],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (2, b"")
 
     @pytest.mark.parametrize("argv", [
         "kl table --rank 8",

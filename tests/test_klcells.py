@@ -230,6 +230,25 @@ class TestTableAxioms:
         )
         assert len(calls) == expected == 811
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_mu_off_the_recursion_is_one_on_coatoms(self, n):
+        """Where u lacks a left or right descent of w, the full recursion gives
+        mu(u, w) != 0 exactly on the coatoms u = t w and u = w t, t a descent of
+        w, and there mu = 1 (Kazhdan-Lusztig 1979), the rule the build's copy
+        steps use instead of reading the top coefficient."""
+        table = KLTable(n)
+        _, mu_lists = _reference_build(table)
+        perms = [Permutation(p) for p in table.perms]
+        for w, pw in enumerate(perms):
+            copied = {
+                perms[u]: mu for u, mu in mu_lists[w]
+                if not (pw.left_descents() <= perms[u].left_descents()
+                        and pw.right_descents() <= perms[u].right_descents())
+            }
+            coatoms = {simple(t, n) * pw for t in pw.left_descents()}
+            coatoms |= {pw * simple(t, n) for t in pw.right_descents()}
+            assert copied == dict.fromkeys(coatoms, 1), pw
+
 
 def _rank_criterion_leq(table):
     """Test oracle: leq[u, w] iff r_u(i, j) <= r_w(i, j) for all i, j, where
