@@ -117,6 +117,8 @@ def _check(report):
 def _enumerate(args: argparse.Namespace) -> int:
     shape, content = args.shape, args.content
     if args.kind == "syt":
+        if args.bound is not None or content is not None:
+            raise ValueError(f"{_family(args)} takes no --bound or --content")
         items = enumerate_syt(shape, cap=args.cap)
     else:
         fill = enumerate_cst if args.kind == "cst" else enumerate_rst
@@ -144,7 +146,7 @@ def _enumerate(args: argparse.Namespace) -> int:
 
 
 def _kl_table(args: argparse.Namespace) -> int:
-    table = kl_table(args.rank, allow_large=args.allow_large)
+    table = kl_table(args.rank, args.cap)
     pairs = table.dump_triples(sys.stdout, args.json)
     if not args.json:
         print("pairs:", pairs)
@@ -178,8 +180,6 @@ ARGUMENTS = {
     "n": (["n"], dict(type=int, help="size parameter")),
     "json": (["--json"], dict(action="store_true", help="machine-readable output")),
     "cap": (["--cap"], dict(type=int, default=None, help="enumeration cap override")),
-    "allow-large": (["--allow-large"], dict(action="store_true")),
-    "allow-rank-7": (["--allow-large"], dict(action="store_true", help="permit rank 7")),
 }
 
 # Commands: name -> (help, dest of the subcommand name, or None for a leaf).
@@ -207,13 +207,13 @@ LEAVES = [
     ("csp", "bnwords", "n json cap", _csp(lambda a: bn_csp_report(a.n, cap=a.cap))),
     ("dihedral", None, "shape bound json cap",
      _check(lambda a: dihedral_report(a.shape, _needs(a, "bound"), cap=a.cap))),
-    ("kl", "table", "rank json cap allow-rank-7", _kl_table),
-    ("kl", "verify-promotion", "shape json cap allow-large",
-     _check(lambda a: verify_promotion_identity(a.shape, allow_large=a.allow_large, cap=a.cap))),
-    ("kl", "mu-invariance", "shape json cap allow-large",
-     _check(lambda a: mu_promotion_invariance(a.shape, allow_large=a.allow_large, cap=a.cap))),
-    ("kl", "immanants", "rank json cap allow-rank-7",
-     _check(lambda a: vanishing_criterion_check(a.rank, allow_large=a.allow_large))),
+    ("kl", "table", "rank json cap", _kl_table),
+    ("kl", "verify-promotion", "shape json cap",
+     _check(lambda a: verify_promotion_identity(a.shape, cap=a.cap))),
+    ("kl", "mu-invariance", "shape json cap",
+     _check(lambda a: mu_promotion_invariance(a.shape, cap=a.cap))),
+    ("kl", "immanants", "rank json cap",
+     _check(lambda a: vanishing_criterion_check(a.rank, cap=a.cap))),
     ("ribbon", "count", "shape content power json cap", _ribbon_count),
     ("ribbon", "kf-check", "shape content power json cap",
      _check(lambda a: kf_root_of_unity_check(

@@ -29,10 +29,15 @@ level: its columns are zipped, with two columns or two values swapped, and
 looked up with ``map``, so no Python code runs per neighbour.  w0 w has
 the mirrored index, and w^-1 and w0 w w0 follow w = s v along the smallest
 left descent s, in the loop that fills the Bruhat table.
+
+The table's one resource limit is the enumeration cap: ``kl_table`` holds
+the n! x n! entries of the Bruhat table against it before anything is
+built, so the default cap admits rank 6 and rank 7 needs a cap of 7!^2.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cache
 from itertools import combinations, permutations as _itertools_permutations, repeat
 from operator import add, gt, lshift, or_, sub
@@ -43,10 +48,9 @@ import numpy as np
 from .jeudetaquin import promotion_permutation
 from .permutations import Permutation, rsk, rsk_inverse
 from .qpolys import IntPolynomial
-from .tableaux import Composition, Partition, Tableau, css, descent_set, enumerate_syt
-from .tableaux import extended_descent_set, tableaux_from_words
+from .tableaux import CapExceeded, Composition, Partition, Tableau, _resolve_cap, css
+from .tableaux import descent_set, enumerate_syt, extended_descent_set, tableaux_from_words
 
-DEFAULT_RANK_CAP = 6
 # pairs (w, v) stacked per block of vanishing_criterion_check
 _BLOCK_ROWS = 1 << 16
 
@@ -340,20 +344,24 @@ class KLTable:
         return pairs
 
 
-def kl_table(n: int, allow_large: bool = False) -> KLTable:
-    """The memoized KL table for S_n; rank 7 sits behind a flag.
+def kl_table(n: int, cap: Optional[int] = None) -> KLTable:
+    """The memoized KL table for S_n, whose n! x n! Bruhat table is held
+    against the cap before anything is built.
 
     The memo is keyed by the rank alone, so every call form for one rank
-    shares one build; ``kl_table.cache_info()`` reports on it.
+    shares one build; ``kl_table.cache_info()`` reports on it.  The cap is
+    checked on every call, so a table built under a larger cap is not
+    returned past a smaller one.
     """
     if n < 0:
         raise ValueError(f"the rank must be nonnegative, got {n}")
     if n > 7:
         raise ValueError("ranks above 7 are not supported")
-    if n > DEFAULT_RANK_CAP and not allow_large:
-        raise ValueError(
-            f"rank {n} exceeds the default cap {DEFAULT_RANK_CAP}; pass allow_large=True "
-            "(--allow-large on the command line)"
+    entries = math.factorial(n) ** 2
+    if entries > (limit := _resolve_cap(cap)):
+        raise CapExceeded(
+            f"the Bruhat table of S_{n} has {entries} > cap {limit} entries "
+            "(--cap on the command line)"
         )
     return _kl_table(n)
 
@@ -378,14 +386,15 @@ def mu_tableaux(p: Tableau, q: Tableau, table: Optional[KLTable] = None) -> int:
     return table.mu_sym(wp, wq)
 
 
-def _cell_basis(shape: Partition, allow_large: bool = False, cap: Optional[int] = None):
+def _cell_basis(shape: Partition, cap: Optional[int] = None):
     """SYT(shape), the basis of the cellular module: its packed words, its
     tableaux, their descent sets, the mu-matrix over them
     (mu[a][b] = mu[(T, P_a), (T, P_b)] for any recording tableau T) and the
-    KL table it was read from."""
+    KL table it was read from.  The table is asked for first: its cap check
+    covers SYT(shape), since |SYT(shape)| <= n! <= n!^2."""
+    table = kl_table(shape.size, cap)
     words = enumerate_syt(shape, cap=cap, packed=True)
     basis = tableaux_from_words(words, shape)
-    table = kl_table(shape.size, allow_large=allow_large)
     perms = [rsk_inverse(p, basis[0]) for p in basis]
     mu = [[table.mu_sym(x, y) for y in perms] for x in perms]
     return words, basis, [descent_set(t) for t in basis], mu, table
@@ -470,9 +479,7 @@ def _kl_basis_long_cycle_coefficient(base: Tableau, promoted: Tableau, table: KL
     return sum(value * row.get(y, 0) for value, y in zip(values.tolist(), shifted))
 
 
-def verify_promotion_identity(
-    shape: Partition, allow_large: bool = False, cap: Optional[int] = None
-) -> dict:
+def verify_promotion_identity(shape: Partition, cap: Optional[int] = None) -> dict:
     """Check rho(c_n) = (-1)^(a-1) J on the cellular module of an a x b
     rectangle with a >= 1.
 
@@ -485,7 +492,7 @@ def verify_promotion_identity(
         raise ValueError("the promotion identity concerns a x b rectangles with a >= 1")
     n = shape.size
     sign = (-1) ** (len(shape) + 1)
-    words, basis, descents, mu, table = _cell_basis(shape, allow_large, cap)
+    words, basis, descents, mu, table = _cell_basis(shape, cap)
     promotion = promotion_permutation(words, shape, n).tolist()
     dim = len(promotion)
     gens = [_generator_matrix(descents, mu, i) for i in range(1, n)]
@@ -523,13 +530,11 @@ def verify_promotion_identity(
 # -- mu invariance under promotion -------------------------------------------
 
 
-def mu_promotion_invariance(
-    shape: Partition, allow_large: bool = False, cap: Optional[int] = None
-) -> dict:
+def mu_promotion_invariance(shape: Partition, cap: Optional[int] = None) -> dict:
     """Exhaustively compare mu[P,Q] with mu[j(P),j(Q)] over a shape; each
     failure lists the pair of tableaux and both values."""
     shape = Partition(shape)
-    words, basis, _, mu, _ = _cell_basis(shape, allow_large, cap)
+    words, basis, _, mu, _ = _cell_basis(shape, cap)
     promotion = promotion_permutation(words, shape, shape.size).tolist()
     pairs = list(combinations(range(len(basis)), 2))
     failures = [
@@ -701,7 +706,7 @@ def _vanishing_matrix(table: KLTable, words, labels) -> np.ndarray:
 
 
 def vanishing_criterion_check(
-    n: int, table: Optional[KLTable] = None, allow_large: bool = False
+    n: int, table: Optional[KLTable] = None, cap: Optional[int] = None
 ) -> dict:
     """Imm_w(x_{alpha,1^n}) = 0 iff the recording tableau is not
     alpha-semistandardizable, checked over all w and alpha.
@@ -716,7 +721,7 @@ def vanishing_criterion_check(
     positions i that share a block of alpha with i + 1.
     """
     if table is None:
-        table = kl_table(n, allow_large=allow_large)
+        table = kl_table(n, cap)
     if table.n != n:
         raise ValueError(f"the table is for rank {table.n}, not {n}")
     alphas = _compositions(n)

@@ -395,7 +395,6 @@ def _canonical_matching(pairs: Iterable[tuple[int, int]]) -> Matching:
 MAX_CATALAN_SIZE = 8
 
 
-@cache
 def handshake_patterns(n: int) -> tuple[Matching, ...]:
     """All noncrossing perfect matchings of [2n], read off SYT(n, n) by
     :func:`tableau_to_handshake`."""
@@ -437,7 +436,6 @@ def tableau_to_handshake(t: Tableau) -> Matching:
     return _canonical_matching(pairs)
 
 
-@cache
 def noncrossing_partitions(n: int) -> tuple[SetPartition, ...]:
     """All noncrossing set partitions of [n], blocks sorted by minimum.
 

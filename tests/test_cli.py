@@ -48,7 +48,7 @@ class TestExitCodes:
         assert run(["csp", "cst", "--shape", "2,2"]) == 2  # missing --bound
         assert run(["nonsense"]) == 2
         assert run(["kl", "immanants", "--rank", "7"]) == 2
-        assert "--allow-large" in capsys.readouterr().err
+        assert "--cap" in capsys.readouterr().err
         for argv in (
             "csp bnwords 0",
             "csp bnwords -2",
@@ -102,7 +102,7 @@ class TestExitCodes:
         "kl mu-invariance --shape 4,4",
     ])
     def test_rank_above_7_does_not_advise_the_flag(self, capsys, argv):
-        """--allow-large reaches rank 7 only, so the refusal must not name it."""
+        """The cap reaches rank 7 only, so the refusal must not name it."""
         assert run(argv.split()) == 2
         err = capsys.readouterr().err
         assert err == "error: ranks above 7 are not supported\n", err
@@ -124,6 +124,13 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().out)["verdict"] is True
         assert run(["enumerate", "cst", "--shape", "2,2", "--bound", "0", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["count"] == 0
+
+    @pytest.mark.parametrize("extra", ["--bound 1", "--content 9,9", "--bound 1 --content 9,9"])
+    def test_enumerate_syt_refuses_what_it_ignores(self, capsys, extra):
+        """SYT enumeration reads neither a bound nor a content, so it refuses
+        them rather than echo them among its parameters."""
+        assert run(["enumerate", "syt", "--shape", "2,2", *extra.split(), "--json"]) == 2
+        assert capsys.readouterr() == ("", "error: enumerate-syt takes no --bound or --content\n")
 
     def test_content_without_the_rotation_symmetry_is_two(self, capsys):
         """The message names the check: invariance under rotating the
@@ -316,7 +323,7 @@ class TestParserTree:
     # SHA-256 of each parser's --help output (exit 0) and of the usage error
     # it prints when called with no further arguments (exit 2), recorded
     # while each subcommand was still dispatched a second time on a family
-    # string.
+    # string; those of the four kl leaves since their rank flag went.
     PINNED = {
         "": ("fa872c82fef21f2eb57b72c26d58f74bb47fab1e562d000453412fc68ffb8fb5",
              "73cff20bcf99b21f48a8fca58c5c13e4dfd9e26a538c11bc8747b1f3cc8868f1"),
@@ -340,14 +347,14 @@ class TestParserTree:
                      "4302fbde4216bb1978b1605f3d28522f9301d3448fd33dfc8abda35ed9db5fda"),
         "kl": ("9afd3d83baee7b990d4647e7a8adf9b6c1a5e0dadb5cceb20119d76e3bc41acc",
                "2b678222de2c689e4ca8cc3c433912de4af5efd798772b20cc41412a39e3800d"),
-        "kl table": ("b9493f18e920ba1fa213a7dce2d29a5f193063197ec3cf56350ea56ab9d8f456",
-                     "726fe8ba0b1c48eed7ff66d9e8da6892f9267e854f3784201fe170aacd19de90"),
-        "kl verify-promotion": ("f99177af83961a9aefed26b3acf595d0a13c803deaa1aa5badbaa8831eb3c192",
-                                "fe3c648a1017250a9f2874a07fc0ab1bcf30fe9e9efd9fd05a802177658b3864"),
-        "kl mu-invariance": ("957c93d93fd3af49325866873edeaec47a6d54bd57c5c1e3675e42a1fc73ccf7",
-                             "69c5f8c6d069110b1af9cc75ec7184046808cb066f8aa6d74d6e22edae53f852"),
-        "kl immanants": ("3d55dab401ff276b6241e6cb8901318392c945e7e711f2b831071c0dedfdfe08",
-                         "53574389888006de1d6ab81d8ece39bdf06d31cf05554985a38ec91748aff016"),
+        "kl table": ("dec8de73b046b772c1dbed26716ef39460463135fcc485068cd1d512a3367f4a",
+                     "b37cbe884499d66048e0927b44fada8c180327e32e5518d8f3549224ff816c86"),
+        "kl verify-promotion": ("d9cc4c44117e8d5c2a3062c692bad6a14cf7881f9059e2ff900b4c570ad25119",
+                                "bc1fd9e17bc88af4a8ff83d93bb707c0c012d9f5a709e5de3cf74e1abad0da22"),
+        "kl mu-invariance": ("615366d37d0164b9128e263fdc1e429eba6f12bd18f88a22efd2bb28e0e210be",
+                             "ba5f3094c59edd05a65249227527dd9ed8292fa8b30f79fea33ec2263582a544"),
+        "kl immanants": ("90fce40d1204cdf4cca4c248fbb10d27630e3c4b925ad03de8558189bf70242c",
+                         "329d8c4310c4b900f9e2bc6f66176ef943e99040ef7d9caa1abfc55bd7a69f00"),
         "ribbon": ("85d3e485ab6bd0566abd00fdaf20e8a6303c31f7a96b0e9aaff77bc290efc067",
                    "499e21769ebd950508811c79e2c49c149b5566c64a08860bde9f1af206aeb705"),
         "ribbon count": ("312b72f24ffc2191aed3409b692878940df0c8745ac03e08285cd6a21a4c0e39",
@@ -390,7 +397,7 @@ class TestLeafRoute:
         "dihedral": ("--shape 2,2 --bound 3", "--shape 2,2"),
         "kl table": ("--rank 3", "--rank 3"),
         "kl verify-promotion": ("--shape 2,2", "--shape 2,2"),
-        "kl mu-invariance": ("--shape 2,2 --allow-large", "--shape 2,2"),
+        "kl mu-invariance": ("--shape 2,2 --cap 1000", "--shape 2,2"),
         "kl immanants": ("--rank 3", "--rank 3"),
         "ribbon count": ("--shape 2,2 --power 2 --content 1,1", "--shape 2,2"),
         "ribbon kf-check": ("--shape 2,2 --content 1,1,1,1 --power 2", "--shape 2,2"),
@@ -474,10 +481,9 @@ class TestCapContract:
         "ribbon count": "--shape 2,2 --power 2 --content 1,1",
         "ribbon kf-check": "--shape 2,2 --content 1,1,1,1 --power 2",
     }
-    # Documented exceptions: the KL table and the immanant check build all of
-    # S_n, bounded by --rank and --allow-large instead, and the ribbon count
-    # reads the abacus without enumerating anything.
-    CAP_FREE = {"kl table", "kl immanants", "ribbon count"}
+    # The documented exception: the ribbon count reads the abacus without
+    # enumerating anything.
+    CAP_FREE = {"ribbon count"}
 
     def test_every_leaf_has_a_case(self):
         assert sorted(self.SMALL) == sorted(LEAVES)
@@ -498,6 +504,35 @@ class TestCapContract:
             assert code == expected, (argv, through_env)
             if expected:
                 assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize("argv", [
+        "kl table --rank 6 --cap 518399 --json",
+        "kl table --rank 7",
+        "kl immanants --rank 5 --cap 14399",
+        "kl immanants --rank 7",
+        "kl verify-promotion --shape 3,3 --cap 10",
+        "kl verify-promotion --shape 7",
+        "kl mu-invariance --shape 3,3 --cap 518399",
+        "kl mu-invariance --shape 4,3",
+    ])
+    def test_kl_leaves_refuse_before_the_build(self, monkeypatch, capsys, argv):
+        """A KL table over the cap is refused from its n!^2 Bruhat entries:
+        no KLTable is built and no SYT enumerated, even when a table of that
+        rank is already in the memo."""
+        from cyclosieve import klcells
+
+        monkeypatch.delenv("CYCLOSIEVE_CAP", raising=False)
+        klcells.kl_table(6)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built or enumerated past the cap")
+
+        monkeypatch.setattr(klcells, "_kl_table", refuse)
+        monkeypatch.setattr(klcells, "enumerate_syt", refuse)
+        assert run(argv.split()) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1, err
+        assert "> cap" in err
 
 
 class TestJsonOutput:
@@ -745,7 +780,8 @@ class TestFamilies:
         assert run(["kl", "mu-invariance", "--shape", "2,2"]) == 0
         assert run(["kl", "mu-invariance", "--shape", "3,1"]) == 1
         assert run(["kl", "immanants", "--rank", "3"]) == 0
-        assert run(["kl", "immanants", "--rank", "3", "--allow-large"]) == 0
+        assert run(["kl", "immanants", "--rank", "3", "--cap", "36"]) == 0
+        assert run(["kl", "immanants", "--rank", "3", "--cap", "35"]) == 2
 
     def test_ribbon_subcommands(self, capsys):
         assert run(["ribbon", "count", "--shape", "2,2", "--power", "2",

@@ -1,6 +1,7 @@
 import io
 import json
 from itertools import permutations as itertools_permutations
+from math import factorial
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from conftest import all_partitions_up_to, compositions_of, rectangles_up_to
 
 from cyclosieve import (
+    CapExceeded,
     Composition,
     IntPolynomial,
     Partition,
@@ -113,19 +115,43 @@ class TestTableAxioms:
                 assert len(coeffs) - 1 <= (table.lengths[wi] - table.lengths[ui] - 1) // 2
 
     def test_rank_cap(self):
-        with pytest.raises(ValueError, match="allow_large=True"):
+        """At the default cap rank 7's 7!^2 Bruhat entries are refused;
+        above rank 7 no cap helps."""
+        with pytest.raises(CapExceeded, match="25401600 > cap 1000000"):
             kl_table(7)
-        # the default cap's advice to pass allow_large would not help above 7
-        for allow_large in (False, True):
+        for cap in (None, 1, factorial(8) ** 2):
             with pytest.raises(ValueError, match="ranks above 7 are not supported"):
-                kl_table(8, allow_large=allow_large)
+                kl_table(8, cap)
+
+    def test_the_cap_bounds_the_bruhat_table(self, monkeypatch):
+        """The cap is held against the n!^2 Bruhat entries, exactly, and
+        before anything is built."""
+        from cyclosieve import klcells
+
+        assert kl_table(6, cap=518400) is kl_table(6)
+
+        def refuse(n):
+            raise AssertionError(f"built a table for S_{n}")
+
+        monkeypatch.setattr(klcells, "_kl_table", refuse)
+        with pytest.raises(CapExceeded, match="518400 > cap 518399"):
+            kl_table(6, cap=518399)
+
+    def test_a_cached_table_is_not_returned_past_a_smaller_cap(self):
+        kl_table.cache_clear()
+        table = kl_table(4, cap=10**6)
+        assert kl_table.cache_info().currsize == 1
+        for cap in (575, 1, 0, -1):
+            with pytest.raises(CapExceeded):
+                kl_table(4, cap)
+        assert kl_table(4, 576) is table
 
     def test_one_build_per_rank(self):
         """Every call form of kl_table for one rank shares one memo entry."""
         kl_table.cache_clear()
         assert verify_promotion_identity(Partition((2, 2)))["verdict"]
         assert kl_table.cache_info().misses == 1
-        assert kl_table(4) is kl_table(4, allow_large=True) is kl_table(n=4)
+        assert kl_table(4) is kl_table(4, cap=576) is kl_table(n=4)
         assert kl_table.cache_info().misses == 1
 
     def test_index_tables(self):
@@ -396,11 +422,11 @@ class TestPromotionIdentity:
         assert report["sign"] == (-1) ** (len(shape) - 1)
 
     def test_every_rectangle_up_to_six_cells_and_rank_seven(self):
-        shapes = [(shape, False) for shape in rectangles_up_to(6)]
-        shapes += [(Partition((7,)), True), (Partition((1,) * 7), True)]
+        shapes = [(shape, None) for shape in rectangles_up_to(6)]
+        shapes += [(Partition((7,)), factorial(7) ** 2), (Partition((1,) * 7), factorial(7) ** 2)]
         try:
-            for shape, allow_large in shapes:
-                report = verify_promotion_identity(shape, allow_large=allow_large)
+            for shape, cap in shapes:
+                report = verify_promotion_identity(shape, cap=cap)
                 assert report["verdict"] and report["kl_basis_coefficient"] == report["sign"], shape
         finally:
             kl_table.cache_clear()  # drop the rank-7 table
@@ -413,15 +439,17 @@ class TestPromotionIdentity:
         with pytest.raises(ValueError):
             verify_promotion_identity(Partition((2, 1)))
 
-    def test_allow_large_reaches_the_mu_matrix(self, monkeypatch):
-        """The mu-matrix is read off the table the check was allowed to build."""
-        from cyclosieve import klcells
-
-        monkeypatch.setattr(klcells, "DEFAULT_RANK_CAP", 3)
-        assert verify_promotion_identity(Partition((2, 2)), allow_large=True)["verdict"]
-        assert mu_promotion_invariance(Partition((2, 2)), allow_large=True)["verdict"]
-        with pytest.raises(ValueError, match="default cap 3"):
-            verify_promotion_identity(Partition((2, 2)))
+    def test_the_cap_reaches_the_table(self):
+        """The given cap, not the default, bounds the table each check reads:
+        S_4 has 576 Bruhat entries."""
+        assert verify_promotion_identity(Partition((2, 2)), cap=576)["verdict"]
+        assert mu_promotion_invariance(Partition((2, 2)), cap=576)["verdict"]
+        assert vanishing_criterion_check(4, cap=576)["verdict"]
+        for check in (verify_promotion_identity, mu_promotion_invariance):
+            with pytest.raises(CapExceeded, match="576 > cap 575"):
+                check(Partition((2, 2)), cap=575)
+        with pytest.raises(CapExceeded, match="576 > cap 575"):
+            vanishing_criterion_check(4, cap=575)
 
 
 class TestMuInvariance:

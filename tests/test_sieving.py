@@ -444,12 +444,8 @@ class TestHandshakesAndNoncrossing:
         from cyclosieve import sieving
 
         monkeypatch.setattr(sieving, "MAX_CATALAN_SIZE", 9)
-        try:
-            for n in range(10):
-                assert noncrossing_partitions(n) == noncrossing_partitions_oracle(n), n
-        finally:
-            noncrossing_partitions.cache_clear()
-            handshake_patterns.cache_clear()
+        for n in range(10):
+            assert noncrossing_partitions(n) == noncrossing_partitions_oracle(n), n
 
     def test_kreweras_matches_the_interval_oracle(self):
         for n in range(9):
