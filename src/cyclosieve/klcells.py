@@ -1,6 +1,17 @@
 """Kazhdan-Lusztig polynomials, the mu function, cellular matrices, and
 KL immanants for small symmetric groups.
 
+A table holds P_{u,w} for u and w in a set X: all of S_n, or, for a set J
+of positions, the coset maxima X_J = {w : w(i) > w(i + 1) for every i in J},
+the longest elements of the cosets w W_J.  For w in X_J and t in J,
+P_{u,w} = P_{ut,w} for every u, so the P_{u,w} with u, w in X_J, Deodhar's
+parabolic polynomials with u = -1 (J. Algebra 111, 1987), carry all of P_{.,w}.
+The cell with recording tableau css(shape) lies in X_J for J = Des(css(shape)),
+so the mu-matrix of a cellular module is read off that table.  X_J is
+enumerated directly: the positions joined by J fall into blocks, one per
+column of css(shape), each a decreasing run, and |X_J| = n!/prod m! over the
+block sizes m.
+
 The table is built along increasing length.  Within the column of w, u
 runs from the longest down.  If some left descent t of w is not a left
 descent of u, or some right descent t of w is not a right descent of u,
@@ -19,20 +30,34 @@ P_{u,w} = P_{su,sw} + q P_{u,sw} - sum mu(z,sw) q^((l(w)-l(z))/2) P_{u,z}.
 The Bruhat table comes from the lifting property: for s a left descent of
 w, u <= w iff min(u, su) <= sw, one gather of the row of sw per w.
 
+On X_J three rules keep the build inside X:
+- the recursion's s is the smallest left descent of w with sw in X, and the
+  lifting gathers row sw at su when su is in X and su < u, and at u
+  otherwise;
+- where su is not in X, su = ut with t in J, and P_{su,v} is read as
+  P_{u,v}, since t is a right descent of v;
+- the descent masks of u count a neighbour outside X as a descent.  A left
+  neighbour outside X is shorter, so left copy steps and the mu-sum never
+  leave X; a right copy step along t is taken only when ut is in X.
+With J empty no neighbour leaves X, and the build is the one of S_n.
+
 P_{u,w} = P_{u^-1,w^-1} = P_{w0 u w0, w0 w w0} (Kazhdan-Lusztig 1979), and
 these maps keep length and Bruhat order.  So the columns fall into classes
-{w, w^-1, w0 w w0, w0 w^-1 w0}: only the column of lowest index in each
-class is computed, and the others are filled from it by relabelling.
+{w, w^-1, w0 w w0, w0 w^-1 w0}, under those of the three maps that send X
+to itself (all three when J is empty): only the column of lowest index in
+each class is computed, and the others are filled from it by relabelling.
 
-The index tables are built from the one list of permutations at list
-level: its columns are zipped, with two columns or two values swapped, and
-looked up with ``map``, so no Python code runs per neighbour.  w0 w has
-the mirrored index, and w^-1 and w0 w w0 follow w = s v along the smallest
-left descent s, in the loop that fills the Bruhat table.
+The index tables are built from the one list of X at list level: its
+columns are zipped, with two columns or two values swapped, and looked up
+with ``map``, so no Python code runs per neighbour; a neighbour outside X
+is read as the element itself.  w0 w has the mirrored index, and w^-1 and
+w0 w w0 follow w = s v along the smallest left descent s, in the loop that
+fills the Bruhat table.
 
 The table's one resource limit is the enumeration cap: ``kl_table`` holds
-the n! x n! entries of the Bruhat table against it before anything is
-built, so the default cap admits rank 6 and rank 7 needs a cap of 7!^2.
+the n! x n! entries of the Bruhat table of S_n against it before anything
+is built, also for a table over X_J, so the default cap admits rank 6 and
+rank 7 needs a cap of 7!^2.
 """
 
 from __future__ import annotations
@@ -40,7 +65,7 @@ from __future__ import annotations
 import math
 from functools import cache
 from itertools import combinations, permutations as _itertools_permutations, repeat
-from operator import add, gt, lshift, or_, sub
+from operator import add, ge, gt, lshift, or_, sub
 from typing import Optional, TextIO
 
 import numpy as np
@@ -90,79 +115,154 @@ def _step_table(neighbours: list[list[int]]) -> list[list[Optional[list[int]]]]:
     return [[by_missing[dw & ~du] for du in masks] for dw in masks]
 
 
+def _coset_maxima(n: int, descents: frozenset[int]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """X_J for J = ``descents``, the w with w(i) > w(i + 1) for every i in J,
+    in one-line order, and the length of each.
+
+    The positions joined by J fall into blocks, each one decreasing run, so
+    |X_J| = n!/prod m! over the block sizes m.  The blocks of one position
+    after the last one of J take their k values in every order: S_k, which
+    ``permutations`` lists in one-line order, where a first entry a + 1 adds
+    a inversions to the rest's.  The other blocks are put in front, last
+    first.  A block of m positions, with k values for it and the blocks
+    after it, takes m of the ranks 1..k, largest first, and the word after
+    it is read in the ranks left.  In one-line order the block's rank tuples
+    are the descending m-tuples in increasing order, and ranks
+    r_1 > ... > r_m add (r_1 - 1) + ... + (r_m - 1) inversions: r_j - 1 -
+    (m - j) with the values after the block, and m - j within it.  With J
+    empty, X_J is S_n.
+    """
+    head = max(descents) + 1 if descents else 0  # positions before the blocks of one
+    k = n - head
+    words = list(_itertools_permutations(range(1, k + 1)))
+    lengths = [0]
+    for size in range(2, k + 1):
+        lengths = [a + length for a in range(size) for length in lengths]
+    bounds = [0, *(i for i in range(1, head) if i not in descents), head] if descents else [0]
+    for m in reversed(list(map(sub, bounds[1:], bounds))):
+        k += m
+        out_words, out_lengths = [], []
+        for ranks in list(combinations(range(k, 0, -1), m))[::-1]:
+            rest = (0, *(r for r in range(1, k + 1) if r not in ranks)).__getitem__
+            out_words += [(*ranks, *map(rest, word)) for word in words]
+            added = sum(ranks) - m
+            out_lengths += [added + length for length in lengths]
+        words, lengths = out_words, out_lengths
+    return words, lengths
+
+
+def _descent_masks(neighbours: list[list[int]], compare, size: int) -> list[int]:
+    """Bit i - 1 of mask w is set iff compare(w, neighbours[i - 1][w])."""
+    masks, ids = [0] * size, range(size)
+    for bit, s in enumerate(neighbours):
+        masks = list(map(or_, masks, map(lshift, map(compare, ids, s), repeat(bit))))
+    return masks
+
+
 class KLTable:
-    """All Kazhdan-Lusztig polynomials P_{u,w} for a fixed S_n.
+    """Kazhdan-Lusztig polynomials P_{u,w} for u, w in X, all of S_n or the
+    coset maxima X_J = {w : w(i) > w(i + 1) for every i in J}, J = ``descents``.
 
     Permutations are addressed by their index in ``perms`` (sorted by length,
     then one-line order).  ``_left[i - 1][w]`` is the index of s_i * w,
-    ``_right[i - 1][w]`` that of w * s_i, ``_w0_left[w]`` that of w0 * w,
-    ``_inverse[w]`` that of w^-1 and ``_conj[w]`` that of w0 * w * w0, so
-    the build and the queries never rebuild a permutation tuple.  These
-    tables come from the one list of permutations: lengths from its
-    one-line order, neighbours by zipping its columns.
+    ``_right[i - 1][w]`` that of w * s_i, ``_w0_left[w]`` that of w0 * w
+    (full table only), ``_inverse[w]`` that of w^-1 and ``_conj[w]`` that of
+    w0 * w * w0, so the build and the queries never rebuild a permutation
+    tuple.  A neighbour outside X is stored as w itself; ``_inverse`` and
+    ``_conj`` are None unless the map sends X to itself.  These tables come
+    from the one list of X that ``_coset_maxima`` gives: lengths from its
+    blocks, neighbours by zipping its columns.
 
     The build fills each column w from the longest u down.  P_{u,w} is
     copied from P_{tu,w} or P_{ut,w} when a left or right descent t of w is
     missing from u: ``_step_table`` gives, for the descent masks of w and u,
     the neighbour list that takes u to tu or ut.  Where that neighbour is w,
     u is a coatom of w, P_{u,w} = 1 and mu(u, w) = 1; elsewhere on a copied
-    pair mu(u, w) = 0.  The descent recursion runs only on the remaining u,
-    those whose left and right descents include all of w's.  Columns are
-    computed only for the lowest index of each class
-    {w, w^-1, w0 w w0, w0 w^-1 w0}; the other columns of the class are that
-    column relabelled.
+    pair mu(u, w) = 0.  The descent recursion runs only on the remaining u.
+    Columns are computed only for the lowest index of each class
+    {w, w^-1, w0 w w0, w0 w^-1 w0}, under those of the three maps that send
+    X to itself; the other columns of the class are that column relabelled.
+
+    On X_J (Deodhar 1987) three rules keep the build inside X:
+    - the recursion's s is the smallest left descent of w with sw in X, and
+      the lifting gathers row sw at su when su is in X and su < u, and at u
+      otherwise;
+    - where su is not in X, su = ut with t in J, and P_{su,v} is read as
+      P_{u,v}, since t is a right descent of v;
+    - the masks of u count a neighbour outside X as a descent (``_ldesc``
+      and ``_rclosed``), so left copy steps and the mu-sum never leave X,
+      and a right copy step along t is taken only when ut is in X.  The
+      right mask of w, ``_rdesc``, is its descents t with wt in X: a t in J
+      is in the mask of every u.
+    With J empty there is no neighbour outside X, and every map sends X to
+    itself.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, descents: frozenset[int] = frozenset()):
+        if not descents <= frozenset(range(1, n)):
+            raise ValueError(f"the descents {sorted(descents)} are not positions 1..{n - 1}")
         self.n = n
-        # in one-line order, a first entry a + 1 adds a inversions to the rest's
-        lex = list(_itertools_permutations(range(1, n + 1)))
-        lex_lengths = [0]
-        for k in range(2, n + 1):
-            lex_lengths = [a + length for a in range(k) for length in lex_lengths]
-        ids = range(len(lex))
-        order = sorted(ids, key=lex_lengths.__getitem__)
-        self.perms: list[tuple[int, ...]] = list(map(lex.__getitem__, order))
-        self.lengths: list[int] = sorted(lex_lengths)
+        self.descents = descents
+        words, word_lengths = _coset_maxima(n, descents)
+        ids = range(len(words))
+        order = sorted(ids, key=word_lengths.__getitem__)
+        self.perms: list[tuple[int, ...]] = list(map(words.__getitem__, order))
+        self.lengths: list[int] = sorted(word_lengths)
         self.index: dict[tuple[int, ...], int] = dict(zip(self.perms, ids))
-        get = self.index.__getitem__
+        get = self.index.get
         cols = list(zip(*self.perms))
-        # w * s_i swaps two columns, s_i * w swaps two values in every column
+        # w * s_i swaps two columns, s_i * w swaps two values in every column;
+        # a neighbour outside X is read as w itself
         self._right: list[list[int]] = [
-            list(map(get, zip(*cols[:i - 1], cols[i], cols[i - 1], *cols[i + 1:])))
+            list(map(get, zip(*cols[:i - 1], cols[i], cols[i - 1], *cols[i + 1:]), ids))
             for i in range(1, n)
         ]
         self._left: list[list[int]] = [
-            list(map(get, zip(*[map(swap.__getitem__, c) for c in cols])))
+            list(map(get, zip(*[map(swap.__getitem__, c) for c in cols]), ids))
             for swap in ([*range(i), i + 1, i, *range(i + 2, n + 1)] for i in range(1, n))
         ]
-        # descent bitmasks: bit i-1 of _ldesc[w] (_rdesc[w]) is set iff
-        # s_i * w (w * s_i) is shorter than w, that is, has a smaller index
-        self._ldesc = self._rdesc = [0] * len(ids)
-        for bit, s, t in zip(range(n), self._left, self._right):
-            self._ldesc = list(map(or_, self._ldesc, map(lshift, map(gt, ids, s), repeat(bit))))
-            self._rdesc = list(map(or_, self._rdesc, map(lshift, map(gt, ids, t), repeat(bit))))
-        # below[w] marks the u <= w.  With s the smallest left descent of w
-        # and v = sw, u <= w iff min(u, su) <= v (Deodhar 1977), and the
-        # shorter of u and su has the smaller index, so row w is row v
-        # gathered at min(u, su).  Also w^-1 = v^-1 s and w0 w w0 = s' w0 v w0
-        # with s' = w0 s w0, that is, s_{n-i} for s = s_i.
+        # descent bitmasks: bit i-1 of down[w] (_rdesc[w]) is set iff s_i * w
+        # (w * s_i) is in X and shorter than w, that is, has a smaller index;
+        # of _ldesc[w] (_rclosed[w]) iff it is shorter or outside X, that is,
+        # has an index not above w's.  A left neighbour outside X is shorter,
+        # so _ldesc has the left descents; _rdesc leaves out J, which every u
+        # has in _rclosed.  With J empty the two kinds are the same.
         size = len(self.perms)
+        down = _descent_masks(self._left, gt, size)
+        self._rdesc: list[int] = _descent_masks(self._right, gt, size)
+        self._ldesc, self._rclosed = down, self._rdesc
+        if descents:
+            self._ldesc = _descent_masks(self._left, ge, size)
+            self._rclosed = _descent_masks(self._right, ge, size)
+        # below[w] marks the u <= w.  With s the smallest left descent of w
+        # with v = sw in X, u <= w iff min(u, su) <= v (Deodhar 1977); where
+        # su = ut is outside X, ut <= v iff u <= v.  The shorter of u and su
+        # has the smaller index, and su outside X is stored as u, so row w is
+        # row v gathered at min(u, su).  Also w^-1 = v^-1 s and
+        # w0 w w0 = s' w0 v w0 with s' = w0 s w0, that is, s_{n-i} for s = s_i.
         ids = np.arange(size)
-        # w0 * w complements every value, which reverses length and one-line
-        # order, so it reverses index order
-        self._w0_left = ids[::-1]
+        if not descents:
+            # w0 * w complements every value, which reverses length and
+            # one-line order, so it reverses index order
+            self._w0_left = ids[::-1]
         lifts = [np.minimum(ids, s) for s in self._left]
         below = np.zeros((size, size), dtype=bool)
         below[0, 0] = True
-        self._inverse, self._conj = [0] * size, [0] * size
+        left, right = self._left, self._right
+        self._s = s_index = [0] * size  # i - 1 for the recursion's s = s_i
+        inverse, conj = [0] * size, [0] * size
         for w in range(1, size):
-            i = (self._ldesc[w] & -self._ldesc[w]).bit_length() - 1
-            v = self._left[i][w]
+            s_index[w] = i = (down[w] & -down[w]).bit_length() - 1
+            v = left[i][w]
             below[v].take(lifts[i], out=below[w])
-            self._inverse[w] = self._right[i][self._inverse[v]]
-            self._conj[w] = self._left[n - 2 - i][self._conj[v]]
+            inverse[w] = right[i][inverse[v]]
+            conj[w] = left[n - 2 - i][conj[v]]
         self._leq = below.T  # _leq[u, w] is u <= w; a view, never copied
+        # w -> w0 w w0 sends X_J to X_{n - J}, and w -> w^-1 sends X_J to
+        # itself only when J is empty (or X_J = {w0}); a map is kept, and
+        # its recurrence above is valid, only when it sends X to itself
+        self._inverse: Optional[list[int]] = None if descents else inverse
+        self._conj: Optional[list[int]] = conj if descents == {n - j for j in descents} else None
         self._parity = np.bitwise_and(self.lengths, 1)  # l(w) mod 2
         # _polys[w] maps u to P_{u,w}; only polynomials other than 1 are stored
         self._polys: list[dict[int, _Coeffs]] = [{} for _ in self.perms]
@@ -182,23 +282,26 @@ class KLTable:
         leq = self._leq
         lengths = self.lengths
         left, right = self._left, self._right
-        ldesc, rdesc = self._ldesc, self._rdesc
+        ldesc, rdesc, rclosed, s_of = self._ldesc, self._rdesc, self._rclosed, self._s
         polys, mu_lists = self._polys, self._mu_lists
+        # the maps of {w^-1, w0 w w0, w0 w^-1 w0} that send X to itself
         inverse, conj = self._inverse, self._conj
-        images = (inverse, conj, list(map(conj.__getitem__, inverse)))
-        lowest = list(map(min, range(len(inverse)), *images))  # of each class
+        images = [f for f in (inverse, conj) if f is not None]
+        if inverse is not None:
+            images.append(list(map(conj.__getitem__, inverse)))
+        ids = range(len(self.perms))
+        lowest = list(map(min, ids, *images)) if images else ids  # of each class
         # bit u of lower[w] is set iff u <= w; build-time only
         lower = list(map(int.from_bytes, np.packbits(leq.T, axis=1, bitorder="little"), repeat("little")))
         lsteps_of, rsteps_of = _step_table(left), _step_table(right)
         for w, pw in enumerate(self.perms):
-            if lengths[w] == 0:
+            if w == 0:  # the shortest element of X
                 mu_lists[w] = ()
                 continue
             if lowest[w] < w:
                 continue  # filled along with the lowest index of its class
-            ldesc_w = ldesc[w]
-            lsteps, rsteps = lsteps_of[ldesc_w], rsteps_of[rdesc[w]]
-            i = (ldesc_w & -ldesc_w).bit_length()  # smallest left descent
+            lsteps, rsteps = lsteps_of[ldesc[w]], rsteps_of[rdesc[w]]
+            i = s_of[w] + 1  # smallest left descent with sw in X
             s = left[i - 1]
             v = s[w]
             bit = 1 << (i - 1)
@@ -214,7 +317,7 @@ class KLTable:
             # longest first, so tu and ut are done before u; w itself is last
             # in index order and is skipped
             for u in leq[:, w].nonzero()[0][-2::-1].tolist():
-                step = lsteps[ldesc[u]] or rsteps[rdesc[u]]
+                step = lsteps[ldesc[u]] or rsteps[rclosed[u]]
                 if step:  # P_{u,w} = P_{tu,w} or P_{ut,w}
                     t = step[u]
                     if t == w:  # a coatom: P_{u,w} = 1 and mu(u, w) = 1
@@ -223,7 +326,8 @@ class KLTable:
                         col_w[u] = total
                     continue
                 # s is a left descent of u: c = 1 in the recursion, and
-                # su <= sw = v since s is a left descent of both u and w
+                # su <= sw = v since s is a left descent of both u and w;
+                # s[u] is u where su = ut is outside X, and P_{ut,v} = P_{u,v}
                 p_su = col_v.get(s[u], _ONE)
                 p_u = col_v.get(u, _ONE) if lower_v >> u & 1 else _ZERO
                 total = _plus_q_times(p_su, p_u)
@@ -253,7 +357,8 @@ class KLTable:
         try:
             return self.index[tuple(w)]
         except KeyError:
-            raise ValueError(f"{w} is not a permutation of [{self.n}]") from None
+            where = f" with w(i) > w(i + 1) at {sorted(self.descents)}" if self.descents else ""
+            raise ValueError(f"{w} is not a permutation of [{self.n}]{where}") from None
 
     def leq(self, u: Permutation, w: Permutation) -> bool:
         return bool(self._leq[self._idx(u), self._idx(w)])
@@ -344,14 +449,16 @@ class KLTable:
         return pairs
 
 
-def kl_table(n: int, cap: Optional[int] = None) -> KLTable:
-    """The memoized KL table for S_n, whose n! x n! Bruhat table is held
+def kl_table(n: int, cap: Optional[int] = None, descents: frozenset[int] = frozenset()) -> KLTable:
+    """The memoized KL table for S_n, or for its coset maxima X_J with
+    J = ``descents``; either way the n! x n! Bruhat table of S_n is held
     against the cap before anything is built.
 
-    The memo is keyed by the rank alone, so every call form for one rank
-    shares one build; ``kl_table.cache_info()`` reports on it.  The cap is
-    checked on every call, so a table built under a larger cap is not
-    returned past a smaller one.
+    The full table's memo is keyed by the rank alone, so every call form for
+    one rank shares one build; ``kl_table.cache_info()`` reports on it.  The
+    tables over X_J have a memo of their own.  The cap is checked on every
+    call, so a table built under a larger cap is not returned past a smaller
+    one.
     """
     if n < 0:
         raise ValueError(f"the rank must be nonnegative, got {n}")
@@ -363,10 +470,11 @@ def kl_table(n: int, cap: Optional[int] = None) -> KLTable:
             f"the Bruhat table of S_{n} has {entries} > cap {limit} entries "
             "(--cap on the command line)"
         )
-    return _kl_table(n)
+    return _coset_table(n, descents) if descents else _kl_table(n)
 
 
 _kl_table = cache(KLTable)
+_coset_table = cache(KLTable)
 kl_table.cache_info = _kl_table.cache_info
 kl_table.cache_clear = _kl_table.cache_clear
 
@@ -375,29 +483,37 @@ kl_table.cache_clear = _kl_table.cache_clear
 
 
 def mu_tableaux(p: Tableau, q: Tableau, table: Optional[KLTable] = None) -> int:
-    """The common value mu[(T,p),(T,q)] for any same-shape recording tableau T."""
+    """The common value mu[(T,p),(T,q)] for any same-shape recording tableau T,
+    read with T = css(shape), by default from the table over its coset maxima."""
     if p.shape != q.shape:
         raise ValueError("tableaux must have the same shape")
     if table is None:
-        table = kl_table(p.size)
+        table = _cell_table(p.shape)
     t = css(p.shape)
     wp = rsk_inverse(p, t)
     wq = rsk_inverse(q, t)
     return table.mu_sym(wp, wq)
 
 
-def _cell_basis(shape: Partition, cap: Optional[int] = None):
+def _cell_table(shape: Partition, cap: Optional[int] = None) -> KLTable:
+    """The KL table over X_J, J = Des(css(shape)), where the cell with
+    recording tableau css(shape) lies; the cap is held against n!^2."""
+    return kl_table(shape.size, cap, descent_set(css(shape)))
+
+
+def _cell_basis(shape: Partition, table: KLTable):
     """SYT(shape), the basis of the cellular module: its packed words, its
-    tableaux, their descent sets, the mu-matrix over them
-    (mu[a][b] = mu[(T, P_a), (T, P_b)] for any recording tableau T) and the
-    KL table it was read from.  The table is asked for first: its cap check
-    covers SYT(shape), since |SYT(shape)| <= n! <= n!^2."""
-    table = kl_table(shape.size, cap)
-    words = enumerate_syt(shape, cap=cap, packed=True)
+    tableaux, their descent sets and the mu-matrix over them
+    (mu[a][b] = mu[(T, P_a), (T, P_b)] for any recording tableau T), read
+    from ``table`` with T = css(shape): the full table or ``_cell_table``.
+    The caller asks for the table first: its cap check covers SYT(shape),
+    since |SYT(shape)| <= |X_J| <= n! <= n!^2."""
+    words = enumerate_syt(shape, packed=True)
     basis = tableaux_from_words(words, shape)
-    perms = [rsk_inverse(p, basis[0]) for p in basis]
+    t = css(shape)
+    perms = [rsk_inverse(p, t) for p in basis]
     mu = [[table.mu_sym(x, y) for y in perms] for x in perms]
-    return words, basis, [descent_set(t) for t in basis], mu, table
+    return words, basis, [descent_set(t) for t in basis], mu
 
 
 def _generator_matrix(
@@ -438,7 +554,7 @@ def representation_matrix(shape: Partition, w: Permutation) -> tuple[tuple[int, 
     """Matrix of w on the cellular module, multiplied out along a reduced word."""
     shape = Partition(shape)
     w = Permutation(w)
-    _, _, descents, mu, _ = _cell_basis(shape)
+    _, _, descents, mu = _cell_basis(shape, _cell_table(shape))
     result = _identity_matrix(len(descents))
     current = w
     while current.length():
@@ -492,7 +608,9 @@ def verify_promotion_identity(shape: Partition, cap: Optional[int] = None) -> di
         raise ValueError("the promotion identity concerns a x b rectangles with a >= 1")
     n = shape.size
     sign = (-1) ** (len(shape) + 1)
-    words, basis, descents, mu, table = _cell_basis(shape, cap)
+    # the KL-basis coefficient reads P over all of S_n, so the full table
+    table = kl_table(n, cap)
+    words, basis, descents, mu = _cell_basis(shape, table)
     promotion = promotion_permutation(words, shape, n).tolist()
     dim = len(promotion)
     gens = [_generator_matrix(descents, mu, i) for i in range(1, n)]
@@ -534,7 +652,7 @@ def mu_promotion_invariance(shape: Partition, cap: Optional[int] = None) -> dict
     """Exhaustively compare mu[P,Q] with mu[j(P),j(Q)] over a shape; each
     failure lists the pair of tableaux and both values."""
     shape = Partition(shape)
-    words, basis, _, mu, _ = _cell_basis(shape, cap)
+    words, basis, _, mu = _cell_basis(shape, _cell_table(shape, cap))
     promotion = promotion_permutation(words, shape, shape.size).tolist()
     pairs = list(combinations(range(len(basis)), 2))
     failures = [

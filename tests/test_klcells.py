@@ -1,12 +1,12 @@
 import io
 import json
-from itertools import permutations as itertools_permutations
+from itertools import combinations, permutations as itertools_permutations
 from math import factorial
 
 import numpy as np
 import pytest
 
-from conftest import all_partitions_up_to, compositions_of, rectangles_up_to
+from conftest import all_partitions_up_to, compositions_of, partitions_of, rectangles_up_to
 
 from cyclosieve import (
     CapExceeded,
@@ -37,8 +37,10 @@ from cyclosieve.klcells import (
     _mat_mul,
     _vanishing_matrix,
 )
+from cyclosieve import klcells
 from cyclosieve.jeudetaquin import evacuate, is_semistandardizable
 from cyclosieve.permutations import rsk_inverse
+from cyclosieve.tableaux import css, descent_set
 
 
 def all_perms(n):
@@ -301,6 +303,120 @@ class TestBruhatTable:
         """_leq is the transposed view of a table whose row w marks the u <= w."""
         leq = kl_table(5)._leq
         assert leq.T.flags.c_contiguous and leq.base is not None
+
+
+def _restriction(full, table):
+    """Test oracle: the full table's columns, mu lists and Bruhat table on the
+    elements of ``table``, in ``table``'s indices."""
+    idx = [full.index[p] for p in table.perms]
+    pos = {f: i for i, f in enumerate(idx)}
+    polys = [{pos[u]: c for u, c in full._polys[w].items() if u in pos} for w in idx]
+    mu_lists = {i: tuple((pos[u], mu) for u, mu in full._mu_lists[w] if u in pos)
+                for i, w in enumerate(idx)}
+    return polys, mu_lists, full._leq[np.ix_(idx, idx)]
+
+
+def _cell_descents(shape):
+    return descent_set(css(shape))
+
+
+class TestCosetTable:
+    """KLTable(n, J) over the coset maxima X_J against the full table, which
+    stays the oracle."""
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_every_cell_matches_the_full_table(self, n):
+        """Every P and mu on X_J, J = Des(css(shape)), for every partition of n."""
+        cap = factorial(7) ** 2
+        try:
+            full = kl_table(n, cap)
+            for shape in partitions_of(n):
+                table = kl_table(n, cap, _cell_descents(shape))
+                polys, mu_lists, leq = _restriction(full, table)
+                assert np.array_equal(table._leq, leq), shape
+                assert table._polys == polys, shape
+                assert table._mu_lists == mu_lists, shape
+        finally:
+            kl_table.cache_clear()  # drop the rank-7 table
+            klcells._coset_table.cache_clear()
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_every_descent_set_matches_the_full_table(self, n):
+        """Every J, not only the descent sets of css(shape): J need not be
+        symmetric, nor end in a block of one."""
+        full = kl_table(n)
+        for k in range(n):
+            for descents in combinations(range(1, n), k):
+                table = KLTable(n, frozenset(descents))
+                polys, mu_lists, leq = _restriction(full, table)
+                assert np.array_equal(table._leq, leq), descents
+                assert (table._polys, table._mu_lists) == (polys, mu_lists), descents
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_elements_are_the_coset_maxima(self, n):
+        """X_J is enumerated without S_n: n!/prod m! elements, sorted by
+        length, then one-line order, each decreasing on every block of J."""
+        for shape in partitions_of(n):
+            descents = _cell_descents(shape)
+            table = KLTable(n, descents)
+            expected = sorted(
+                (Permutation(p).length(), p) for p in itertools_permutations(range(1, n + 1))
+                if all(p[i - 1] > p[i] for i in descents)
+            )
+            assert table.perms == [p for _, p in expected]
+            assert table.lengths == [length for length, _ in expected]
+            columns = shape.conjugate()
+            assert len(table.perms) == factorial(n) // int(np.prod([factorial(c) for c in columns]))
+
+    def test_the_three_three_cell_table(self):
+        """The figures of the 3,3 cell: 90 elements and 2,442 Bruhat pairs
+        against 720 and 98,407, with w -> w0 w w0 the one symmetry kept."""
+        table = KLTable(6, _cell_descents(Partition((3, 3))))
+        assert (len(table.perms), table.comparable_pairs()) == (90, 2442)
+        assert kl_table(6).comparable_pairs() == 98407
+        assert table._inverse is None and table._conj is not None
+
+    def test_an_empty_descent_set_reads_the_full_table_memo(self):
+        assert kl_table(5, descents=frozenset()) is kl_table(5)
+
+    def test_queries_outside_the_coset_maxima_are_refused(self):
+        table = KLTable(4, frozenset({1}))
+        assert table.mu(Permutation((2, 1, 3, 4)), Permutation((3, 1, 2, 4))) == 1
+        with pytest.raises(ValueError, match=r"w\(i\) > w\(i \+ 1\) at \[1\]"):
+            table.mu(Permutation((1, 2, 3, 4)), Permutation((2, 1, 3, 4)))
+        with pytest.raises(ValueError, match="are not positions"):
+            KLTable(3, frozenset({3}))
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_mu_invariance_reports_what_the_full_table_gives(self, monkeypatch, n):
+        cap = factorial(7) ** 2
+        try:
+            reports = [mu_promotion_invariance(shape, cap) for shape in partitions_of(n)]
+            monkeypatch.setattr(klcells, "_cell_table", lambda shape, cap=None: kl_table(shape.size, cap))
+            assert reports == [mu_promotion_invariance(shape, cap) for shape in partitions_of(n)]
+        finally:
+            kl_table.cache_clear()  # drop the rank-7 table
+            klcells._coset_table.cache_clear()
+
+    def test_mu_invariance_never_builds_the_full_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"built the full table of S_{args[0]}")
+
+        klcells._coset_table.cache_clear()
+        monkeypatch.setattr(klcells, "_kl_table", refuse)
+        for shape, verdict in [((3, 3), True), ((3, 2), True), ((2, 2, 1), True), ((3, 1), False)]:
+            assert mu_promotion_invariance(Partition(shape))["verdict"] is verdict, shape
+        assert klcells._coset_table.cache_info().misses == 4
+
+    def test_the_cap_is_held_against_the_full_bruhat_table(self, monkeypatch):
+        """A table over X_J is refused from the n!^2 entries of S_n, as the
+        full table is, before anything is built."""
+        def refuse(*args):
+            raise AssertionError("built a table past the cap")
+
+        monkeypatch.setattr(klcells, "_coset_table", refuse)
+        with pytest.raises(CapExceeded, match="518400 > cap 518399"):
+            kl_table(6, 518399, _cell_descents(Partition((3, 3))))
 
 
 class TestMu:
