@@ -16,28 +16,14 @@ from .tableaux import (
     enumerate_rst,
     enumerate_syt,
     extended_descent_set,
-    hook_length,
     syt_count,
-)
-from .jeudetaquin import (
-    demote,
-    evacuate,
-    is_semistandardizable,
-    promote,
-    promote_power,
-    semistandardize,
-    standardize,
 )
 from .permutations import (
     Permutation,
-    bruhat_leq,
     cycle_type,
-    identity,
     long_cycle,
     long_element,
-    rsk,
     rsk_inverse,
-    simple,
 )
 from .qpolys import (
     IntPolynomial,
@@ -46,10 +32,6 @@ from .qpolys import (
     kappa,
     kostka_foulkes,
     mn_character,
-    q_factorial,
-    q_int,
-    schur_evaluate,
-    schur_principal_specialization,
 )
 from .cyclotomic import CyclotomicElement, as_integer, cyclotomic_polynomial, eval_at_root, zeta
 

@@ -71,8 +71,7 @@ from typing import Optional, TextIO
 import numpy as np
 
 from .jeudetaquin import promotion_permutation
-from .permutations import Permutation, rsk, rsk_inverse
-from .qpolys import IntPolynomial
+from .permutations import Permutation, rsk_inverse
 from .tableaux import CapExceeded, Composition, Partition, Tableau, _resolve_cap, css
 from .tableaux import descent_set, enumerate_syt, extended_descent_set, tableaux_from_words
 
@@ -360,12 +359,6 @@ class KLTable:
             where = f" with w(i) > w(i + 1) at {sorted(self.descents)}" if self.descents else ""
             raise ValueError(f"{w} is not a permutation of [{self.n}]{where}") from None
 
-    def leq(self, u: Permutation, w: Permutation) -> bool:
-        return bool(self._leq[self._idx(u), self._idx(w)])
-
-    def poly(self, u: Permutation, w: Permutation) -> IntPolynomial:
-        return IntPolynomial(self._coeffs(self._idx(u), self._idx(w)))
-
     def mu(self, u: Permutation, w: Permutation) -> int:
         """Directed mu(u, w): top allowed coefficient of P_{u,w}."""
         ui, wi = self._idx(u), self._idx(w)
@@ -479,20 +472,7 @@ kl_table.cache_info = _kl_table.cache_info
 kl_table.cache_clear = _kl_table.cache_clear
 
 
-# -- mu on tableaux and cellular matrices -----------------------------------
-
-
-def mu_tableaux(p: Tableau, q: Tableau, table: Optional[KLTable] = None) -> int:
-    """The common value mu[(T,p),(T,q)] for any same-shape recording tableau T,
-    read with T = css(shape), by default from the table over its coset maxima."""
-    if p.shape != q.shape:
-        raise ValueError("tableaux must have the same shape")
-    if table is None:
-        table = _cell_table(p.shape)
-    t = css(p.shape)
-    wp = rsk_inverse(p, t)
-    wq = rsk_inverse(q, t)
-    return table.mu_sym(wp, wq)
+# -- cellular modules --------------------------------------------------------
 
 
 def _cell_table(shape: Partition, cap: Optional[int] = None) -> KLTable:
@@ -548,25 +528,6 @@ def _mat_mul(a, b):
 
 def _identity_matrix(n: int):
     return tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
-
-
-def representation_matrix(shape: Partition, w: Permutation) -> tuple[tuple[int, ...], ...]:
-    """Matrix of w on the cellular module, multiplied out along a reduced word."""
-    shape = Partition(shape)
-    w = Permutation(w)
-    _, _, descents, mu = _cell_basis(shape, _cell_table(shape))
-    result = _identity_matrix(len(descents))
-    current = w
-    while current.length():
-        i = min(current.left_descents())
-        if i >= shape.size:
-            raise ValueError(f"generator index {i} out of range for n={shape.size}")
-        result = _mat_mul(result, _generator_matrix(descents, mu, i))
-        # peel s_i off the left: current = s_i * current
-        current = Permutation(
-            tuple(i + 1 if v == i else i if v == i + 1 else v for v in current)
-        )
-    return result
 
 
 # -- long-cycle promotion identity verification ------------------------------
@@ -677,93 +638,6 @@ def mu_promotion_invariance(shape: Partition, cap: Optional[int] = None) -> dict
 # -- KL immanants and the vanishing criterion --------------------------------
 
 
-class Immanant:
-    """A multivariate polynomial in commuting variables x[a,b].
-
-    Stored as a map from sorted variable multisets to integer coefficients,
-    which makes equality-to-zero testing immediate.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[dict[tuple[tuple[int, int], ...], int]] = None):
-        cleaned = {m: c for m, c in (terms or {}).items() if c}
-        object.__setattr__(self, "terms", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Immanant is immutable")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "Immanant") -> "Immanant":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return Immanant(out)
-
-    def __sub__(self, other: "Immanant") -> "Immanant":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) - c
-        return Immanant(out)
-
-    def scale(self, c: int) -> "Immanant":
-        return Immanant({m: c * x for m, x in self.terms.items()})
-
-    def swap_rows(self, i: int) -> "Immanant":
-        """Exchange row indices i and i+1 in every variable."""
-
-        def sw(a: int) -> int:
-            return i + 1 if a == i else i if a == i + 1 else a
-
-        out: dict[tuple[tuple[int, int], ...], int] = {}
-        for m, c in self.terms.items():
-            key = tuple(sorted((sw(a), b) for a, b in m))
-            out[key] = out.get(key, 0) + c
-        return Immanant(out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Immanant) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for m, c in sorted(self.terms.items()):
-            mono = "*".join(f"x{a}{b}" for a, b in m)
-            pieces.append(f"{'+' if c > 0 else '-'} {abs(c) if abs(c) != 1 else ''}{mono}")
-        return " ".join(pieces).lstrip("+ ")
-
-
-def kl_immanant(
-    w: Permutation,
-    alpha: Composition,
-    beta: Composition,
-    table: Optional[KLTable] = None,
-) -> Immanant:
-    """Imm_w applied to the repeated-row/column matrix x_{alpha, beta}."""
-    w = Permutation(w)
-    n = len(w)
-    alpha, beta = Composition(alpha), Composition(beta)
-    if alpha.size != n or beta.size != n:
-        raise ValueError("compositions must have size n")
-    if table is None:
-        table = kl_table(n)
-    rows = alpha.labels()
-    cols = beta.labels()
-    perms = table.perms
-    terms: dict[tuple[tuple[int, int], ...], int] = {}
-    vs, coeffs = table._signed_support(table._idx(w))
-    for v, coeff in zip(vs.tolist(), coeffs.tolist()):
-        mono = tuple(sorted(zip(rows, [cols[x - 1] for x in perms[v]])))
-        terms[mono] = terms.get(mono, 0) + coeff
-    return Immanant(terms)
-
-
 def _compositions(n: int) -> list[Composition]:
     """All compositions of n in lexicographic order, one per set of cuts
     among 1, ..., n - 1; the empty composition is the one of 0."""
@@ -834,9 +708,10 @@ def vanishing_criterion_check(
     rule, and the report's ``note`` says so.
 
     Both sides are read at set level: the immanants by ``_vanishing_matrix``
-    (``kl_immanant`` is the per-pair reading), semistandardizability by
-    comparing the descent bitmask of each recording tableau with the
-    positions i that share a block of alpha with i + 1.
+    (the per-pair ``kl_immanant`` of ``tests/oracles/klcells.py`` is its
+    oracle), semistandardizability by comparing the descent bitmask of each
+    w, which is that of its recording tableau, with the positions i that
+    share a block of alpha with i + 1.
     """
     if table is None:
         table = kl_table(n, cap)
@@ -847,9 +722,8 @@ def vanishing_criterion_check(
     words = list(_itertools_permutations(range(1, n + 1)))
     # bit i - 1 of inside[a] is set iff i and i + 1 fall in one block of alpha
     inside = np.array([sum(1 << i - 1 for i in range(1, n) if r[i - 1] == r[i]) for r in labels])
-    descents = np.array([
-        sum(1 << i - 1 for i in descent_set(rsk(Permutation(p))[1])) for p in words
-    ])
+    # Des(Q(w)) = Des(w), the i with w(i) > w(i + 1) (Stanley, EC2 Lemma 7.23.1)
+    descents = np.array([sum(1 << i - 1 for i in range(1, n) if p[i - 1] > p[i]) for p in words])
     semistandard = (inside & ~descents[:, None]) == 0
     vanishes = _vanishing_matrix(table, words, labels)
     mismatches = [

@@ -1,15 +1,16 @@
 """Integer polynomials in q and the q-analogues used by the sieving checks.
 
-IntPolynomial is a dense, immutable, arbitrary-precision integer polynomial.
-Exact division is the only division offered; a nonzero remainder is an
-internal error rather than bad input.
+IntPolynomial is a dense, immutable, arbitrary-precision integer polynomial
+with ring operations and evaluation; it offers no division.
 
-The quotient q-analogues (q-hook and hook-content formulas, q-binomials,
-q-Catalan numbers) are held as QProducts: products of cyclotomic
-polynomials, built from multisets of q-integers through
-[a]_q = prod_{d | a, d > 1} Phi_d(q).  That every exponent survives
-cancellation nonnegative certifies that the quotient is a polynomial, and
-the product is expanded, or reduced mod q^m - 1, by multiplication alone.
+The quotient q-analogues (q-hook and hook-content formulas, q-Catalan
+numbers) are held as QProducts: products of cyclotomic polynomials, built
+from multisets of q-integers through [a]_q = prod_{d | a, d > 1} Phi_d(q).
+That every exponent survives cancellation nonnegative certifies that the
+quotient is a polynomial, and the product is reduced mod q^m - 1 by
+multiplication alone.  Expanding a product, q-factorials, exact division and
+the tableau-by-tableau Schur sums are the test oracles in
+``tests/oracles/qpolys.py``.
 """
 
 from __future__ import annotations
@@ -42,14 +43,6 @@ class IntPolynomial:
     @classmethod
     def zero(cls) -> "IntPolynomial":
         return cls(())
-
-    @classmethod
-    def one(cls) -> "IntPolynomial":
-        return cls((1,))
-
-    @classmethod
-    def monomial(cls, exponent: int, coeff: int = 1) -> "IntPolynomial":
-        return cls((0,) * exponent + (coeff,))
 
     @classmethod
     def from_terms(cls, terms: Mapping[int, int]) -> "IntPolynomial":
@@ -99,43 +92,6 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
-    def shift(self, exponent: int) -> "IntPolynomial":
-        """Multiply by q**exponent; negative exponents must divide exactly."""
-        if exponent >= 0:
-            return IntPolynomial((0,) * exponent + self.coeffs)
-        if any(self.coeffs[:-exponent]):
-            raise ValueError(f"q^{-exponent} does not divide {self}")
-        return IntPolynomial(self.coeffs[-exponent:])
-
-    def divmod(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
-        """Long division; the divisor must have leading coefficient +/-1."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        lead = divisor.coeffs[-1]
-        if lead not in (1, -1):
-            raise ValueError("division requires a divisor with unit leading coefficient")
-        rem = list(self.coeffs)
-        dn = len(divisor.coeffs)
-        if len(rem) < dn:
-            return IntPolynomial(()), IntPolynomial(rem)
-        quot = [0] * (len(rem) - dn + 1)
-        for top in range(len(rem) - 1, dn - 2, -1):
-            c = rem[top]
-            if c == 0:
-                continue
-            factor = c * lead  # lead is a unit
-            pos = top - dn + 1
-            quot[pos] = factor
-            for j, d in enumerate(divisor.coeffs):
-                rem[pos + j] -= factor * d
-        return IntPolynomial(quot), IntPolynomial(rem)
-
-    def exact_div(self, divisor: "IntPolynomial") -> "IntPolynomial":
-        quotient, remainder = self.divmod(divisor)
-        if not remainder.is_zero():
-            raise AssertionError(f"inexact division: {self} by {divisor}")
-        return quotient
-
     def __call__(self, value):
         """Horner evaluation at an int, Fraction, or ring element."""
         result = 0
@@ -167,22 +123,6 @@ class IntPolynomial:
                 else:
                     terms.append(f"{c}*{q}")
         return " + ".join(terms).replace("+ -", "- ")
-
-
-def q_int(n: int) -> IntPolynomial:
-    """[n]_q = 1 + q + ... + q^(n-1)."""
-    if n < 0:
-        raise ValueError("q-integers need n >= 0")
-    return IntPolynomial((1,) * n)
-
-
-@cache
-def q_factorial(n: int) -> IntPolynomial:
-    if n < 0:
-        raise ValueError("q-factorials need n >= 0")
-    if n == 0:
-        return IntPolynomial.one()
-    return q_factorial(n - 1) * q_int(n)
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -273,14 +213,6 @@ class QProduct:
                 exponents[d] = e
         return cls(exponents)
 
-    def expand(self) -> IntPolynomial:
-        """The polynomial itself, by repeated multiplication."""
-        out = IntPolynomial.one()
-        for d, e in self.exponents.items():
-            for _ in range(e):
-                out = cyclotomic_polynomial(d) * out
-        return out
-
     def cyclic_reduction(self, m: int) -> IntPolynomial:
         """The remainder mod q^m - 1, with coefficients of q^0 .. q^(m-1);
         its values at the m-th roots of unity are the product's."""
@@ -298,13 +230,6 @@ class QProduct:
                             out[(i + j) % m] += x * c
                 coeffs = out
         return IntPolynomial(coeffs)
-
-
-def q_binomial_product(n: int, k: int) -> QProduct:
-    """[n choose k]_q = [n]!_q / ([k]!_q [n-k]!_q)."""
-    if not 0 <= k <= n:
-        raise ValueError(f"q-binomial needs 0 <= k <= n, got ({n}, {k})")
-    return QProduct.from_q_integers(range(1, n + 1), [*range(1, k + 1), *range(1, n - k + 1)])
 
 
 def q_hook_product(shape: Partition) -> QProduct:
@@ -333,34 +258,6 @@ def q_catalan_product(n: int) -> QProduct:
 def kappa(shape: Partition) -> int:
     """0*l_1 + 1*l_2 + 2*l_3 + ...; equals b*a*(a-1)/2 on an a-row rectangle b^a."""
     return sum(i * part for i, part in enumerate(Partition(shape)))
-
-
-def content_weight(alpha: Composition) -> int:
-    return sum(i * part for i, part in enumerate(alpha))
-
-
-def schur_principal_specialization(shape: Partition, k: int) -> IntPolynomial:
-    """s_shape(1, q, ..., q^(k-1)) summed over column-strict tableaux."""
-    shape = Partition(shape)
-    coeffs: dict[int, int] = {}
-    for t in enumerate_cst(shape, k):
-        w = content_weight(t.content(k))
-        coeffs[w] = coeffs.get(w, 0) + 1
-    return IntPolynomial.from_terms(coeffs)
-
-
-def schur_evaluate(shape: Partition, values: Sequence):
-    """s_shape(values), summed tableau by tableau; works over any commutative ring."""
-    shape = Partition(shape)
-    k = len(values)
-    total = 0
-    for t in enumerate_cst(shape, k):
-        term = 1
-        for row in t.rows:
-            for x in row:
-                term = term * values[x - 1]
-        total = total + term
-    return total
 
 
 def charge(word: Sequence[int]) -> int:

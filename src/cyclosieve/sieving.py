@@ -1,13 +1,12 @@
 """The sieving engine: finite cyclic actions, exact fixed-point vs
 root-of-unity comparison tables, and the derived combinatorial actions
 (promotion families, handshake rotation, Kreweras complementation, signed
-permutation words, subset/multiset rotation).
+permutation words).
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations, combinations_with_replacement
 from math import comb, gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -23,7 +22,6 @@ from .qpolys import (
     kappa,
     kostka_foulkes,
     mn_character,
-    q_binomial_product,
     q_catalan_product,
     q_hook_product,
     totient,
@@ -408,23 +406,13 @@ def rotate_matching(matching: Matching, n: int) -> Matching:
     return _canonical_matching(tuple((a % m + 1, b % m + 1) for a, b in matching))
 
 
-def reflect_matching(matching: Matching, n: int) -> Matching:
-    m = 2 * n
-    return _canonical_matching(tuple((m + 1 - a, m + 1 - b) for a, b in matching))
-
-
 def handshake_action(n: int) -> FiniteAction:
     return FiniteAction.of_map(handshake_patterns(n), lambda h: rotate_matching(h, n))
 
 
-def handshake_to_tableau(matching: Matching) -> Tableau:
-    """Two-row tableau: openers across the top, closers across the bottom."""
-    rows = [sorted(min(p) for p in matching), sorted(max(p) for p in matching)]
-    return Tableau(rows if matching else [])
-
-
 def tableau_to_handshake(t: Tableau) -> Matching:
-    """Inverse of :func:`handshake_to_tableau`, by parenthesis matching."""
+    """The matching of a two-row tableau by parenthesis matching: the top
+    row opens, the bottom row closes."""
     openers = set(t.rows[0] if t.rows else ())
     stack: list[int] = []
     pairs = []
@@ -440,8 +428,9 @@ def noncrossing_partitions(n: int) -> tuple[SetPartition, ...]:
     """All noncrossing set partitions of [n], blocks sorted by minimum.
 
     They are read off the handshake patterns of [2n] through the inverse of
-    the trace bijection (:func:`noncrossing_to_handshake`): an arc
-    (2a, 2b - 1) makes b the next element of a's block.
+    the trace bijection, which turns element i into the points 2i - 1 and 2i
+    and hugs each block by arcs: an arc (2a, 2b - 1) makes b the next
+    element of a's block.
     """
     if n > MAX_CATALAN_SIZE:
         raise CapExceeded(f"noncrossing partitions support n <= {MAX_CATALAN_SIZE}")
@@ -481,24 +470,6 @@ def kreweras_complement(pi: SetPartition, n: int) -> SetPartition:
 
 def noncrossing_action(n: int) -> FiniteAction:
     return FiniteAction.of_map(noncrossing_partitions(n), lambda p: kreweras_complement(p, n))
-
-
-def noncrossing_to_handshake(pi: SetPartition, n: int) -> Matching:
-    """Trace bijection: element i becomes points 2i-1, 2i; blocks are hugged
-    by arcs."""
-    pairs = []
-    for block in pi:
-        pairs.append((2 * block[0] - 1, 2 * block[-1]))
-        for a, b in zip(block, block[1:]):
-            pairs.append((2 * a, 2 * b - 1))
-    return _canonical_matching(pairs)
-
-
-def reflect_noncrossing(pi: SetPartition, n: int) -> SetPartition:
-    """Reflection of the circle through the point 1."""
-    return tuple(
-        sorted(tuple(sorted((1 - x) % n + 1 for x in block)) for block in pi)
-    )
 
 
 def _check_cap(count: int, what: str, cap: Optional[int]) -> None:
@@ -587,37 +558,4 @@ def bn_csp_report(n: int, cap: Optional[int] = None) -> dict:
         n * n,
         family="bnwords",
         parameters={"n": n},
-    )
-
-
-# -- subset and multiset rotation (the classical sieving pair) ---------------
-
-
-def subsets_action(n: int, k: int) -> FiniteAction:
-    elements = sorted(combinations(range(1, n + 1), k))
-    return FiniteAction.of_map(elements, lambda s: tuple(sorted(x % n + 1 for x in s)))
-
-
-def multisets_action(n: int, k: int) -> FiniteAction:
-    elements = sorted(combinations_with_replacement(range(1, n + 1), k))
-    return FiniteAction.of_map(elements, lambda s: tuple(sorted(x % n + 1 for x in s)))
-
-
-def subsets_csp_report(n: int, k: int) -> dict:
-    return verify_csp(
-        subsets_action(n, k),
-        q_binomial_product(n, k),
-        n,
-        family="subsets",
-        parameters={"n": n, "k": k},
-    )
-
-
-def multisets_csp_report(n: int, k: int) -> dict:
-    return verify_csp(
-        multisets_action(n, k),
-        q_binomial_product(n + k - 1, k),
-        n,
-        family="multisets",
-        parameters={"n": n, "k": k},
     )

@@ -50,10 +50,6 @@ class Partition(tuple):
             return Partition(())
         return Partition(tuple(sum(1 for p in self if p > c) for c in range(self[0])))
 
-    def contains_cell(self, cell: tuple[int, int]) -> bool:
-        r, c = cell
-        return 1 <= r <= len(self) and 1 <= c <= self[r - 1]
-
     def cells(self) -> Iterator[tuple[int, int]]:
         for r, row_len in enumerate(self, start=1):
             for c in range(1, row_len + 1):
@@ -92,12 +88,6 @@ class Composition(tuple):
         for i, p in enumerate(self, start=1):
             out.extend([i] * p)
         return tuple(out)
-
-    def rotated(self) -> "Composition":
-        """Content rotation under promotion: (a_1..a_k) -> (a_k, a_1..a_{k-1})."""
-        if not self:
-            return self
-        return Composition((self[-1],) + self[:-1])
 
     def sorted_partition(self) -> Partition:
         """Sort parts decreasingly and drop zeros."""
@@ -143,20 +133,6 @@ def _abacus(shape: Partition, m: int) -> tuple[tuple[int, ...], tuple[Partition,
     for b in beta_set(shape, m * ((max(len(shape), 1) + m - 1) // m)):
         runners[b % m].append(b // m)
     return tuple(map(len, runners)), tuple(map(partition_from_beta, runners))
-
-
-def arm_leg(shape: Partition, cell: tuple[int, int]) -> tuple[int, int]:
-    r, c = cell
-    if not Partition(shape).contains_cell(cell):
-        raise ValueError(f"cell {cell} is not in shape {tuple(shape)}")
-    arm = shape[r - 1] - c
-    leg = sum(1 for row_len in shape[r:] if row_len >= c)
-    return arm, leg
-
-
-def hook_length(shape: Partition, cell: tuple[int, int]) -> int:
-    arm, leg = arm_leg(Partition(shape), cell)
-    return arm + leg + 1
 
 
 def hook_lengths(shape: Partition) -> list[int]:
@@ -322,15 +298,6 @@ class Tableau:
                 return False
         for upper, lower in zip(self.rows, self.rows[1:]):
             if any(upper[i] >= lower[i] for i in range(len(lower))):
-                return False
-        return bound is None or self.max_entry() <= bound
-
-    def is_row_strict(self, bound: Optional[int] = None) -> bool:
-        for row in self.rows:
-            if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
-                return False
-        for upper, lower in zip(self.rows, self.rows[1:]):
-            if any(upper[i] > lower[i] for i in range(len(lower))):
                 return False
         return bound is None or self.max_entry() <= bound
 

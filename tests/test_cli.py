@@ -622,8 +622,9 @@ class TestJsonOutput:
     ])
     def test_kl_checks_enumerate_once_and_never_promote(self, monkeypatch, capsys, argv):
         """J and j(P) come from the set-level permutation of the one
-        enumerated basis, not from the per-tableau promote."""
-        from cyclosieve import jeudetaquin, tableaux
+        enumerated basis, not from the per-tableau promote of the oracles."""
+        from cyclosieve import tableaux
+        from oracles import jeudetaquin
 
         calls = {"enumerate_syt": 0, "promote": 0}
         for module, name in ((tableaux, "enumerate_syt"), (jeudetaquin, "promote")):
@@ -633,7 +634,7 @@ class TestJsonOutput:
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            for loaded in [m for key, m in sys.modules.items() if key.startswith("cyclosieve")]:
+            for loaded in [m for key, m in sys.modules.items() if key.startswith(("cyclosieve", "oracles"))]:
                 for key, value in list(vars(loaded).items()):
                     if value is original:
                         monkeypatch.setattr(loaded, key, counted)
@@ -667,14 +668,14 @@ class TestJsonOutput:
         made to raise, every run on every rectangle of at most 8 cells still
         passes.  ``csp cst`` starts at bound 1, since its bound is the modulus,
         and it refuses a bound of 0 as a usage error."""
-        from cyclosieve import jeudetaquin, qpolys
+        from cyclosieve import qpolys
         from cyclosieve.tableaux import Tableau
+        from oracles.jeudetaquin import evacuate
 
         def forbidden(*args, **kwargs):
             raise AssertionError("called while reaching a verdict")
 
-        evacuate = jeudetaquin.evacuate
-        for loaded in [m for key, m in sys.modules.items() if key.startswith("cyclosieve")]:
+        for loaded in [m for key, m in sys.modules.items() if key.startswith(("cyclosieve", "oracles"))]:
             for key, value in list(vars(loaded).items()):
                 if value is evacuate:
                     monkeypatch.setattr(loaded, key, forbidden)

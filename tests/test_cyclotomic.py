@@ -17,19 +17,20 @@ from cyclosieve import (
     zeta,
 )
 from cyclosieve.qpolys import q_hook_product
+from oracles.qpolys import exact_div, expand, poly_divmod
 
 small_polys = st.lists(st.integers(-9, 9), min_size=0, max_size=8).map(IntPolynomial)
 orders = st.integers(1, 12)
 # Long polynomials wrap around q^m - 1; monomials take the rotation paths.
 ring_polys = st.one_of(
     st.lists(st.integers(-9, 9), min_size=0, max_size=30).map(IntPolynomial),
-    st.builds(IntPolynomial.monomial, st.integers(0, 30), st.integers(-9, 9)),
+    st.builds(lambda e, c: IntPolynomial((0,) * e + (c,)), st.integers(0, 30), st.integers(-9, 9)),
 )
 
 
 def reduced(m, p):
     """The reference: reduce modulo Phi_m after every operation."""
-    return p.divmod(cyclotomic_polynomial(m))[1]
+    return poly_divmod(p, cyclotomic_polynomial(m))[1]
 
 
 class TestCyclotomicPolynomial:
@@ -48,7 +49,7 @@ class TestCyclotomicPolynomial:
 
     def test_product_over_divisors(self):
         for m in range(1, 16):
-            prod = IntPolynomial.one()
+            prod = IntPolynomial((1,))
             for d in range(1, m + 1):
                 if m % d == 0:
                     prod = prod * cyclotomic_polynomial(d)
@@ -63,7 +64,7 @@ def _cyclotomic_by_division(m):
     numerator = IntPolynomial((-1,) + (0,) * (m - 1) + (1,))
     for d in range(1, m):
         if m % d == 0:
-            numerator = numerator.exact_div(_cyclotomic_by_division(d))
+            numerator = exact_div(numerator, _cyclotomic_by_division(d))
     return numerator
 
 
@@ -83,7 +84,7 @@ class TestResidueTable:
                 for _ in range(terms):
                     coeffs[rng.randrange(m)] += rng.randint(-50, 50)
                 poly = IntPolynomial(coeffs)
-                assert CyclotomicElement(m, poly).residue == poly.divmod(phi)[1], m
+                assert CyclotomicElement(m, poly).residue == poly_divmod(poly, phi)[1], m
 
     def test_reduced_elements_build_no_table(self, monkeypatch):
         """An element whose exponents are all below phi(m) is its own
@@ -103,7 +104,7 @@ class TestResidueTable:
             phi = _cyclotomic_by_division(m)
             for _ in range(4):
                 poly = IntPolynomial(rng.randint(-50, 50) for _ in range(phi.degree))
-                assert CyclotomicElement(m, poly).residue == poly.divmod(phi)[1], m
+                assert CyclotomicElement(m, poly).residue == poly_divmod(poly, phi)[1], m
         order = 10**8
         assert as_integer(CyclotomicElement(order, IntPolynomial((3, 0, -1)))) is None
         assert as_integer(zeta(order, order) * 5 - 2) == 3
@@ -132,7 +133,7 @@ class TestResidueTable:
 
 class TestEvalAtRoot:
     def test_evaluation_table_222(self):
-        f = q_hook_product(Partition((2, 2, 2))).expand()
+        f = expand(q_hook_product(Partition((2, 2, 2))))
         assert [as_integer(eval_at_root(f, 6, d)) for d in range(6)] == [5, 0, 2, 3, 2, 0]
 
     def test_evaluation_table_22_bound_3(self):
@@ -172,7 +173,7 @@ class TestAsInteger:
         assert as_integer(zeta(4)) is None
 
     def test_large_primitive_root_non_integer(self):
-        f = q_hook_product(Partition((3, 3, 1))).expand()
+        f = expand(q_hook_product(Partition((3, 3, 1))))
         assert as_integer(eval_at_root(f, 195, 1)) is None
 
     def test_order_one_reduces_to_integers(self):
@@ -219,7 +220,7 @@ class TestAgainstReducedReference:
     @settings(max_examples=150, deadline=None)
     def test_power(self, a, m, n):
         ra = reduced(m, a)
-        expected = IntPolynomial.one()
+        expected = IntPolynomial((1,))
         for _ in range(n):
             expected = reduced(m, expected * ra)
         assert (CyclotomicElement(m, a) ** n).residue == expected
@@ -271,7 +272,7 @@ class TestAgainstReducedReference:
         x = zeta(5, 7)
         assert repr(x) == "(z5^2)"
         with pytest.raises(AttributeError):
-            x.residue = IntPolynomial.one()
+            x.residue = IntPolynomial((1,))
 
 
 class TestSameOrderFastPath:
@@ -282,7 +283,7 @@ class TestSameOrderFastPath:
     def monomials(m):
         for e in range(m + 2):
             for c in (-2, 1, 3):
-                p = IntPolynomial.monomial(e, c)
+                p = IntPolynomial((0,) * e + (c,))
                 yield CyclotomicElement(m, p), reduced(m, p)
 
     @pytest.mark.parametrize("m", range(1, 13))
@@ -310,7 +311,7 @@ class TestSameOrderFastPath:
         x, y = zeta(7, 3) * 2, zeta(7, 5)
         long = sum((zeta(7, d) * d for d in range(7)), zeta(7, 0))
         monkeypatch.setattr(CyclotomicElement, "_coerce", refuse)
-        assert (x * y).residue == IntPolynomial.monomial(1, 2)
+        assert (x * y).residue == IntPolynomial((0, 2))
         assert x + y == y + x and x - y == -(y - x)
         assert (x * long) * y == x * (long * y)
 
@@ -328,9 +329,9 @@ class TestSameOrderFastPath:
         x = zeta(7, 6) * 3 + zeta(7, 2)  # q^6 is above phi(7) = 6, so the table is read
         for _ in range(2):
             with pytest.raises(AttributeError):
-                x.residue = IntPolynomial.one()
+                x.residue = IntPolynomial((1,))
             with pytest.raises(AttributeError):
-                x._residue = IntPolynomial.one()
+                x._residue = IntPolynomial((1,))
             first = x.residue
             filled = len(calls)
             assert filled > 0
@@ -348,19 +349,19 @@ class TestSharedUnit:
 
     @staticmethod
     def operands(m):
-        polys = [IntPolynomial.monomial(e, c) for e in range(m + 1) for c in (-2, 1, 3)]
+        polys = [IntPolynomial((0,) * e + (c,)) for e in range(m + 1) for c in (-2, 1, 3)]
         polys += [IntPolynomial(()), IntPolynomial((1,)), IntPolynomial((2, -1, 0, 4)),
                   IntPolynomial(range(-3, 2 * m))]
         for p in polys:
             yield CyclotomicElement(m, p), reduced(m, p)
         for one in TestSharedUnit.ones(m):
-            yield one, IntPolynomial.one()
+            yield one, IntPolynomial((1,))
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_the_one_on_either_side_matches_the_reference(self, m):
         from cyclosieve import cyclotomic
 
-        r1 = IntPolynomial.one()
+        r1 = IntPolynomial((1,))
         for one in self.ones(m):
             assert one.residue == r1
             for n in range(5):

