@@ -140,13 +140,14 @@ def _promotion_generator(words: np.ndarray, shape: tuple[int, ...], k: int, powe
 def _sort_images(words: np.ndarray, images: np.ndarray, action: str) -> np.ndarray:
     """The order that sorts ``images``: element order[j] maps to element j.
 
-    The images, sorted, must be the words themselves, which must be sorted
-    and distinct: then every image lies in the set and the action permutes it.
+    The images, sorted, must be the rows of ``words`` themselves, which must
+    be sorted and distinct: then every image lies in the set and the action
+    permutes it.
     """
     order = np.lexsort(images.T[::-1])
     distinct = len(words) < 2 or (words[1:] != words[:-1]).any(axis=1).all()
     if not distinct or (images[order] != words).any():
-        raise ValueError(f"{action} does not permute the given set of distinct, sorted tableaux")
+        raise ValueError(f"{action} does not permute the given set of distinct, sorted elements")
     return order
 
 

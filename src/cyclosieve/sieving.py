@@ -2,18 +2,31 @@
 root-of-unity comparison tables, and the derived combinatorial actions
 (promotion families, handshake rotation, Kreweras complementation, signed
 permutation words).
+
+Every action but the one on signed permutation words acts on its whole set
+at once and yields the permutation of it as one array.  The two Catalan
+families are partner arrays read off the packed words of SYT(n, n):
+rotation shifts each row, and the Kreweras complement is one scatter and
+one gather on the next-in-block arrays; neither goes through jeu de
+taquin.  C_n, held against the cap, is their only size limit.  Their tuple
+versions are the test oracles in ``tests/oracles/sieving.py``.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from math import comb, gcd, lcm
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .cyclotomic import as_integer, eval_at_root
-from .jeudetaquin import _promotion_generator, evacuation_permutation, promotion_permutation
+from .jeudetaquin import (
+    _promotion_generator,
+    _sort_images,
+    evacuation_permutation,
+    promotion_permutation,
+)
 from .permutations import cycle_type, long_cycle, long_element
 from .qpolys import (
     IntPolynomial,
@@ -30,7 +43,6 @@ from .tableaux import (
     CapExceeded,
     Composition,
     Partition,
-    Tableau,
     enumerate_cst,
     enumerate_syt,
     syt_count,
@@ -382,94 +394,80 @@ def dihedral_report(shape: Partition, bound: int, cap: Optional[int] = None) -> 
 
 # -- handshake patterns and noncrossing partitions ---------------------------
 
-Matching = tuple[tuple[int, int], ...]
-SetPartition = tuple[tuple[int, ...], ...]
 
+def handshake_partners(n: int, cap: Optional[int] = None) -> np.ndarray:
+    """The noncrossing perfect matchings of the points 0..2n-1, one per row
+    of an N x 2n array: entry i of a row is the point matched with i.
 
-def _canonical_matching(pairs: Iterable[tuple[int, int]]) -> Matching:
-    return tuple(sorted(tuple(sorted(p)) for p in pairs))
-
-
-MAX_CATALAN_SIZE = 8
-
-
-def handshake_patterns(n: int) -> tuple[Matching, ...]:
-    """All noncrossing perfect matchings of [2n], read off SYT(n, n) by
-    :func:`tableau_to_handshake`."""
-    if n > MAX_CATALAN_SIZE:
-        raise CapExceeded(f"handshake patterns support n <= {MAX_CATALAN_SIZE}")
-    return tuple(sorted(map(tableau_to_handshake, enumerate_syt(Partition((n, n) if n else ())))))
-
-
-def rotate_matching(matching: Matching, n: int) -> Matching:
-    m = 2 * n
-    return _canonical_matching(tuple((a % m + 1, b % m + 1) for a, b in matching))
-
-
-def handshake_action(n: int) -> FiniteAction:
-    return FiniteAction.of_map(handshake_patterns(n), lambda h: rotate_matching(h, n))
-
-
-def tableau_to_handshake(t: Tableau) -> Matching:
-    """The matching of a two-row tableau by parenthesis matching: the top
-    row opens, the bottom row closes."""
-    openers = set(t.rows[0] if t.rows else ())
-    stack: list[int] = []
-    pairs = []
-    for i in range(1, t.size + 1):
-        if i in openers:
-            stack.append(i)
-        else:
-            pairs.append((stack.pop(), i))
-    return _canonical_matching(pairs)
-
-
-def noncrossing_partitions(n: int) -> tuple[SetPartition, ...]:
-    """All noncrossing set partitions of [n], blocks sorted by minimum.
-
-    They are read off the handshake patterns of [2n] through the inverse of
-    the trace bijection, which turns element i into the points 2i - 1 and 2i
-    and hugs each block by arcs: an arc (2a, 2b - 1) makes b the next
-    element of a's block.
+    They are read off the packed words of SYT(n, n), as parentheses: point
+    i opens an arc when i + 1 is in the top row, and a closer pairs with the
+    last opener at its depth.  One pass over the 2n points does every row
+    at once, keeping the latest opener at each depth; the rows follow the
+    words' order.
     """
-    if n > MAX_CATALAN_SIZE:
-        raise CapExceeded(f"noncrossing partitions support n <= {MAX_CATALAN_SIZE}")
-    out = []
-    for matching in handshake_patterns(n):
-        successor = {a // 2: (b + 1) // 2 for a, b in matching if a % 2 == 0}
-        blocks = []
-        for first in sorted(set(range(1, n + 1)).difference(successor.values())):
-            block = [first]
-            while block[-1] in successor:
-                block.append(successor[block[-1]])
-            blocks.append(tuple(block))
-        out.append(tuple(blocks))
-    return tuple(sorted(out))
+    words = enumerate_syt(Partition((n, n) if n else ()), cap=cap, packed=True)
+    count, m = len(words), 2 * n
+    rows = np.arange(count)
+    opener = np.zeros((count, m), dtype=bool)
+    for column in range(n):
+        opener[rows, words[:, column] - 1] = True
+    partner = np.empty((count, m), dtype=words.dtype)
+    # Row r's latest opener at depth d is latest[r * n + d], and ``at`` is
+    # each row's r * n + current depth.
+    latest = np.empty(count * max(n, 1), dtype=words.dtype)
+    flat, starts, at = partner.reshape(-1), rows * m, rows * n
+    for i in range(m):
+        opens = opener[:, i]
+        at -= ~opens  # a closer pairs one level below the depth before it
+        mate = np.where(opens, i, latest.take(at))  # an opener is its own mate until it closes
+        partner[:, i] = mate
+        flat[starts + mate] = i
+        latest[at] = i  # a closer's level is written again before it is read
+        at += opens
+    return partner
 
 
-def kreweras_complement(pi: SetPartition, n: int) -> SetPartition:
-    """The cycles of tau = pi^-1 c (Biane, "Some properties of crossings and
-    partitions", 1997): pi sends each element to the next element of its
-    block, cyclically, and c is the long cycle i -> i mod n + 1.
+def _rows_action(elements: np.ndarray, images: np.ndarray, action: str) -> FiniteAction:
+    """The action that sends row i of ``elements`` to row i of ``images``,
+    on the elements in lexicographic order."""
+    if not elements.shape[1]:  # n = 0: one empty element, which is fixed
+        return FiniteAction(np.arange(len(elements)))
+    order = np.lexsort(elements.T[::-1])
+    image_order = _sort_images(elements[order], images[order], action)
+    generator = np.empty(len(order), dtype=np.intp)
+    generator[image_order] = np.arange(len(order))
+    return FiniteAction(generator)
+
+
+def handshake_action(n: int, cap: Optional[int] = None) -> FiniteAction:
+    """Rotation i -> i + 1 mod 2n of the handshake patterns, on their
+    partner arrays in lexicographic order: the arc (i, j) goes to
+    (i + 1, j + 1)."""
+    partner = handshake_partners(n, cap)
+    image = np.roll(partner, 1, axis=1)
+    image += 1
+    image[image == 2 * n] = 0
+    return _rows_action(partner, image, "rotation")
+
+
+def noncrossing_action(n: int, cap: Optional[int] = None) -> FiniteAction:
+    """Kreweras complementation of the noncrossing partitions of 0..n-1, on
+    their next-in-block arrays in lexicographic order.
+
+    A partition is read off a handshake pattern by the inverse of the trace
+    bijection, which turns element i into the points 2i and 2i + 1 and hugs
+    each block by arcs: the partner of 2i + 1 is 2j for the next element j
+    of i's block, the largest element pointing back to the smallest.  The
+    complement is the cycles of tau = succ^-1 c (Biane, "Some properties of
+    crossings and partitions", 1997), for c the long cycle i -> i + 1 mod n;
+    its cycles increase, so tau is the complement's next-in-block array.
     """
-    previous = {b: a for block in pi for a, b in zip(block[-1:] + block[:-1], block)}
-    seen: set[int] = set()
-    blocks = []
-    for first in range(1, n + 1):  # each cycle is met first at its least element
-        if first in seen:
-            continue
-        cycle = []
-        i = first
-        while i not in seen:
-            seen.add(i)
-            cycle.append(i)
-            i = previous[i % n + 1]
-        blocks.append(tuple(sorted(cycle)))
-    return tuple(blocks)
-
-
-def noncrossing_action(n: int) -> FiniteAction:
-    return FiniteAction.of_map(noncrossing_partitions(n), lambda p: kreweras_complement(p, n))
+    succ = handshake_partners(n, cap)[:, 1::2] // 2
+    inverse = np.empty_like(succ)
+    flat, starts = inverse.reshape(-1), np.arange(len(succ)) * n
+    for i in range(n):
+        flat[starts + succ[:, i]] = i
+    return _rows_action(succ, np.roll(inverse, -1, axis=1), "Kreweras complementation")
 
 
 def _check_cap(count: int, what: str, cap: Optional[int]) -> None:
@@ -479,13 +477,14 @@ def _check_cap(count: int, what: str, cap: Optional[int]) -> None:
 
 
 def _catalan_report(
-    family: str, what: str, action: Callable[[int], FiniteAction], n: int, cap: Optional[int]
+    family: str, what: str, action: Callable[..., FiniteAction], n: int, cap: Optional[int]
 ) -> dict:
-    """The rotation CSP of a Catalan family, with C_n held against the cap
-    before the family is enumerated."""
+    """The rotation CSP of a Catalan family against the q-Catalan product.
+    C_n is held against the cap before SYT(n, n) is enumerated, and is the
+    family's only size limit."""
     predicted = q_catalan_product(n)
     _check_cap(comb(2 * n, n) // (n + 1), what, cap)
-    return verify_csp(action(n), predicted, 2 * n, family=family, parameters={"n": n})
+    return verify_csp(action(n, cap), predicted, 2 * n, family=family, parameters={"n": n})
 
 
 def handshake_csp_report(n: int, cap: Optional[int] = None) -> dict:

@@ -1,29 +1,106 @@
-"""Maps between the Catalan families and their reflections (Proposition
-8.3), and the classical sieving pair: subsets and multisets under rotation
-against q-binomial coefficients."""
+"""The Catalan families as tuples: handshake patterns read off SYT(n, n)
+one tableau at a time, noncrossing partitions read off the patterns,
+rotation and the Kreweras complement element by element; maps between the
+families and their reflections (Proposition 8.3); and the classical sieving
+pair: subsets and multisets under rotation against q-binomial coefficients."""
 
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
+from typing import Iterable
 
-from cyclosieve.sieving import FiniteAction, Matching, SetPartition, _canonical_matching, verify_csp
-from cyclosieve.tableaux import Tableau
+from cyclosieve.sieving import FiniteAction, verify_csp
+from cyclosieve.tableaux import Partition, Tableau, enumerate_syt
 
 from .qpolys import q_binomial_product
 
+_Matching = tuple[tuple[int, int], ...]
+_SetPartition = tuple[tuple[int, ...], ...]
 
-def reflect_matching(matching: Matching, n: int) -> Matching:
+
+def _canonical_matching(pairs: Iterable[tuple[int, int]]) -> _Matching:
+    return tuple(sorted(tuple(sorted(p)) for p in pairs))
+
+
+def handshake_patterns(n: int) -> tuple[_Matching, ...]:
+    """All noncrossing perfect matchings of [2n], read off SYT(n, n) by
+    :func:`tableau_to_handshake`."""
+    return tuple(sorted(map(tableau_to_handshake, enumerate_syt(Partition((n, n) if n else ())))))
+
+
+def rotate_matching(matching: _Matching, n: int) -> _Matching:
+    m = 2 * n
+    return _canonical_matching(tuple((a % m + 1, b % m + 1) for a, b in matching))
+
+
+def tableau_to_handshake(t: Tableau) -> _Matching:
+    """The matching of a two-row tableau by parenthesis matching: the top
+    row opens, the bottom row closes."""
+    openers = set(t.rows[0] if t.rows else ())
+    stack: list[int] = []
+    pairs = []
+    for i in range(1, t.size + 1):
+        if i in openers:
+            stack.append(i)
+        else:
+            pairs.append((stack.pop(), i))
+    return _canonical_matching(pairs)
+
+
+def noncrossing_partitions(n: int) -> tuple[_SetPartition, ...]:
+    """All noncrossing set partitions of [n], blocks sorted by minimum.
+
+    They are read off the handshake patterns of [2n] through the inverse of
+    the trace bijection, which turns element i into the points 2i - 1 and 2i
+    and hugs each block by arcs: an arc (2a, 2b - 1) makes b the next
+    element of a's block.
+    """
+    out = []
+    for matching in handshake_patterns(n):
+        successor = {a // 2: (b + 1) // 2 for a, b in matching if a % 2 == 0}
+        blocks = []
+        for first in sorted(set(range(1, n + 1)).difference(successor.values())):
+            block = [first]
+            while block[-1] in successor:
+                block.append(successor[block[-1]])
+            blocks.append(tuple(block))
+        out.append(tuple(blocks))
+    return tuple(sorted(out))
+
+
+def kreweras_complement(pi: _SetPartition, n: int) -> _SetPartition:
+    """The cycles of tau = pi^-1 c (Biane, "Some properties of crossings and
+    partitions", 1997): pi sends each element to the next element of its
+    block, cyclically, and c is the long cycle i -> i mod n + 1.
+    """
+    previous = {b: a for block in pi for a, b in zip(block[-1:] + block[:-1], block)}
+    seen: set[int] = set()
+    blocks = []
+    for first in range(1, n + 1):  # each cycle is met first at its least element
+        if first in seen:
+            continue
+        cycle = []
+        i = first
+        while i not in seen:
+            seen.add(i)
+            cycle.append(i)
+            i = previous[i % n + 1]
+        blocks.append(tuple(sorted(cycle)))
+    return tuple(blocks)
+
+
+def reflect_matching(matching: _Matching, n: int) -> _Matching:
     m = 2 * n
     return _canonical_matching(tuple((m + 1 - a, m + 1 - b) for a, b in matching))
 
 
-def handshake_to_tableau(matching: Matching) -> Tableau:
+def handshake_to_tableau(matching: _Matching) -> Tableau:
     """Two-row tableau: openers across the top, closers across the bottom."""
     rows = [sorted(min(p) for p in matching), sorted(max(p) for p in matching)]
     return Tableau(rows if matching else [])
 
 
-def noncrossing_to_handshake(pi: SetPartition, n: int) -> Matching:
+def noncrossing_to_handshake(pi: _SetPartition, n: int) -> _Matching:
     """Trace bijection: element i becomes points 2i-1, 2i; blocks are hugged
     by arcs."""
     pairs = []
@@ -34,7 +111,7 @@ def noncrossing_to_handshake(pi: SetPartition, n: int) -> Matching:
     return _canonical_matching(pairs)
 
 
-def reflect_noncrossing(pi: SetPartition, n: int) -> SetPartition:
+def reflect_noncrossing(pi: _SetPartition, n: int) -> _SetPartition:
     """Reflection of the circle through the point 1."""
     return tuple(
         sorted(tuple(sorted((1 - x) % n + 1 for x in block)) for block in pi)

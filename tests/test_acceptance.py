@@ -11,15 +11,11 @@ from __future__ import annotations
 import os
 import time
 from functools import cache
-from math import gcd
-
-import pytest
 
 from conftest import all_partitions_up_to, compositions_of, rectangles_up_to
 
 from cyclosieve import (
     Composition,
-    IntPolynomial,
     Partition,
     Permutation,
     Tableau,
@@ -28,7 +24,6 @@ from cyclosieve import (
     enumerate_syt,
     eval_at_root,
     kappa,
-    kostka_foulkes,
     long_element,
     rsk_inverse,
     zeta,
@@ -40,7 +35,7 @@ from cyclosieve.klcells import (
     verify_promotion_identity,
 )
 from cyclosieve.qpolys import q_hook_product
-from cyclosieve.ribbons import count_ribbon_cst, kf_root_of_unity_check, reduced_content
+from cyclosieve.ribbons import count_ribbon_cst, kf_root_of_unity_check
 from cyclosieve.sieving import (
     bn_csp_report,
     content_csp_report,
@@ -57,7 +52,13 @@ from oracles.jeudetaquin import demote, evacuate, promote, promote_power
 from oracles.klcells import kl_immanant, mu_tableaux
 from oracles.permutations import inverse, left_descents, right_descents, rsk
 from oracles.qpolys import expand
-from oracles.sieving import multisets_csp_report, reflect_matching, subsets_csp_report
+from oracles.sieving import (
+    handshake_patterns,
+    multisets_csp_report,
+    reflect_matching,
+    rotate_matching,
+    subsets_csp_report,
+)
 from oracles.tableaux import rotated
 
 
@@ -313,7 +314,6 @@ def test_criterion_14_catalan_actions():
         assert noncrossing_csp_report(n)["verdict"], n
     from cyclosieve.permutations import cycle_type, long_cycle, long_element
     from cyclosieve.qpolys import mn_character
-    from cyclosieve.sieving import handshake_patterns, rotate_matching
 
     for n in range(1, 7):
         hs = handshake_patterns(n)

@@ -10,7 +10,6 @@ from cyclosieve import (
     Composition,
     Partition,
     Tableau,
-    descent_set,
     enumerate_cst,
     enumerate_rst,
     enumerate_syt,

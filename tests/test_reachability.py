@@ -21,7 +21,10 @@ its AST, as the second argument of each ``verify_csp`` call and the
 ``expected`` values of a report dict, a local name standing for its
 assignment.  No predicted side may reach the orbit side, enumeration and
 the actions on what it enumerates, except in the reports of
-``SHARED_ENUMERATION``.
+``SHARED_ENUMERATION``.  ``ribbon kf-check`` compares two predictions, and
+neither of its two roots reaches the other's functions.
+
+Every name that a ``tests/*.py`` file imports is used in it.
 """
 
 from __future__ import annotations
@@ -47,8 +50,7 @@ ORBIT_SIDE = {
     "jeudetaquin._promote_words",
     "jeudetaquin.evacuation_permutation",
     "sieving.FiniteAction",
-    "sieving.handshake_patterns",
-    "sieving.noncrossing_partitions",
+    "sieving.handshake_partners",
     "sieving.bn_reduced_words",
 }
 
@@ -63,6 +65,29 @@ SHARED_ENUMERATION = {
     "sieving.content_csp_report": "direction 1",
     "ribbons.kf_root_of_unity_check": "direction 1",
 }
+
+
+# ``ribbon kf-check`` compares Kostka-Foulkes polynomials at a root of unity
+# with ribbon counts on the m-quotient: root -> what it must not reach.
+KF_CHECK_APART = {
+    "qpolys.kostka_foulkes": {"ribbons.count_ribbon_cst"},
+    "ribbons.count_ribbon_cst": {"qpolys.kostka_foulkes", "tableaux.enumerate_cst",
+                                 "tableaux._strip_words", "qpolys.charge"},
+}
+
+# What both roots reach besides the value types -> the ROADMAP direction that
+# parts them.  ``kostka_foulkes`` reaches ``cst_tuple_count`` through the cap
+# check of ``enumerate_cst``, and the strip filler and the ribbon counter
+# share ``_strips``.
+KF_CHECK_SHARED = {
+    "tableaux._strips": "direction 1",
+    "tableaux._count_strips": "direction 1",
+    "tableaux.cst_tuple_count": "direction 1",
+}
+
+# The value types that every side builds and reads; sharing them shares no work.
+VALUE_TYPES = {"tableaux.Partition", "tableaux.Composition", "tableaux.Tableau",
+               "permutations.Permutation"}
 
 
 class CallGraph:
@@ -226,3 +251,26 @@ def test_predicted_sides_reach_no_enumerator_but_the_shared_ones(graph):
     violators = {report: sorted(graph.reached(roots) & ORBIT_SIDE) for report, roots in sides.items()}
     violators = {report: reached for report, reached in violators.items() if reached}
     assert violators.keys() == SHARED_ENUMERATION.keys(), violators
+
+
+def test_the_two_sides_of_kf_check_reach_only_the_shared_ones(graph):
+    reached = {root: graph.reached({root}) for root in KF_CHECK_APART}
+    for root, apart in KF_CHECK_APART.items():
+        assert not reached[root] & apart, (root, sorted(reached[root] & apart))
+    shared = {key for key in set.intersection(*reached.values())
+              if ".".join(key.split(".")[:2]) not in VALUE_TYPES}
+    assert shared == KF_CHECK_SHARED.keys(), sorted(shared)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "tests").glob("*.py")), ids=lambda path: path.name)
+def test_every_name_a_test_file_imports_is_used(path):
+    """``from __future__ import annotations`` is exempt."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+    assert not imported - used, f"unused imports: {sorted(imported - used)}"

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import all_partitions_up_to, compositions_of, partitions_of, rectangles_up_to
+from conftest import all_partitions_up_to, compositions_of, partitions_of
 
 import cyclosieve
 from cyclosieve import Composition, Partition, enumerate_cst, tableaux

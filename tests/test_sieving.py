@@ -5,7 +5,7 @@ from math import lcm
 import numpy as np
 import pytest
 
-from conftest import all_partitions_up_to, compositions_of, rectangles_up_to
+from conftest import all_partitions_up_to, rectangles_up_to
 
 from cyclosieve import (
     Composition,
@@ -31,32 +31,32 @@ from cyclosieve.sieving import (
     evacuation_promotion_fixed_expected,
     handshake_action,
     handshake_csp_report,
-    handshake_patterns,
-    kreweras_complement,
     noncrossing_action,
     noncrossing_csp_report,
-    noncrossing_partitions,
     promotion_action,
-    rotate_matching,
     syt_csp_report,
     syt_promotion_action,
-    tableau_to_handshake,
     verify_csp,
 )
 from cyclosieve.permutations import cycle_type, long_cycle, long_element
-from cyclosieve.tableaux import Tableau, descent_set, extended_descent_set
+from cyclosieve.tableaux import Tableau, extended_descent_set
 from oracles import qpolys as qpolys_oracles
 from oracles.jeudetaquin import evacuate, promote, promote_power
 from oracles.qpolys import expand, schur_evaluate
 from oracles.sieving import (
+    handshake_patterns,
     handshake_to_tableau,
+    kreweras_complement,
     multisets_action,
     multisets_csp_report,
+    noncrossing_partitions,
     noncrossing_to_handshake,
     reflect_matching,
     reflect_noncrossing,
+    rotate_matching,
     subsets_action,
     subsets_csp_report,
+    tableau_to_handshake,
 )
 
 
@@ -443,13 +443,65 @@ class TestHandshakesAndNoncrossing:
             assert len(handshake_patterns(n)) == catalan[n]
             assert len(noncrossing_partitions(n)) == catalan[n]
 
-    def test_noncrossing_partitions_match_the_brute_force_oracle(self, monkeypatch):
-        """Up to n = 9, one past the size limit, which is lifted for the check."""
-        from cyclosieve import sieving
-
-        monkeypatch.setattr(sieving, "MAX_CATALAN_SIZE", 9)
+    def test_noncrossing_partitions_match_the_brute_force_oracle(self):
+        """Up to n = 9."""
         for n in range(10):
             assert noncrossing_partitions(n) == noncrossing_partitions_oracle(n), n
+
+    def test_set_level_generators_equal_the_tuple_oracles(self):
+        """Rotation and the Kreweras complement on the whole set give the
+        generators of the tuple oracles, with the elements in the order of
+        their partner and next-in-block arrays."""
+
+        def partner_array(h, n):
+            out = [0] * (2 * n)
+            for a, b in h:
+                out[a - 1], out[b - 1] = b - 1, a - 1
+            return out
+
+        def next_in_block(pi, n):
+            out = [0] * n
+            for block in pi:
+                for a, b in zip(block, block[1:] + block[:1]):
+                    out[a - 1] = b - 1
+            return out
+
+        for n in range(10):
+            hs = sorted(handshake_patterns(n), key=lambda h: partner_array(h, n))
+            partners = sieving.handshake_partners(n).tolist()
+            assert sorted(partners) == [partner_array(h, n) for h in hs], n
+            index = {h: i for i, h in enumerate(hs)}
+            expected = [index[rotate_matching(h, n)] for h in hs]
+            assert handshake_action(n).generator.tolist() == expected, n
+            pis = sorted(noncrossing_partitions(n), key=lambda pi: next_in_block(pi, n))
+            index = {pi: i for i, pi in enumerate(pis)}
+            expected = [index[kreweras_complement(pi, n)] for pi in pis]
+            assert noncrossing_action(n).generator.tolist() == expected, n
+
+    def test_catalan_actions_use_no_promotion(self, monkeypatch):
+        """Rotation of matchings stays a check apart from promotion on
+        SYT(n, n): both reports pass with the promotion kernel broken."""
+        from cyclosieve import jeudetaquin
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("promotion ran")
+
+        for module in (jeudetaquin, sieving):
+            monkeypatch.setattr(module, "promotion_permutation", refuse)
+            monkeypatch.setattr(module, "_promotion_generator", refuse)
+        monkeypatch.setattr(jeudetaquin, "_promote_words", refuse)
+        for n in range(1, 9):
+            assert handshake_csp_report(n)["verdict"], n
+            assert noncrossing_csp_report(n)["verdict"], n
+
+    def test_a_set_that_is_not_closed_is_refused(self, monkeypatch):
+        """The images must be the set: a pattern dropped from SYT(n, n)
+        makes both actions raise before any cycle is read."""
+        enumerate_syt = sieving.enumerate_syt
+        monkeypatch.setattr(sieving, "enumerate_syt", lambda *a, **k: enumerate_syt(*a, **k)[1:])
+        for action in (handshake_action, noncrossing_action):
+            with pytest.raises(ValueError, match="does not permute"):
+                action(4)
 
     def test_kreweras_matches_the_interval_oracle(self):
         for n in range(9):
@@ -561,14 +613,24 @@ class TestHandshakesAndNoncrossing:
 
 
 class TestSizeCaps:
-    def test_catalan_families_enforce_their_cap(self):
-        from cyclosieve import CapExceeded
-        from cyclosieve.sieving import handshake_patterns, noncrossing_partitions
+    @pytest.mark.parametrize("family", ["handshake", "noncrossing"])
+    @pytest.mark.parametrize("args", [["14"], ["13", "--cap", "700000"]])
+    def test_catalan_families_are_refused_from_their_count(self, monkeypatch, capsys, family, args):
+        """The cap is the only size limit of the Catalan families: C_14 =
+        2,674,440 is over the default cap and C_13 = 742,900 over 700,000,
+        and either is refused before SYT(n, n) is enumerated."""
+        from cyclosieve import tableaux
+        from cyclosieve.cli import run
 
-        with pytest.raises(CapExceeded):
-            handshake_patterns(9)
-        with pytest.raises(CapExceeded):
-            noncrossing_partitions(9)
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated past the cap")
+
+        monkeypatch.delenv("CYCLOSIEVE_CAP", raising=False)
+        monkeypatch.setattr(tableaux, "enumerate_syt", refuse)
+        monkeypatch.setattr(sieving, "enumerate_syt", refuse)
+        assert run(["csp", family, *args]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "exceed the cap" in err, err
 
     def test_bn_word_cap(self):
         from cyclosieve import CapExceeded
