@@ -126,29 +126,24 @@ def promotion_permutation(words: np.ndarray, shape: Partition, k: int, power: in
         raise ValueError(f"the promotion power must be nonnegative, got {power}")
     shape = tuple(shape)
     _check_words(words, shape, k)
-    return _promotion_generator(words, shape, k, power)
+    return _image_permutation(words, _promote_words(words, shape, k, power), "promotion")
 
 
-def _promotion_generator(words: np.ndarray, shape: tuple[int, ...], k: int, power: int = 1) -> np.ndarray:
-    """:func:`promotion_permutation` on words that have passed ``_check_words``."""
-    order = _sort_images(words, _promote_words(words, shape, k, power), "promotion")
-    generator = np.empty(len(words), dtype=np.intp)
-    generator[order] = np.arange(len(words))
-    return generator
-
-
-def _sort_images(words: np.ndarray, images: np.ndarray, action: str) -> np.ndarray:
-    """The order that sorts ``images``: element order[j] maps to element j.
+def _image_permutation(words: np.ndarray, images: np.ndarray, action: str) -> np.ndarray:
+    """The permutation of a set as an ``np.intp`` array: entry i is the
+    index in ``words`` of ``images[i]``, the image of element i.
 
     The images, sorted, must be the rows of ``words`` themselves, which must
     be sorted and distinct: then every image lies in the set and the action
     permutes it.
     """
-    order = np.lexsort(images.T[::-1])
+    order = np.lexsort(images.T[::-1])  # element order[j] maps to element j
     distinct = len(words) < 2 or (words[1:] != words[:-1]).any(axis=1).all()
     if not distinct or (images[order] != words).any():
         raise ValueError(f"{action} does not permute the given set of distinct, sorted elements")
-    return order
+    generator = np.empty(len(words), dtype=np.intp)
+    generator[order] = np.arange(len(words))
+    return generator
 
 
 def evacuation_permutation(words: np.ndarray, shape: Partition, k: int) -> np.ndarray:
@@ -169,6 +164,4 @@ def evacuation_permutation(words: np.ndarray, shape: Partition, k: int) -> np.nd
     n = sum(shape)
     images = words.copy()
     images[:, :n] = k + 1 - words[:, :n][:, ::-1]
-    # Evacuation is an involution, so the order that sorts the images is
-    # the permutation itself.
-    return _sort_images(words, images, "evacuation")
+    return _image_permutation(words, images, "evacuation")

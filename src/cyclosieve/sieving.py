@@ -3,13 +3,15 @@ root-of-unity comparison tables, and the derived combinatorial actions
 (promotion families, handshake rotation, Kreweras complementation, signed
 permutation words).
 
-Every action but the one on signed permutation words acts on its whole set
-at once and yields the permutation of it as one array.  The two Catalan
+Every action acts on its whole set at once and yields the permutation of
+it as one array, through ``jeudetaquin._image_permutation``.  The two Catalan
 families are partner arrays read off the packed words of SYT(n, n):
 rotation shifts each row, and the Kreweras complement is one scatter and
 one gather on the next-in-block arrays; neither goes through jeu de
-taquin.  C_n, held against the cap, is their only size limit.  Their tuple
-versions are the test oracles in ``tests/oracles/sieving.py``.
+taquin.  C_n, held against the cap, is their only size limit.  The reduced
+words of the longest signed permutation are built as one array from their
+ends, and rotation shifts its columns.  The tuple versions of these
+families are the test oracles in ``tests/oracles/sieving.py``.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 
 from .cyclotomic import as_integer, eval_at_root
 from .jeudetaquin import (
-    _promotion_generator,
-    _sort_images,
+    _image_permutation,
+    _promote_words,
     evacuation_permutation,
     promotion_permutation,
 )
@@ -81,14 +83,6 @@ class FiniteAction:
         sizes = counts.nonzero()[0]
         self.histogram: dict[int, int] = dict(zip(sizes.tolist(), counts[sizes].tolist()))
         self.order = lcm(*self.histogram)
-
-    @classmethod
-    def of_map(cls, elements: Sequence, image: Callable) -> "FiniteAction":
-        """The action of the map ``image`` on the distinct ``elements``."""
-        index = {x: i for i, x in enumerate(elements)}
-        if len(index) != len(elements):
-            raise ValueError("elements are not distinct")
-        return cls([index[image(x)] for x in elements])
 
     def orbit_sizes(self) -> list[int]:
         return [size for size, count in self.histogram.items() for _ in range(count)]
@@ -343,7 +337,8 @@ def _dihedral_fixed_counts(words: np.ndarray, shape: Partition, k: int) -> tuple
     element i exactly when P[i] = E[i].
     """
     evac = evacuation_permutation(words, shape, k)
-    prom = _promotion_generator(words, tuple(shape), k)  # the words passed evacuation's check
+    # The words passed evacuation's check.
+    prom = _image_permutation(words, _promote_words(words, tuple(shape), k, 1), "promotion")
     identity = np.arange(len(words))
     if (evac[evac] != identity).any():
         raise AssertionError("evacuation is not an involution on the set")
@@ -433,10 +428,7 @@ def _rows_action(elements: np.ndarray, images: np.ndarray, action: str) -> Finit
     if not elements.shape[1]:  # n = 0: one empty element, which is fixed
         return FiniteAction(np.arange(len(elements)))
     order = np.lexsort(elements.T[::-1])
-    image_order = _sort_images(elements[order], images[order], action)
-    generator = np.empty(len(order), dtype=np.intp)
-    generator[image_order] = np.arange(len(order))
-    return FiniteAction(generator)
+    return FiniteAction(_image_permutation(elements[order], images[order], action))
 
 
 def handshake_action(n: int, cap: Optional[int] = None) -> FiniteAction:
@@ -498,43 +490,34 @@ def noncrossing_csp_report(n: int, cap: Optional[int] = None) -> dict:
 # -- reduced words for the hyperoctahedral longest element -------------------
 
 
-def signed_right_descents(w: tuple[int, ...]) -> list[int]:
-    out = []
-    if w[0] < 0:
-        out.append(0)
-    out.extend(i for i in range(1, len(w)) if w[i - 1] > w[i])
-    return out
+def bn_reduced_words(n: int) -> np.ndarray:
+    """The reduced words of the longest signed permutation w0 = (-1, ..., -n),
+    one per row of an N x n^2 ``int8`` array.  Letter 0 negates the first
+    entry and letter i >= 1 swaps entries i and i + 1.
 
-
-def signed_apply_right(w: tuple[int, ...], i: int) -> tuple[int, ...]:
-    if i == 0:
-        return (-w[0],) + w[1:]
-    out = list(w)
-    out[i - 1], out[i] = out[i], out[i - 1]
-    return tuple(out)
-
-
-def bn_longest(n: int) -> tuple[int, ...]:
-    return tuple(-i for i in range(1, n + 1))
-
-
-def bn_reduced_words(n: int) -> list[tuple[int, ...]]:
-    """All reduced words for the longest signed permutation, by descent DFS."""
-    out: list[tuple[int, ...]] = []
-    suffix: list[int] = []
-
-    def rec(w: tuple[int, ...]) -> None:
-        descents = signed_right_descents(w)
-        if not descents:
-            out.append(tuple(reversed(suffix)))
-            return
-        for i in descents:
-            suffix.append(i)
-            rec(signed_apply_right(w, i))
-            suffix.pop()
-
-    rec(bn_longest(n))
-    return sorted(out)
+    The words are built from their ends: a row carries the signed
+    permutation that its suffix leaves of w0, and each of the n^2 steps
+    extends every row by each of its right descents, written in the column
+    before the suffix.  Every partial word completes, and distinct ones
+    complete to distinct words, so no step holds more rows than the result.
+    """
+    perms = -np.arange(1, n + 1, dtype=np.int8)[None]
+    words = np.zeros((1, n * n), dtype=np.int8)
+    for column in reversed(range(n * n)):
+        grown = []
+        for i in range(n):
+            rows = perms[:, 0] < 0 if i == 0 else perms[:, i - 1] > perms[:, i]
+            below, longer = perms[rows], words[rows]
+            if i == 0:
+                below[:, 0] *= -1
+            else:
+                below[:, [i - 1, i]] = below[:, [i, i - 1]]
+            longer[:, column] = i
+            grown.append((below, longer))
+        perms, words = (np.concatenate(part) for part in zip(*grown))
+    if (perms != np.arange(1, n + 1)).any():
+        raise AssertionError("a reduced word does not end at the identity")
+    return words
 
 
 def bn_word_action(n: int, cap: Optional[int] = None) -> FiniteAction:
@@ -547,7 +530,7 @@ def bn_word_action(n: int, cap: Optional[int] = None) -> FiniteAction:
         raise AssertionError(
             f"reduced word count {len(words)} disagrees with the hook formula {expected}"
         )
-    return FiniteAction.of_map(words, lambda w: w[1:] + w[:1])
+    return _rows_action(words, np.roll(words, -1, axis=1), "rotation")
 
 
 def bn_csp_report(n: int, cap: Optional[int] = None) -> dict:

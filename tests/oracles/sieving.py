@@ -1,13 +1,15 @@
 """The Catalan families as tuples: handshake patterns read off SYT(n, n)
 one tableau at a time, noncrossing partitions read off the patterns,
 rotation and the Kreweras complement element by element; maps between the
-families and their reflections (Proposition 8.3); and the classical sieving
-pair: subsets and multisets under rotation against q-binomial coefficients."""
+families and their reflections (Proposition 8.3); the reduced words of the
+longest signed permutation by a descent search; the action of a map on a
+list of elements; and the classical sieving pair: subsets and multisets
+under rotation against q-binomial coefficients."""
 
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from cyclosieve.sieving import FiniteAction, verify_csp
 from cyclosieve.tableaux import Partition, Tableau, enumerate_syt
@@ -118,14 +120,61 @@ def reflect_noncrossing(pi: _SetPartition, n: int) -> _SetPartition:
     )
 
 
+def signed_right_descents(w: tuple[int, ...]) -> list[int]:
+    out = []
+    if w[0] < 0:
+        out.append(0)
+    out.extend(i for i in range(1, len(w)) if w[i - 1] > w[i])
+    return out
+
+
+def signed_apply_right(w: tuple[int, ...], i: int) -> tuple[int, ...]:
+    if i == 0:
+        return (-w[0],) + w[1:]
+    out = list(w)
+    out[i - 1], out[i] = out[i], out[i - 1]
+    return tuple(out)
+
+
+def bn_longest(n: int) -> tuple[int, ...]:
+    return tuple(-i for i in range(1, n + 1))
+
+
+def bn_reduced_words_dfs(n: int) -> list[tuple[int, ...]]:
+    """All reduced words for the longest signed permutation, by descent DFS."""
+    out: list[tuple[int, ...]] = []
+    suffix: list[int] = []
+
+    def rec(w: tuple[int, ...]) -> None:
+        descents = signed_right_descents(w)
+        if not descents:
+            out.append(tuple(reversed(suffix)))
+            return
+        for i in descents:
+            suffix.append(i)
+            rec(signed_apply_right(w, i))
+            suffix.pop()
+
+    rec(bn_longest(n))
+    return sorted(out)
+
+
+def action_of_map(elements: Sequence, image: Callable) -> FiniteAction:
+    """The action of the map ``image`` on the distinct ``elements``."""
+    index = {x: i for i, x in enumerate(elements)}
+    if len(index) != len(elements):
+        raise ValueError("elements are not distinct")
+    return FiniteAction([index[image(x)] for x in elements])
+
+
 def subsets_action(n: int, k: int) -> FiniteAction:
     elements = sorted(combinations(range(1, n + 1), k))
-    return FiniteAction.of_map(elements, lambda s: tuple(sorted(x % n + 1 for x in s)))
+    return action_of_map(elements, lambda s: tuple(sorted(x % n + 1 for x in s)))
 
 
 def multisets_action(n: int, k: int) -> FiniteAction:
     elements = sorted(combinations_with_replacement(range(1, n + 1), k))
-    return FiniteAction.of_map(elements, lambda s: tuple(sorted(x % n + 1 for x in s)))
+    return action_of_map(elements, lambda s: tuple(sorted(x % n + 1 for x in s)))
 
 
 def subsets_csp_report(n: int, k: int) -> dict:

@@ -2,13 +2,11 @@
 PASS/FAIL line.  All comparisons are exact; there are no tolerances.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines.  The 24024-word rank-4 signed-permutation check is enabled by
-setting CYCLOSIEVE_BN4=1.
+lines.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from functools import cache
 
@@ -331,15 +329,10 @@ def test_criterion_14_catalan_actions():
 
 def test_criterion_15_signed_permutation_words():
     started = time.time()
-    for n in range(1, 4):
+    for n in range(1, 5):
         assert bn_csp_report(n)["verdict"], n
-    if os.environ.get("CYCLOSIEVE_BN4") == "1":
-        assert bn_csp_report(4)["verdict"]
-        label = "reduced words for the longest signed permutation (n <= 4)"
-    else:
-        label = "reduced words for the longest signed permutation (n <= 3)"
     assert time.time() - started < 300
-    report(15, label, started)
+    report(15, "reduced words for the longest signed permutation (n <= 4)", started)
 
 
 def test_criterion_16_property_suites():

@@ -2,7 +2,9 @@
 program's roots, and the predicted side of a verdict reaches no enumerator.
 
 The call graph is walked statically with ``ast``.  A name in a module
-reaches the module's own definition of it or the definition it imports; an
+reaches the module's own definition of it or the definition it imports,
+at module level or inside a function (an import anywhere in a module binds
+its name for the whole module, which over-approximates); an
 attribute ``x.name`` reaches every method called ``name`` (the type of ``x``
 is not known, so the walk over-approximates), and ``module.name`` on an
 imported module reaches that definition.  Reaching a class reaches its
@@ -24,7 +26,8 @@ the actions on what it enumerates, except in the reports of
 ``SHARED_ENUMERATION``.  ``ribbon kf-check`` compares two predictions, and
 neither of its two roots reaches the other's functions.
 
-Every name that a ``tests/*.py`` file imports is used in it.
+Every name in the tables below is a definition in ``src/``, and every name
+that a ``tests/*.py`` file imports is used in it.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ ORBIT_SIDE = {
     "tableaux.enumerate_cst",
     "tableaux._strip_words",
     "jeudetaquin.promotion_permutation",
-    "jeudetaquin._promotion_generator",
+    "jeudetaquin._image_permutation",
     "jeudetaquin._promote_words",
     "jeudetaquin.evacuation_permutation",
     "sieving.FiniteAction",
@@ -102,13 +105,12 @@ class CallGraph:
                 self._read(path.stem, ast.parse(path.read_text()))
 
     def _read(self, module: str, tree: ast.Module) -> None:
-        imports = self.imports[module] = {}
+        self.imports[module] = {
+            alias.asname or alias.name: f"{node.module}.{alias.name}" if node.module else alias.name
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names}
         for node in tree.body:
-            if isinstance(node, ast.ImportFrom) and node.level == 1:
-                for alias in node.names:
-                    target = f"{node.module}.{alias.name}" if node.module else alias.name
-                    imports[alias.asname or alias.name] = target
-            elif isinstance(node, ast.FunctionDef):
+            if isinstance(node, ast.FunctionDef):
                 self.uses[f"{module}.{node.name}"] = [node]
             elif isinstance(node, ast.ClassDef):
                 body = [*node.bases, *node.keywords, *node.decorator_list]
@@ -229,6 +231,22 @@ def program(graph) -> set[str]:
     roots = PROGRAM_ROOTS | roots_op_names(graph)
     assert roots <= graph.uses.keys(), sorted(roots - graph.uses.keys())
     return graph.reached(roots)
+
+
+def test_every_name_in_the_tables_is_defined(graph):
+    """A stale name in a table matches nothing, and the check that reads it
+    would lose coverage without failing."""
+    named = (ORBIT_SIDE | KF_CHECK_SHARED.keys() | VALUE_TYPES
+             | EXTRA_PREDICTED.keys() | set().union(*EXTRA_PREDICTED.values())
+             | KF_CHECK_APART.keys() | set().union(*KF_CHECK_APART.values()))
+    assert named <= graph.uses.keys(), sorted(named - graph.uses.keys())
+
+
+def test_a_function_local_import_is_followed(tmp_path):
+    (tmp_path / "caller.py").write_text(
+        "def run():\n    from .callee import work\n    return work()\n")
+    (tmp_path / "callee.py").write_text("def work():\n    return 1\n")
+    assert CallGraph(tmp_path).reached({"caller.run"}) == {"caller.run", "callee.work"}
 
 
 def test_oracles_are_the_public_names_the_program_does_not_reach(graph, program):

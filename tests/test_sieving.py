@@ -23,7 +23,6 @@ from cyclosieve.sieving import (
     FiniteAction,
     bn_csp_report,
     bn_reduced_words,
-    bn_longest,
     content_csp_report,
     cst_csp_report,
     dihedral_report,
@@ -44,6 +43,9 @@ from oracles import qpolys as qpolys_oracles
 from oracles.jeudetaquin import evacuate, promote, promote_power
 from oracles.qpolys import expand, schur_evaluate
 from oracles.sieving import (
+    action_of_map,
+    bn_longest,
+    bn_reduced_words_dfs,
     handshake_patterns,
     handshake_to_tableau,
     kreweras_complement,
@@ -54,6 +56,8 @@ from oracles.sieving import (
     reflect_matching,
     reflect_noncrossing,
     rotate_matching,
+    signed_apply_right,
+    signed_right_descents,
     subsets_action,
     subsets_csp_report,
     tableau_to_handshake,
@@ -187,7 +191,7 @@ class TestCycleHistogramAgainstWalk:
     def test_every_map_family(self):
         actions = [handshake_action(n) for n in range(9)]
         actions += [noncrossing_action(n) for n in range(9)]
-        actions += [sieving.bn_word_action(n) for n in range(1, 4)]
+        actions += [sieving.bn_word_action(n) for n in range(1, 5)]
         actions += [subsets_action(n, k) for n in range(8) for k in range(n + 1)]
         actions += [multisets_action(n, k) for n in range(1, 7) for k in range(5)]
         for action in actions:
@@ -257,7 +261,7 @@ class TestFiniteAction:
         action = FiniteAction([1, 2, 0, 4, 3])
         assert action.generator.tolist() == [1, 2, 0, 4, 3]
         assert action.orbit_sizes() == [2, 3] and action.order == 6
-        by_map = FiniteAction.of_map("abcde", lambda x: "bcaed"["abcde".index(x)])
+        by_map = action_of_map("abcde", lambda x: "bcaed"["abcde".index(x)])
         assert by_map.generator.tolist() == action.generator.tolist()
 
     def test_rejects_a_generator_that_is_not_a_bijection(self):
@@ -265,7 +269,7 @@ class TestFiniteAction:
         array, as the cycle walk rejects them, and input that is not one
         row of indices."""
         with pytest.raises(ValueError, match="not a bijection"):
-            FiniteAction.of_map([0, 1, 2], lambda i: 0)
+            action_of_map([0, 1, 2], lambda i: 0)
         shuffled = list(range(1000))
         random.Random(2010).shuffle(shuffled)
         for bad in ([0, 0, 1], [1, 2, 0, 2], shuffled[:-1] + shuffled[:1],  # duplicates
@@ -280,7 +284,7 @@ class TestFiniteAction:
             with pytest.raises(ValueError, match="not a bijection"):
                 FiniteAction(bad)
         with pytest.raises(ValueError, match="not distinct"):
-            FiniteAction.of_map([0, 0], lambda i: i)
+            action_of_map([0, 0], lambda i: i)
 
     def test_promotion_actions_match_per_tableau_promote(self):
         """The promotion actions come from the set-level kernel; their
@@ -488,7 +492,6 @@ class TestHandshakesAndNoncrossing:
 
         for module in (jeudetaquin, sieving):
             monkeypatch.setattr(module, "promotion_permutation", refuse)
-            monkeypatch.setattr(module, "_promotion_generator", refuse)
         monkeypatch.setattr(jeudetaquin, "_promote_words", refuse)
         for n in range(1, 9):
             assert handshake_csp_report(n)["verdict"], n
@@ -632,12 +635,16 @@ class TestSizeCaps:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and "exceed the cap" in err, err
 
-    def test_bn_word_cap(self):
+    def test_bn_word_cap(self, monkeypatch):
+        """701,149,020 words for n = 5 are refused before any is built."""
         from cyclosieve import CapExceeded
-        from cyclosieve.sieving import bn_word_action
 
+        def refuse(n):
+            raise AssertionError("built past the cap")
+
+        monkeypatch.setattr(sieving, "bn_reduced_words", refuse)
         with pytest.raises(CapExceeded):
-            bn_word_action(5)
+            sieving.bn_word_action(5)
 
 
 class TestBnWords:
@@ -645,24 +652,52 @@ class TestBnWords:
         """The longest signed permutation has length n^2, and SYT(n^n) count its reduced words."""
         from cyclosieve.tableaux import syt_count
 
-        for n in range(1, 4):
+        for n in range(1, 5):
             words = bn_reduced_words(n)
-            assert {len(word) for word in words} == {n * n}
-            assert len(words) == syt_count(Partition((n,) * n))
+            assert words.dtype == np.int8
+            assert words.shape == (syt_count(Partition((n,) * n)), n * n)
 
     def test_word_list_small(self):
-        assert bn_reduced_words(1) == [(0,)]
-        assert sorted(bn_reduced_words(2)) == [(0, 1, 0, 1), (1, 0, 1, 0)]
-        assert len(bn_reduced_words(3)) == 42
+        assert bn_reduced_words_dfs(1) == [(0,)]
+        assert bn_reduced_words_dfs(2) == [(0, 1, 0, 1), (1, 0, 1, 0)]
+        assert len(bn_reduced_words_dfs(3)) == 42
+
+    def test_array_words_and_rotation_match_the_dfs_oracle(self):
+        """Sorted, the array's rows are the DFS words, and the rotation
+        generator is that of the tuple map w -> w[1:] + w[:1] on them."""
+        for n in range(1, 5):
+            words = bn_reduced_words_dfs(n)
+            assert sorted(map(tuple, bn_reduced_words(n).tolist())) == words, n
+            by_map = action_of_map(words, lambda w: w[1:] + w[:1])
+            assert sieving.bn_word_action(n).generator.tolist() == by_map.generator.tolist(), n
 
     def test_words_are_reduced(self):
-        from cyclosieve.sieving import signed_apply_right
+        """Read from the identity, no letter is a right descent of what
+        precedes it, so each raises the length by one, and the word ends at w0."""
+        for n in range(1, 4):
+            for word in bn_reduced_words(n).tolist():
+                w = tuple(range(1, n + 1))
+                for i in word:
+                    assert i not in signed_right_descents(w), word
+                    w = signed_apply_right(w, i)
+                assert w == bn_longest(n), word
 
-        for word in bn_reduced_words(2):
-            w = (1, 2)
-            for i in word:
-                w = signed_apply_right(w, i)
-            assert w == bn_longest(2)
+    def test_a_dropped_or_duplicated_word_is_refused(self, monkeypatch):
+        """A word missing from the set fails the count against SYT(n^n); a
+        word written over another makes rotation refuse the set."""
+        build = sieving.bn_reduced_words
+
+        def duplicate(n):
+            words = build(n)
+            words[1] = words[0]
+            return words
+
+        monkeypatch.setattr(sieving, "bn_reduced_words", lambda n: build(n)[1:])
+        with pytest.raises(AssertionError, match="disagrees with the hook formula"):
+            sieving.bn_word_action(3)
+        monkeypatch.setattr(sieving, "bn_reduced_words", duplicate)
+        with pytest.raises(ValueError, match="rotation does not permute"):
+            sieving.bn_word_action(3)
 
     def test_word_rotation_sieves(self):
         for n in range(1, 4):
