@@ -1,98 +1,58 @@
-"""m-ribbons, cores and quotients, column-strict ribbon tableau counting,
-and the Kostka-Foulkes root-of-unity comparison.
+"""m-ribbons on the abacus: ribbon signs, column-strict ribbon tableau
+counting, and the Kostka-Foulkes root-of-unity comparison.
 
-A ribbon is a connected skew shape with no 2x2 square: equivalently a
-monotone staircase of cells.  Its head is the southwesternmost cell and its
-tail the northeasternmost.  Column strictness of a labeled tiling means no
-ribbon's head lies in its row to the right of a ribbon with a larger label,
-and no ribbon's tail lies in its column below a ribbon with a label at least
-as large.  (Head comparisons by the head's row, tail comparisons by the
-tail's column; the m=1 specialization is the ordinary column-strict
-condition, which the tests assert.)
-
-Cores, quotients and counts are read off the abacus
-(:func:`tableaux.abacus`).  A skew shape lambda/mu carries a single-label
-column-strict m-ribbon tiling (a horizontal m-ribbon strip) exactly when
-both shapes have the same bead count on every runner and each pair of their
-m-quotient partitions differs by an ordinary horizontal strip (Lascoux,
-Leclerc and Thibon, J. Math. Phys. 38, 1997).  Counting therefore runs on
-the quotient, with no cell in sight: :func:`tableaux.cst_tuple_count`
-peels the last label off as one horizontal strip per quotient shape.  The
-labeled-tiling enumeration on cells, in ``tests/oracles/ribbons.py``, is the
-independent check.
+A ribbon is a connected skew shape with no 2x2 square.  Every function here
+reads the beads of :func:`tableaux.abacus` and builds no cell.  Removing an
+m-ribbon from a shape moves one bead one level down its runner, past as
+many beads as the ribbon's height, so the sign of a tiling of lambda/mu by
+m-ribbons is the sign of a bead permutation (:func:`spin_sign`).  A skew
+shape lambda/mu carries a single-label column-strict m-ribbon tiling (a
+horizontal m-ribbon strip) exactly when both shapes have the same bead
+count on every runner and each pair of their m-quotient partitions differs
+by an ordinary horizontal strip (Lascoux, Leclerc and Thibon, J. Math.
+Phys. 38, 1997).  Counting therefore runs on the quotient:
+:func:`tableaux.cst_tuple_count` peels the last label off as one horizontal
+strip per quotient shape.  The tilings enumerated on cells, labeled or not,
+are the independent check in ``tests/oracles/ribbons.py``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 from .cyclotomic import as_integer, eval_at_root
 from .qpolys import kostka_foulkes
-from .tableaux import Composition, Partition, abacus, cst_tuple_count
-
-Cell = tuple[int, int]  # 0-indexed (row, col) internally
-Ribbon = tuple[Cell, ...]  # cells ordered from tail (NE) to head (SW)
-
-
-def _skew_cells(outer: Partition, inner: Partition) -> frozenset[Cell]:
-    if not outer.contains(inner):
-        raise ValueError(f"{tuple(inner)} is not contained in {tuple(outer)}")
-    inner_padded = tuple(inner) + (0,) * (len(outer) - len(inner))
-    return frozenset(
-        (r, c)
-        for r in range(len(outer))
-        for c in range(inner_padded[r], outer[r])
-    )
-
-
-def _ribbons_with_tail(cells: frozenset[Cell], tail: Cell, m: int) -> Iterator[Ribbon]:
-    """All m-cell staircases inside ``cells`` whose northeast end is ``tail``."""
-
-    def extend(path: tuple[Cell, ...]) -> Iterator[Ribbon]:
-        if len(path) == m:
-            yield path
-            return
-        r, c = path[-1]
-        for nxt in ((r + 1, c), (r, c - 1)):  # predecessors: south or west
-            if nxt in cells and nxt not in path:
-                yield from extend(path + (nxt,))
-
-    yield from extend((tail,))
-
-
-def enumerate_tilings(outer: Partition, inner: Partition, m: int) -> list[tuple[Ribbon, ...]]:
-    """All tilings of the skew shape by m-ribbons (unlabeled)."""
-    cells = _skew_cells(Partition(outer), Partition(inner))
-    if len(cells) % m:
-        return []
-    out: list[tuple[Ribbon, ...]] = []
-
-    def rec(remaining: frozenset[Cell], acc: tuple[Ribbon, ...]) -> None:
-        if not remaining:
-            out.append(acc)
-            return
-        tail = min(remaining, key=lambda rc: (rc[0], -rc[1]))  # topmost, then rightmost
-        for ribbon in _ribbons_with_tail(remaining, tail, m):
-            rec(remaining - frozenset(ribbon), acc + (ribbon,))
-
-    rec(cells, ())
-    return out
-
-
-def _ribbon_height(ribbon: Ribbon) -> int:
-    rows = {r for r, _ in ribbon}
-    return max(rows) - min(rows)
+from .tableaux import Composition, Partition, abacus, abacus_beads, beta_set, cst_tuple_count
 
 
 def spin_sign(outer: Partition, inner: Partition, m: int) -> int:
-    """(-1) to the total ribbon height of any tiling; 0 if untileable."""
-    tilings = enumerate_tilings(outer, inner, m)
-    if not tilings:
+    """(-1) to the total height of any m-ribbon tiling of outer/inner, or 0
+    when it has none, read off the beads of both shapes at the length that
+    :func:`tableaux.abacus` uses for ``outer``.
+
+    Removing an m-ribbon moves one bead down one level on its runner, past
+    as many beads as the ribbon's height.  So a tiling exists exactly when
+    every runner holds as many beads of ``inner`` as of ``outer`` and, on
+    each runner, the j-th highest bead of ``inner`` is no higher than the
+    j-th highest of ``outer``; its sign is that of the permutation that
+    sorts ``outer``'s beads into runner order times that of ``inner``'s (James
+    and Kerber, 2.7; van Leeuwen, "Edge sequences, ribbon tableaux, and an
+    action of affine permutations", 1999).
+    """
+    outer, inner = Partition(outer), Partition(inner)
+    if not outer.contains(inner):
+        raise ValueError(f"{tuple(inner)} is not contained in {tuple(outer)}")
+    beads = abacus_beads(outer, m)
+    if (outer.size - inner.size) % m:
         return 0
-    signs = {(-1) ** sum(_ribbon_height(r) for r in tiling) for tiling in tilings}
-    if len(signs) != 1:
-        raise AssertionError(f"tiling-dependent sign for {tuple(outer)}/{tuple(inner)}")
-    return signs.pop()
+    # Each bead as (runner, level), in decreasing order of the beads.
+    outer_keys, inner_keys = ([(b % m, b // m) for b in beta]
+                              for beta in (beads, beta_set(inner, len(beads))))
+    if any(o[0] != i[0] or o[1] < i[1] for o, i in zip(sorted(outer_keys), sorted(inner_keys))):
+        return 0
+    inversions = sum(a > b for keys in (outer_keys, inner_keys)
+                     for j, a in enumerate(keys) for b in keys[j + 1:])
+    return -1 if inversions % 2 else 1
 
 
 def count_ribbon_cst(shape: Partition, m: int, beta: Composition) -> int:

@@ -17,8 +17,9 @@ families are the test oracles in ``tests/oracles/sieving.py``.
 from __future__ import annotations
 
 from functools import cache
-from math import comb, gcd, lcm
-from typing import Callable, Optional, Sequence
+from itertools import accumulate
+from math import gcd, lcm
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -462,10 +463,17 @@ def noncrossing_action(n: int, cap: Optional[int] = None) -> FiniteAction:
     return _rows_action(succ, np.roll(inverse, -1, axis=1), "Kreweras complementation")
 
 
-def _check_cap(count: int, what: str, cap: Optional[int]) -> None:
+def _check_cap(counts: Iterable[int], n: int, what: str, cap: Optional[int]) -> None:
+    """Hold a family's size at n against the cap.  ``counts`` are its sizes
+    at 1, 2, ..., which grow with n, so the first one over the cap refuses
+    n: a huge n costs no more than the cap does, and the message names a
+    count short enough to print."""
     limit = _resolve_cap(cap)
-    if count > limit:
-        raise CapExceeded(f"{count} {what} exceed the cap {limit}")
+    for k, count in zip(range(1, n + 1), counts):
+        if count > limit:
+            raise CapExceeded(f"{count} {what} exceed the cap {limit}" if k == n else
+                              f"{what} at n = {n} exceed the cap {limit}: "
+                              f"there are {count} already at n = {k}")
 
 
 def _catalan_report(
@@ -474,8 +482,10 @@ def _catalan_report(
     """The rotation CSP of a Catalan family against the q-Catalan product.
     C_n is held against the cap before SYT(n, n) is enumerated, and is the
     family's only size limit."""
+    # C_1, C_2, ... by C_{k+1} = C_k * 2 (2k + 1) / (k + 2)
+    _check_cap(accumulate(range(1, n), lambda c, k: c * 2 * (2 * k + 1) // (k + 2), initial=1),
+               n, what, cap)
     predicted = q_catalan_product(n)
-    _check_cap(comb(2 * n, n) // (n + 1), what, cap)
     return verify_csp(action(n, cap), predicted, 2 * n, family=family, parameters={"n": n})
 
 
@@ -523,8 +533,8 @@ def bn_reduced_words(n: int) -> np.ndarray:
 def bn_word_action(n: int, cap: Optional[int] = None) -> FiniteAction:
     if n < 1:
         raise ValueError(f"signed permutation words need n >= 1, got {n}")
+    _check_cap((syt_count(Partition((k,) * k)) for k in range(1, n + 1)), n, "reduced words", cap)
     expected = syt_count(Partition((n,) * n))
-    _check_cap(expected, "reduced words", cap)
     words = bn_reduced_words(n)
     if len(words) != expected:
         raise AssertionError(

@@ -114,23 +114,28 @@ def partition_from_beta(beta: Sequence[int]) -> Partition:
     return Partition([p for p in parts if p > 0])
 
 
-def abacus(shape: Partition, m: int) -> tuple[tuple[int, ...], tuple[Partition, ...]]:
-    """The bead count on each of the m runners, and the m-quotient.
-
-    The beads are the beta-set of ``shape`` whose length is the least positive
-    multiple of m that is at least its row count.  Runner i holds the beads
-    b = i mod m, and their levels b // m are the beta-set of the i-th
-    quotient partition.  Results are memoised per (partition, m).
-    """
+def abacus_beads(shape: Partition, m: int) -> tuple[int, ...]:
+    """The beads of ``shape`` on the abacus with m runners: its beta-set
+    whose length is the least positive multiple of m that is at least its
+    row count.  Runner i holds the beads b = i mod m, at the levels b // m."""
     if m < 1:
         raise ValueError("ribbon size must be positive")
+    shape = Partition(shape)
+    return beta_set(shape, m * ((max(len(shape), 1) + m - 1) // m))
+
+
+def abacus(shape: Partition, m: int) -> tuple[tuple[int, ...], tuple[Partition, ...]]:
+    """The bead count on each of the m runners, and the m-quotient: the
+    levels of the beads on runner i (:func:`abacus_beads`) are the beta-set
+    of the i-th quotient partition.  Results are memoised per (partition, m).
+    """
     return _abacus(Partition(shape), m)
 
 
 @cache
 def _abacus(shape: Partition, m: int) -> tuple[tuple[int, ...], tuple[Partition, ...]]:
     runners: list[list[int]] = [[] for _ in range(m)]
-    for b in beta_set(shape, m * ((max(len(shape), 1) + m - 1) // m)):
+    for b in abacus_beads(shape, m):
         runners[b % m].append(b // m)
     return tuple(map(len, runners)), tuple(map(partition_from_beta, runners))
 
@@ -404,15 +409,41 @@ def enumerate_syt(
     is the row-reading word of the i-th tableau followed by 0 and n + 1, the
     layout in which :func:`jeudetaquin.promotion_permutation` promotes a set.
     The words are those of the content 1^n from :func:`_strip_words`, which
-    peels the values n, n - 1, ..., 1 off the shape one corner at a time.
+    peels the values n, n - 1, ..., 1 off the shape one corner at a time,
+    after the count and the words' entries are held against the cap, as in
+    :func:`enumerate_cst`.
     """
     shape = Partition(shape)
-    limit = _resolve_cap(cap)
-    # n! bounds the count, and is far cheaper to compute on small shapes.
-    if math.factorial(shape.size) > limit and syt_count(shape) > limit:
-        raise CapExceeded(f"SYT({tuple(shape)}) has {syt_count(shape)} > cap {limit} elements")
-    words = _strip_words(shape, shape.size, Composition((1,) * shape.size))
+    limit, n = _resolve_cap(cap), shape.size
+    _check_entries(1, shape, None, limit)  # before the hook formula, which takes O(n)
+    # n! bounds the count, and is far cheaper to compute on small shapes; its
+    # first limit.bit_length() + 2 factors already pass the limit.
+    most = math.factorial(min(n, limit.bit_length() + 2))
+    if most > limit or most * (n + 2) > ENTRIES_PER_CAP * limit:
+        count = syt_count(shape)
+        if count > limit:
+            raise CapExceeded(f"SYT({tuple(shape)}) has {count} > cap {limit} elements")
+        _check_entries(count, shape, None, limit)
+    words = _strip_words(shape, n, Composition((1,) * n))
     return words if packed else tableaux_from_words(words, shape)
+
+
+# Packed-word entries that an enumeration may hold per unit of the cap: the
+# N x (n + 2) array of N words is refused past ENTRIES_PER_CAP times the cap.
+# SYT(8, 8, 8) at a cap of 30,000,000 holds 23,371,634 words of 26 entries,
+# 20.3 times its cap; CST((20000,), 2), whose filler peaks past 1.5 GB,
+# holds 20,001 words of 20,002 entries, 400 times the default cap.
+ENTRIES_PER_CAP = 32
+
+
+def _check_entries(count: int, shape: Partition, k: Optional[int], limit: int) -> None:
+    """Refuse ``count`` packed words of SYT(shape), or of CST(shape, k) when
+    k is given, past ENTRIES_PER_CAP times the cap."""
+    entries = shape.size + 2
+    if count * entries > ENTRIES_PER_CAP * limit:
+        what = f"SYT({tuple(shape)})" if k is None else f"CST({tuple(shape)}, {k})"
+        raise CapExceeded(f"{what} needs {count} x {entries} packed word entries, "
+                          f"over {ENTRIES_PER_CAP} times the cap {limit}")
 
 
 def _strip_words(shape: Partition, k: int, content: Optional[Composition]) -> np.ndarray:
@@ -437,11 +468,19 @@ def _strip_words(shape: Partition, k: int, content: Optional[Composition]) -> np
     blank = np.zeros((1, n + 2), dtype)
     blank[0, n + 1] = k + 1
     level = {tuple(shape): [blank]}
+    if content is not None:
+        # A rho has len(shape) parts, so only that many partial sums of the
+        # sorted (a_1, ..., a_{v-1}) decide dominance: tops[v - 1] holds its
+        # largest len(shape) parts and then the sum of the rest.
+        tops, top = [], ()
+        for total, part in zip(accumulate(content, initial=0), content):
+            tops.append(top + (total - sum(top),))
+            top = tuple(sorted(top + (part,), reverse=True)[:len(shape)])
     for v in range(k, 0, -1):
         if content is None:
             size, completes = None, lambda rho: len(rho) < v or not rho[v - 1]
         else:
-            mu = sorted(content[:v - 1], reverse=True)
+            mu = tops[v - 1]
             size, completes = content[v - 1], lambda rho: dominance_leq(mu, rho)
         peeled: dict[tuple[int, ...], list[np.ndarray]] = {}
         for nu, arrays in level.items():
@@ -486,7 +525,8 @@ def enumerate_cst(
     k, ..., 1 are peeled off the shape as horizontal strips
     (:func:`_strip_words`), after an exact count, the Kostka number
     :func:`cst_tuple_count` or the hook-content count :func:`cst_count`, is
-    held against the cap.  With ``packed`` no ``Tableau`` is built: row i of
+    held against the cap, and the packed words' entries against
+    ENTRIES_PER_CAP times the cap.  With ``packed`` no ``Tableau`` is built: row i of
     the N x (n + 2) result is the row-reading word of the i-th tableau
     followed by 0 and k + 1, as :func:`enumerate_syt` returns it.
     """
@@ -499,13 +539,18 @@ def enumerate_cst(
             raise ValueError("content size must match shape size")
     if k < 0:
         raise ValueError("bound must be nonnegative")
-    limit = _resolve_cap(cap)
-    # k^n bounds either count, and is far cheaper to compute on small sets.
-    if k ** shape.size > limit:
-        if content is not None and cst_tuple_count((shape,), content) > limit:
-            raise CapExceeded(f"enumeration exceeded cap {limit}")
-        if content is None and cst_count(shape, k) > limit:
-            raise CapExceeded(f"CST({tuple(shape)}, {k}) has {cst_count(shape, k)} > cap {limit} elements")
+    limit, n = _resolve_cap(cap), shape.size
+    if len(shape) <= k:  # else the set is empty
+        _check_entries(1, shape, k, limit)  # before the counts, which take O(n)
+    # k^n bounds either count, and is far cheaper to compute on small sets;
+    # its first limit.bit_length() + 1 factors already pass the limit.
+    most = k ** min(n, limit.bit_length() + 1)
+    if most > limit or most * (n + 2) > ENTRIES_PER_CAP * limit:
+        count = cst_count(shape, k) if content is None else cst_tuple_count((shape,), content)
+        if count > limit:
+            raise CapExceeded(f"CST({tuple(shape)}, {k}) has {count} > cap {limit} elements"
+                              if content is None else f"enumeration exceeded cap {limit}")
+        _check_entries(count, shape, k, limit)
     words = _strip_words(shape, k, content)
     return words if packed else tableaux_from_words(words, shape)
 

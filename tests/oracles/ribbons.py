@@ -1,13 +1,75 @@
-"""The m-core by pushing beads down, and column-strict labelled ribbon
-tilings enumerated on cells, the independent check of the quotient count
-``ribbons.count_ribbon_cst``."""
+"""Ribbons on cells: the m-core by pushing beads down, every m-ribbon
+tiling of a skew shape, and the column-strict labelled tilings.  They are
+the independent checks of ``ribbons.spin_sign`` and
+``ribbons.count_ribbon_cst``, which read the abacus.
+
+A ribbon is a monotone staircase of cells.  Its head is the
+southwesternmost cell and its tail the northeasternmost.  Column strictness
+of a labeled tiling means no ribbon's head lies in its row to the right of
+a ribbon with a larger label, and no ribbon's tail lies in its column below
+a ribbon with a label at least as large.  (Head comparisons by the head's
+row, tail comparisons by the tail's column; the m=1 specialization is the
+ordinary column-strict condition, which the tests assert.)
+"""
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from cyclosieve.ribbons import Cell, Ribbon, enumerate_tilings
 from cyclosieve.tableaux import Composition, Partition, abacus, partition_from_beta
+
+Cell = tuple[int, int]  # 0-indexed (row, col) internally
+Ribbon = tuple[Cell, ...]  # cells ordered from tail (NE) to head (SW)
+
+
+def _skew_cells(outer: Partition, inner: Partition) -> frozenset[Cell]:
+    if not outer.contains(inner):
+        raise ValueError(f"{tuple(inner)} is not contained in {tuple(outer)}")
+    inner_padded = tuple(inner) + (0,) * (len(outer) - len(inner))
+    return frozenset(
+        (r, c)
+        for r in range(len(outer))
+        for c in range(inner_padded[r], outer[r])
+    )
+
+
+def _ribbons_with_tail(cells: frozenset[Cell], tail: Cell, m: int) -> Iterator[Ribbon]:
+    """All m-cell staircases inside ``cells`` whose northeast end is ``tail``."""
+
+    def extend(path: tuple[Cell, ...]) -> Iterator[Ribbon]:
+        if len(path) == m:
+            yield path
+            return
+        r, c = path[-1]
+        for nxt in ((r + 1, c), (r, c - 1)):  # predecessors: south or west
+            if nxt in cells and nxt not in path:
+                yield from extend(path + (nxt,))
+
+    yield from extend((tail,))
+
+
+def enumerate_tilings(outer: Partition, inner: Partition, m: int) -> list[tuple[Ribbon, ...]]:
+    """All tilings of the skew shape by m-ribbons (unlabeled)."""
+    cells = _skew_cells(Partition(outer), Partition(inner))
+    if len(cells) % m:
+        return []
+    out: list[tuple[Ribbon, ...]] = []
+
+    def rec(remaining: frozenset[Cell], acc: tuple[Ribbon, ...]) -> None:
+        if not remaining:
+            out.append(acc)
+            return
+        tail = min(remaining, key=lambda rc: (rc[0], -rc[1]))  # topmost, then rightmost
+        for ribbon in _ribbons_with_tail(remaining, tail, m):
+            rec(remaining - frozenset(ribbon), acc + (ribbon,))
+
+    rec(cells, ())
+    return out
+
+
+def _ribbon_height(ribbon: Ribbon) -> int:
+    rows = {r for r, _ in ribbon}
+    return max(rows) - min(rows)
 
 
 def m_core(shape: Partition, m: int) -> Partition:

@@ -505,6 +505,32 @@ class TestCapContract:
             if expected:
                 assert err.startswith("error: ") and len(err.splitlines()) == 1, err
 
+    @pytest.mark.parametrize("argv, refusal", [
+        ("csp syt --shape 99999999999999999999", "packed word entries"),
+        ("csp syt --shape 20000", "residue terms"),
+        ("csp syt --shape 50000", "residue terms"),
+        ("csp cst --shape 20000 --bound 2", "packed word entries"),
+        ("dihedral --shape 20000 --bound 2", "packed word entries"),
+        ("csp handshake 30000", "exceed the cap"),
+        ("csp handshake 300000", "exceed the cap"),
+        ("csp bnwords 300", "exceed the cap"),
+        ("csp bnwords 1000", "exceed the cap"),
+    ])
+    def test_oversized_inputs_exit_2_at_once(self, monkeypatch, capsys, argv, refusal):
+        """Inputs far over the cap are refused with a one-line error: a row
+        of 10^20 cells ended in an OverflowError traceback; 20,000 words of
+        20,002 entries ran out of memory after 28 s; C_30000 and f^(300^300)
+        were refused with a message about printing integers, and n = 300000
+        and 1000 took 6.7 s and over 40 s.  One row of 20,000 or 50,000 cells
+        is refused by its default modulus once the action is built, which
+        took 4.0 s and 22.6 s while the strip filler's dominance test read
+        the whole content prefix."""
+        monkeypatch.delenv("CYCLOSIEVE_CAP", raising=False)
+        assert run(argv.split()) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1, err
+        assert refusal in err, err
+
     @pytest.mark.parametrize("argv", [
         "kl table --rank 6 --cap 518399 --json",
         "kl table --rank 7",

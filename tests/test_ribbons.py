@@ -10,13 +10,21 @@ import cyclosieve
 from cyclosieve import Composition, Partition, enumerate_cst, tableaux
 from cyclosieve.ribbons import (
     count_ribbon_cst,
-    enumerate_tilings,
     kf_root_of_unity_check,
     reduced_content,
     spin_sign,
 )
 from cyclosieve.tableaux import abacus, beta_set, partition_from_beta
-from oracles.ribbons import enumerate_ribbon_cst, m_core
+from oracles.ribbons import (
+    Cell,
+    Ribbon,
+    _ribbon_height,
+    _skew_cells,
+    enumerate_ribbon_cst,
+    enumerate_tilings,
+    m_core,
+)
+from test_reachability import SRC, VALUE_TYPES, CallGraph
 
 EMPTY = Partition(())
 
@@ -36,11 +44,9 @@ def subpartitions_of_size(outer: Partition, size: int):
 
 def core_by_ribbon_removal(lam: Partition, m: int) -> Partition:
     """Strip removable m-ribbons one at a time (brute-force oracle)."""
-    from cyclosieve.ribbons import _skew_cells
-
     while True:
         for nu in subpartitions_of_size(lam, lam.size - m):
-            cells = set(_skew_cells(lam, nu))
+            cells: set[Cell] = set(_skew_cells(lam, nu))
             if len(cells) != m:
                 continue
             if any(
@@ -160,11 +166,34 @@ class TestTilingsAndSpin:
     def test_untileable_is_zero(self):
         assert spin_sign(Partition((2, 1)), EMPTY, 2) == 0
 
-    def test_tiling_independence_up_to_8(self):
-        """spin_sign raises internally if two tilings disagree."""
-        for lam in all_partitions_up_to(8):
-            for m in (2, 3):
-                spin_sign(lam, EMPTY, m)
+    def test_every_tiling_has_the_abacus_sign(self):
+        """The sign read off the beads is (-1) to the total height of every
+        tiling on cells, and 0 just when there is none: for every lambda of
+        at most 10 cells with m <= 6, and every lambda/mu with lambda of at
+        most 8 cells and m <= 4."""
+        cases = [(lam, EMPTY, m) for lam in all_partitions_up_to(10) for m in range(1, 7)]
+        cases += [(lam, mu, m) for lam in all_partitions_up_to(8)
+                  for size in range(lam.size + 1) for mu in subpartitions_of_size(lam, size)
+                  for m in range(1, 5)]
+        assert len(cases) == 834 + 3448
+        for outer, inner, m in cases:
+            signs = {tiling_sign(tiling) for tiling in enumerate_tilings(outer, inner, m)}
+            assert signs == {spin_sign(outer, inner, m)} - {0}, (outer, inner, m)
+
+    def test_inputs_are_checked(self):
+        """A shape outside the outer one, and a ribbon size below 1, are
+        refused with ``ValueError``, as ``abacus`` refuses the size."""
+        with pytest.raises(ValueError, match="is not contained in"):
+            spin_sign(Partition((2, 1)), Partition((1, 1, 1)), 3)
+        with pytest.raises(ValueError, match="is not contained in"):
+            spin_sign(Partition((2, 1)), Partition((3,)), 0)
+        for m in (0, -1, -3):
+            with pytest.raises(ValueError, match="ribbon size"):
+                spin_sign(Partition((2, 1)), EMPTY, m)
+
+
+def tiling_sign(tiling: tuple[Ribbon, ...]) -> int:
+    return (-1) ** sum(map(_ribbon_height, tiling))
 
 
 class TestCounting:
@@ -204,21 +233,18 @@ class TestCounting:
                             enumerate_ribbon_cst(lam, EMPTY, m, beta)
                         ), (lam, m, beta)
 
-    def test_counting_builds_no_cells(self, monkeypatch):
-        """The count runs on the abacus: no cell set, tiling or ribbon search."""
-        from cyclosieve import ribbons, tableaux
-
-        expected = {(lam, m): count_ribbon_cst(lam, m, (1,) * (lam.size // m))
-                    for lam in all_partitions_up_to(8) for m in (2, 3) if lam.size % m == 0}
-        tableaux._count_strips.cache_clear()
-
-        def refuse(*args):
-            raise AssertionError("a cell-level search ran")
-
-        for name in ("_skew_cells", "_ribbons_with_tail", "enumerate_tilings"):
-            monkeypatch.setattr(ribbons, name, refuse)
-        for (lam, m), count in expected.items():
-            assert count_ribbon_cst(lam, m, (1,) * (lam.size // m)) == count
+    def test_counting_builds_no_cells(self):
+        """The sign and the count run on the abacus: all they reach, besides
+        the value types, is bead and strip code, so no cell set, tiling or
+        ribbon search can run."""
+        graph = CallGraph(SRC)
+        abacus_level = VALUE_TYPES | {
+            "ribbons.spin_sign", "ribbons.count_ribbon_cst", "tableaux.abacus", "tableaux._abacus",
+            "tableaux.abacus_beads", "tableaux.beta_set", "tableaux.partition_from_beta",
+            "tableaux.cst_tuple_count", "tableaux._count_strips", "tableaux._strips"}
+        reached = {".".join(key.split(".")[:2]) for key in
+                   graph.reached({"ribbons.spin_sign", "ribbons.count_ribbon_cst"})}
+        assert reached <= abacus_level, sorted(reached - abacus_level)
 
     def test_quotient_factorization(self):
         """The generating function over contents factors through the quotient."""

@@ -635,6 +635,33 @@ class TestSizeCaps:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and "exceed the cap" in err, err
 
+    @pytest.mark.parametrize("family, n, message", [
+        ("handshake", 14, "2674440 handshake patterns exceed the cap 1000000"),
+        ("noncrossing", 14, "2674440 noncrossing partitions exceed the cap 1000000"),
+        ("bnwords", 5, "701149020 reduced words exceed the cap 1000000"),
+        ("handshake", 30000, "handshake patterns at n = 30000 exceed the cap 1000000: "
+                             "there are 2674440 already at n = 14"),
+        ("noncrossing", 300000, "noncrossing partitions at n = 300000 exceed the cap 1000000: "
+                                "there are 2674440 already at n = 14"),
+        ("bnwords", 1000, "reduced words at n = 1000 exceed the cap 1000000: "
+                          "there are 701149020 already at n = 5"),
+    ])
+    def test_first_count_over_the_cap_refuses(self, monkeypatch, capsys, family, n, message):
+        """The sizes grow with n, so they are taken at 1, 2, ... and the first
+        over the cap refuses n, before any predicted side is built: C_30000
+        has 18,000 digits, too many to print, and f^(1000^1000) was still
+        being computed after 40 s."""
+        from cyclosieve.cli import run
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed past the cap")
+
+        monkeypatch.delenv("CYCLOSIEVE_CAP", raising=False)
+        for name in ("q_catalan_product", "q_hook_product", "enumerate_syt", "bn_reduced_words"):
+            monkeypatch.setattr(sieving, name, refuse)
+        assert run(["csp", family, str(n)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_bn_word_cap(self, monkeypatch):
         """701,149,020 words for n = 5 are refused before any is built."""
         from cyclosieve import CapExceeded

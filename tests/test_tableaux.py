@@ -407,6 +407,67 @@ class TestEnumerateCst:
         assert all(is_row_strict(t, 4) for t in rst)
 
 
+class TestPackedEntriesCap:
+    """The cap bounds the packed array as well as its row count: N words of
+    n + 2 entries are refused past ENTRIES_PER_CAP times the cap, after the
+    count check and before the strip filler."""
+
+    @pytest.fixture
+    def no_filler(self, monkeypatch):
+        from cyclosieve import tableaux
+
+        def refuse(*args):
+            raise AssertionError("the filler ran")
+
+        monkeypatch.setattr(tableaux, "_strip_words", refuse)
+        return tableaux
+
+    def test_huge_row_is_refused_before_its_count(self, monkeypatch, no_filler):
+        """One word of a 10^20-cell row is over the bound, and its hook
+        formula is never run: ``math.factorial`` of its size used to end in
+        an OverflowError."""
+        def refuse(*args):
+            raise AssertionError("counted")
+
+        for name in ("syt_count", "cst_count", "cst_tuple_count", "hook_lengths"):
+            monkeypatch.setattr(no_filler, name, refuse)
+        row = Partition((10**20 - 1,))
+        for enumerate_huge in (lambda: enumerate_syt(row), lambda: enumerate_cst(row, 2),
+                               lambda: enumerate_cst(row, 1, Composition((10**20 - 1,)))):
+            with pytest.raises(CapExceeded, match=r"needs 1 x 100000000000000000001 packed word entries"):
+                enumerate_huge()
+
+    def test_boundary(self, no_filler):
+        """Entries equal to 32 times the cap are allowed: one word of 64
+        entries at cap 2, and 41 words of 42 at cap 54 (1,722 <= 1,728).  A
+        content's Kostka number counts the words: one of 42 at cap 1."""
+        assert no_filler_runs(lambda: enumerate_syt(Partition((62,)), cap=2))
+        assert no_filler_runs(lambda: enumerate_cst(Partition((40,)), 2, cap=54))
+        with pytest.raises(CapExceeded, match=r"SYT\(\(63,\)\) needs 1 x 65 packed word entries, over 32 times the cap 2"):
+            enumerate_syt(Partition((63,)), cap=2)
+        with pytest.raises(CapExceeded, match=r"CST\(\(40,\), 2\) needs 41 x 42 packed word entries, over 32 times the cap 53"):
+            enumerate_cst(Partition((40,)), 2, cap=53)
+        with pytest.raises(CapExceeded, match=r"needs 1 x 42 packed word entries"):
+            enumerate_cst(Partition((40,)), 2, Composition((20, 20)), cap=1)
+
+    def test_count_messages_come_first(self):
+        with pytest.raises(CapExceeded, match=r"SYT\(\(4, 4, 4\)\) has 462 > cap 10 elements"):
+            enumerate_syt(Partition((4, 4, 4)), cap=10)
+        with pytest.raises(CapExceeded, match=r"CST\(\(20000,\), 2\) has 20001 > cap 20000 elements"):
+            enumerate_cst(Partition((20000,)), 2, cap=20000)
+
+    def test_empty_sets_are_not_refused(self):
+        """More rows than the bound leave no tableau, however long the words."""
+        assert enumerate_cst(Partition((40, 40)), 1, cap=1) == []
+
+
+def no_filler_runs(enumerate_set) -> bool:
+    """True when the call passes the cap checks and reaches the filler."""
+    with pytest.raises(AssertionError, match="the filler ran"):
+        enumerate_set()
+    return True
+
+
 class TestDescents:
     def test_three_row_display(self):
         t = Tableau([(1, 3, 5), (2, 4, 7), (6,)])
