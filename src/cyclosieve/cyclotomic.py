@@ -27,7 +27,7 @@ from functools import cache
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .qpolys import IntPolynomial, cyclotomic_polynomial, totient
+from .qpolys import IntPolynomial, cyclotomic_polynomial, format_terms, totient
 
 _new = object.__new__
 # The terms of 1, shared by every order and read-only.
@@ -37,16 +37,23 @@ _UNIT = MappingProxyType({0: 1})
 @cache
 def _power_residues(m: int) -> list[tuple[tuple[int, int], ...]]:
     """Entry e - phi(m) holds the nonzero (exponent, coefficient) pairs of
-    q^e mod Phi_m, for phi(m) <= e < m."""
+    q^e mod Phi_m, for phi(m) <= e < m, in no particular order."""
     phi = cyclotomic_polynomial(m).coeffs
-    power = [-c for c in phi[:-1]]  # q^phi(m), since Phi_m is monic
+    degree = len(phi) - 1
+    carry = [(i, -c) for i, c in enumerate(phi[:-1]) if c]  # q^phi(m), since Phi_m is monic
+    power = dict(carry)  # sparse: its few terms are shifted, not a dense row
     rows = []
-    for _ in range(len(power), m):
-        rows.append(tuple((i, c) for i, c in enumerate(power) if c))
-        top = power[-1]
-        power = [0] + power[:-1]
-        if top:  # the q^phi(m) that multiplying by q carried out, replaced
-            power = [x - top * c for x, c in zip(power, phi)]
+    for _ in range(degree, m):
+        rows.append(tuple(power.items()))
+        top = power.pop(degree - 1, 0)
+        power = {i + 1: c for i, c in power.items()}
+        # the q^phi(m) that multiplying by q carried out, replaced
+        for i, c in carry if top else ():
+            total = power.get(i, 0) + top * c
+            if total:
+                power[i] = total
+            else:
+                del power[i]
     return rows
 
 
@@ -216,8 +223,7 @@ class CyclotomicElement:
         return hash((self.order, residue))
 
     def __repr__(self) -> str:
-        body = repr(self.residue).replace("q", f"z{self.order}")
-        return f"({body})"
+        return f"({format_terms(self.residue.coeffs, f'z{self.order}')})"
 
 
 # The slot descriptors' setters skip the __setattr__ that makes elements immutable.
@@ -246,9 +252,10 @@ def eval_at_root(x: IntPolynomial, m: int, d: int) -> CyclotomicElement:
     """X(zeta_m^d): the coefficients of q^r, q^(r+m), ... land on q^(r*d mod m)."""
     _check_order(m)
     coeffs = x.coeffs
+    if len(coeffs) > m:  # a reduced polynomial, such as every QProduct side, needs no slicing
+        coeffs = [sum(coeffs[r::m]) for r in range(m)]
     terms: dict[int, int] = {}
-    for r in range(min(m, len(coeffs))):
-        c = sum(coeffs[r::m])
+    for r, c in enumerate(coeffs):
         if c:
             key = r * d % m
             terms[key] = terms.get(key, 0) + c
@@ -257,8 +264,7 @@ def eval_at_root(x: IntPolynomial, m: int, d: int) -> CyclotomicElement:
 
 def as_integer(x: CyclotomicElement) -> Optional[int]:
     """The integer value of a constant residue, or None if non-rational."""
-    if x.residue.is_zero():
-        return 0
-    if x.residue.degree == 0:
-        return x.residue.coefficient(0)
+    coeffs = x.residue.coeffs
+    if len(coeffs) < 2:
+        return coeffs[0] if coeffs else 0
     return None

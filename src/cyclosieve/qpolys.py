@@ -27,15 +27,21 @@ from .tableaux import Composition, Partition, beta_set, enumerate_cst, hook_leng
 
 
 class IntPolynomial:
-    """Dense integer polynomial; index i holds the coefficient of q^i."""
+    """Dense integer polynomial; index i holds the coefficient of q^i.
+
+    The coefficients are taken as given, so they must be ints; only
+    trailing zeros are dropped."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
+        coeffs = tuple(coeffs)
+        if coeffs and not coeffs[-1]:
+            end = len(coeffs) - 1
+            while end and not coeffs[end - 1]:
+                end -= 1
+            coeffs = coeffs[:end]
+        _set_coeffs(self, coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPolynomial is immutable")
@@ -106,23 +112,39 @@ class IntPolynomial:
         return hash(self.coeffs)
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                q = "q" if i == 1 else f"q^{i}"
-                if c == 1:
-                    terms.append(q)
-                elif c == -1:
-                    terms.append(f"-{q}")
-                else:
-                    terms.append(f"{c}*{q}")
-        return " + ".join(terms).replace("+ -", "- ")
+        return format_terms(self.coeffs, "q")
+
+
+# The slot descriptor's setter skips the __setattr__ that makes polynomials immutable.
+_set_coeffs = IntPolynomial.coeffs.__set__
+
+@cache
+def _term_names(variable: str) -> list[str]:
+    """Entry i names variable^i for i >= 1.  One table per variable, such as
+    z195 for the order 195, which :func:`format_terms` extends only as far
+    as the longest polynomial it prints."""
+    return ["", variable]
+
+
+def format_terms(coeffs: Sequence[int], variable: str) -> str:
+    """The sum of coeffs[i] * variable^i, lowest power first: ``3 - q +
+    2*q^2``.  A coefficient of +-1 is left out before a power, and each
+    term's sign is in the separator before it.  A constant is printed with
+    no table of names."""
+    if len(coeffs) < 2:
+        return str(coeffs[0]) if coeffs else "0"
+    names = _term_names(variable)
+    if len(names) < len(coeffs):
+        names += [f"{variable}^{i}" for i in range(len(names), len(coeffs))]
+    parts = [(f" + {name}" if c == 1 else f" + {c}*{name}") if c > 0
+             else (f" - {name}" if c == -1 else f" - {-c}*{name}")
+             for name, c in zip(names, coeffs) if c]
+    if coeffs[0]:  # the constant's part was formatted as a power; it leads unsigned
+        parts[0] = str(coeffs[0])
+    else:  # the first power's sign stands alone
+        first = parts[0]
+        parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+    return "".join(parts)
 
 
 def _prime_factors(m: int) -> list[int]:

@@ -49,6 +49,7 @@ from .tableaux import (
     enumerate_cst,
     enumerate_syt,
     syt_count,
+    _check_entries,
     _resolve_cap,
 )
 
@@ -194,16 +195,22 @@ def syt_csp_report(
     below it is evaluated, and so is one whose m rows of up to phi(m)
     residue terms each exceed TERMS_PER_CAP times the cap: a given modulus
     before enumerating, the default one as soon as the promotion order is
-    known.
+    known.  A row or a column has one tableau, so its default modulus is n
+    before anything is enumerated; only the enumerator's refusal of its one
+    packed word comes first.
     """
     shape = Partition(shape)
     n = shape.size
+    default = "the default modulus (the promotion order)"
     if modulus is not None:
         _check_modulus(modulus, "the modulus", cap)
+    elif n and (len(shape) == 1 or shape[0] == 1):
+        _check_entries(1, shape, None, _resolve_cap(cap))
+        _check_modulus(n, default, cap)
     action = syt_promotion_action(shape, cap=cap)
     if modulus is None:
         modulus = n if n and n % action.order == 0 else action.order
-        _check_modulus(modulus, "the default modulus (the promotion order)", cap)
+        _check_modulus(modulus, default, cap)
     return verify_csp(
         action,
         q_hook_product(shape),

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from functools import cache
 from itertools import accumulate, product
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -152,12 +153,32 @@ def hook_lengths(shape: Partition) -> list[int]:
     return [d + length - r - 1 for r, length in enumerate(shape) for d in drops[:length]]
 
 
+def _product(factors: Iterable[int]) -> int:
+    """The product of ``factors``, multiplied in pairs level by level, so that
+    the large products meet only at the top: one factor at a time, like
+    ``math.prod``, the 50,000 hooks of a row cost time quadratic in the digits."""
+    factors = list(factors)
+    while len(factors) > 1:
+        odd = factors[-1:] if len(factors) % 2 else []
+        factors = [*map(operator.mul, factors[::2], factors[1::2]), *odd]
+    return factors[0] if factors else 1
+
+
+def _product_quotient(numerator: Iterable[int], denominator: Iterable[int]) -> Optional[int]:
+    """The product of ``numerator`` over that of ``denominator``, or None when
+    it is not an integer.  Factors common to both cancel before any is
+    multiplied, so a row's hooks 1, ..., n cancel n! outright."""
+    top, bottom = Counter(numerator), Counter(denominator)
+    count, rem = divmod(_product((top - bottom).elements()), _product((bottom - top).elements()))
+    return None if rem else count
+
+
 def syt_count(shape: Partition) -> int:
     """Number of standard fillings, by the hook length formula."""
     shape = Partition(shape)
     n = shape.size
-    count, rem = divmod(math.factorial(n), math.prod(hook_lengths(shape)))
-    if rem:
+    count = _product_quotient(range(1, n + 1), hook_lengths(shape))
+    if count is None:
         raise AssertionError(f"hook product does not divide {n}! for {shape}")
     return count
 
@@ -168,10 +189,12 @@ def cst_count(shape: Partition, k: int) -> int:
     shape = Partition(shape)
     if k < 0:
         raise ValueError("bound must be nonnegative")
+    if len(shape) > k:  # a content factor k + c(u) is zero
+        return 0
     # row r (0-indexed) has the contents -r, ..., length - r - 1
-    numer = math.prod(math.prod(range(k - r, k - r + length)) for r, length in enumerate(shape))
-    count, rem = divmod(numer, math.prod(hook_lengths(shape)))
-    if rem:
+    contents = (k + c for r, length in enumerate(shape) for c in range(-r, length - r))
+    count = _product_quotient(contents, hook_lengths(shape))
+    if count is None:
         raise AssertionError(f"hook product does not divide the content product for {shape}, k = {k}")
     return count
 

@@ -1,5 +1,6 @@
 """Shifts and long division of integer polynomials, q-integers and
-q-factorials, expanded q-products, and Schur sums tableau by tableau."""
+q-factorials, expanded q-products, Schur sums tableau by tableau, and the
+text of a polynomial."""
 
 from __future__ import annotations
 
@@ -104,3 +105,25 @@ def schur_evaluate(shape: Partition, values: Sequence):
                 term = term * values[x - 1]
         total = total + term
     return total
+
+
+def polynomial_repr(p: IntPolynomial) -> str:
+    """The text of ``p``, term by term, with every sign then moved into the
+    separator by one string replacement."""
+    if not p.coeffs:
+        return "0"
+    terms = []
+    for i, c in enumerate(p.coeffs):
+        if not c:
+            continue
+        if i == 0:
+            terms.append(str(c))
+        else:
+            q = "q" if i == 1 else f"q^{i}"
+            if c == 1:
+                terms.append(q)
+            elif c == -1:
+                terms.append(f"-{q}")
+            else:
+                terms.append(f"{c}*{q}")
+    return " + ".join(terms).replace("+ -", "- ")

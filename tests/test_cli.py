@@ -509,6 +509,7 @@ class TestCapContract:
         ("csp syt --shape 99999999999999999999", "packed word entries"),
         ("csp syt --shape 20000", "residue terms"),
         ("csp syt --shape 50000", "residue terms"),
+        ("csp syt --shape 1^50000", "residue terms"),
         ("csp cst --shape 20000 --bound 2", "packed word entries"),
         ("dihedral --shape 20000 --bound 2", "packed word entries"),
         ("csp handshake 30000", "exceed the cap"),
@@ -521,11 +522,17 @@ class TestCapContract:
         of 10^20 cells ended in an OverflowError traceback; 20,000 words of
         20,002 entries ran out of memory after 28 s; C_30000 and f^(300^300)
         were refused with a message about printing integers, and n = 300000
-        and 1000 took 6.7 s and over 40 s.  One row of 20,000 or 50,000 cells
-        is refused by its default modulus once the action is built, which
-        took 4.0 s and 22.6 s while the strip filler's dominance test read
-        the whole content prefix."""
+        and 1000 took 6.7 s and over 40 s.  A row or a column of 20,000 or
+        50,000 cells has one tableau, so it is refused by its default modulus
+        n before it is enumerated; refused after its action was built, the row
+        of 50,000 took 1.3-2.0 s.  No refusal here reaches the strip filler."""
+        from cyclosieve import tableaux
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated past the cap")
+
         monkeypatch.delenv("CYCLOSIEVE_CAP", raising=False)
+        monkeypatch.setattr(tableaux, "_strip_words", refuse)
         assert run(argv.split()) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1, err

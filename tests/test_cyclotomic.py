@@ -17,7 +17,8 @@ from cyclosieve import (
     zeta,
 )
 from cyclosieve.qpolys import q_hook_product
-from oracles.qpolys import exact_div, expand, poly_divmod
+from oracles.cyclotomic import element_repr
+from oracles.qpolys import exact_div, expand, poly_divmod, polynomial_repr
 
 small_polys = st.lists(st.integers(-9, 9), min_size=0, max_size=8).map(IntPolynomial)
 orders = st.integers(1, 12)
@@ -129,6 +130,69 @@ class TestResidueTable:
         assert as_integer(zeta(order, order) * 5 - 2) == 3
         report = kf_root_of_unity_check(Partition((2, 2)), (1, 1, 1, 1), order)
         assert report["evaluation"] is None and report["verdict"] is False
+
+
+class TestText:
+    """One formatter prints polynomials and residues, with each sign in its
+    separator, against the text printed term by term and rewritten by
+    string replacement."""
+
+    # zero; +-1 coefficients; a negative constant; a negative first
+    # non-constant term; |c| >= 10; a constant alone
+    PATTERNS = [(), (1, 1, -1, 0, 1), (-1, -1, 1), (-3, 0, 2, -1), (0, -1, 1, 0, -2),
+                (0, -12, 0, 10, -1), (25, -10, 0, 0, 11), (-7,), (4,), (0, 0, 1), (0, 0, -1)]
+
+    @staticmethod
+    def elements(m):
+        rng = random.Random(m)
+        polys = [IntPolynomial(c) for c in TestText.PATTERNS]
+        # unreduced, so that terms at phi(m) and above go through the residue table
+        polys += [IntPolynomial(rng.choice((0, 0, 1, -1, 2, -3, 10, -11)) for _ in range(m + 3))
+                  for _ in range(3)]
+        yield from (CyclotomicElement(m, p) for p in polys)
+        if m > 1:
+            yield zeta(m, m - 1) - zeta(m) * 12
+
+    @pytest.mark.parametrize("m", [*range(1, 61), 195, 5580])
+    def test_residues_print_as_the_replaced_text(self, m):
+        for x in self.elements(m):
+            assert repr(x) == element_repr(x), (m, x.residue.coeffs)
+            coeffs = x.residue.coeffs
+            assert all(type(c) is int for c in coeffs) and (not coeffs or coeffs[-1]), coeffs
+
+    def test_failing_verdict_residues(self):
+        """The rows of the documented failure 3,3,1 and of 6,4 at m = 5,580."""
+        for shape, m, powers in (((3, 3, 1), 195, range(195)), ((6, 4), 5580, range(1, 5580, 37))):
+            polynomial = q_hook_product(Partition(shape)).cyclic_reduction(m)
+            for d in powers:
+                x = eval_at_root(polynomial, m, d)
+                assert repr(x) == element_repr(x), (shape, d)
+
+    def test_polynomials_print_as_the_replaced_text(self):
+        polys = [IntPolynomial(c) for c in self.PATTERNS]
+        polys += [cyclotomic_polynomial(m) for m in range(1, 106)]
+        for p in polys:
+            assert repr(p) == polynomial_repr(p), p.coeffs
+
+    def test_a_constant_builds_no_name_table(self):
+        from cyclosieve import qpolys
+
+        order = 10**18 + 3
+        qpolys._term_names.cache_clear()
+        assert repr(CyclotomicElement.from_int(order, -5)) == "(-5)"
+        assert repr(CyclotomicElement.from_int(order, 0)) == "(0)"
+        assert repr(IntPolynomial((12,))) == "12"
+        assert qpolys._term_names.cache_info().currsize == 0
+
+    def test_a_name_table_holds_no_more_names_than_its_longest_residue(self):
+        """A huge order whose residue is short builds a short table."""
+        from cyclosieve import qpolys
+
+        order = 10**18 + 9
+        assert repr(zeta(order, 3) - 2) == f"(-2 + z{order}^3)"
+        assert qpolys._term_names(f"z{order}") == ["", f"z{order}", f"z{order}^2", f"z{order}^3"]
+        assert repr(zeta(order, 1) * 10) == f"(10*z{order})"
+        assert len(qpolys._term_names(f"z{order}")) == 4
 
 
 class TestEvalAtRoot:

@@ -40,6 +40,7 @@ from cyclosieve.sieving import (
 from cyclosieve.permutations import cycle_type, long_cycle, long_element
 from cyclosieve.tableaux import Tableau, extended_descent_set
 from oracles import qpolys as qpolys_oracles
+from oracles.cyclotomic import element_repr
 from oracles.jeudetaquin import evacuate, promote, promote_power
 from oracles.qpolys import expand, schur_evaluate
 from oracles.sieving import (
@@ -302,7 +303,8 @@ class TestFiniteAction:
 
 
 def verify_csp_rows_oracle(action, polynomial, modulus, modulus_comparison=False) -> list:
-    """The rows of verify_csp with every power d evaluated on its own."""
+    """The rows of verify_csp with every power d evaluated on its own, and
+    every residue printed by the text oracle."""
     if isinstance(polynomial, QProduct):
         polynomial = polynomial.cyclic_reduction(modulus)
     rows = []
@@ -311,7 +313,7 @@ def verify_csp_rows_oracle(action, polynomial, modulus, modulus_comparison=False
         value = eval_at_root(polynomial, modulus, d)
         as_int = as_integer(value)
         match = as_int is not None and (abs(as_int) if modulus_comparison else as_int) == fixed
-        rows.append({"d": d, "fixed": fixed, "eval": as_int, "eval_repr": repr(value),
+        rows.append({"d": d, "fixed": fixed, "eval": as_int, "eval_repr": element_repr(value),
                      "match": match})
     return rows
 

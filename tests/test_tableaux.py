@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from cyclosieve import (
     extended_descent_set,
     syt_count,
 )
-from cyclosieve.tableaux import hook_lengths, word_dtype
+from cyclosieve.tableaux import _product, _product_quotient, hook_lengths, word_dtype
 from oracles.tableaux import arm_leg, contains_cell, hook_length, is_row_strict, rotated
 
 
@@ -116,6 +117,26 @@ class TestHooks:
     def test_counts(self):
         assert syt_count(Partition((2, 2, 2))) == 5
         assert syt_count(Partition((3, 3, 1))) == 21
+
+    @pytest.mark.parametrize("shape, bound, expected", [
+        ((50000,), 2, 50001), ((1,) * 50000, 2, 0), ((1,) * 50000, 50000, 1)])
+    def test_a_row_or_column_of_50000_cells_is_counted_at_once(self, shape, bound, expected):
+        """math.prod took 0.76 s over the 50,000 hooks of a row, one factor
+        at a time.  Factors common to both sides of the formula now cancel
+        first, and what is left is multiplied in pairs."""
+        shape = Partition(shape)
+        for count, value in ((syt_count, 1), (lambda s: cst_count(s, bound), expected)):
+            start = time.perf_counter()
+            assert count(shape) == value
+            assert time.perf_counter() - start < 0.2
+
+    def test_balanced_product_and_quotient(self):
+        for factors in ([], [7], [0, 3], [-2, 3, 5], list(range(1, 41)), [2] * 33):
+            assert _product(factors) == math.prod(factors)
+            assert _product_quotient(factors, [1]) == math.prod(factors)
+        assert _product_quotient([6, 10], [4, 3]) == 5
+        assert _product_quotient([6, 10], [4, 3, 3]) is None
+        assert _product_quotient([], [2]) is None
 
 
 def _enumerate_syt_oracle(shape):
