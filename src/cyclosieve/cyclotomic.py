@@ -13,9 +13,12 @@ No operation mutates a terms map (a sum copies, every other operation builds
 a new one), so elements share them freely.  The 1 of every order holds one
 shared, read-only map, ``_UNIT``: ``zeta(m, 0)``, ``x ** 0`` and the start of
 a general power all hold it, and a same-order product with it returns the
-other factor itself, which is safe because elements are immutable.  Every
-operation builds its result with ``_element``, which fills the two slots
-through their descriptors' setters.
+other factor itself, which is safe because elements are immutable; so does
+a monomial's ``x ** 1``.  An element's order, terms and cached residue sit in
+the private slots ``_m``, ``_t`` and ``_r``, read through properties that
+have no setter, so ``order``, ``residue`` and any new attribute cannot be
+assigned.  A result is made by plain slot stores: ``_element`` does them,
+and the product of two monomials and a monomial's power do them inline.
 
 Floating point is never used: the sieving checks demand exact integer
 equality between fixed-point counts and polynomial evaluations.
@@ -24,6 +27,7 @@ equality between fixed-point counts and polynomial evaluations.
 from __future__ import annotations
 
 from functools import cache
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -65,14 +69,15 @@ def _check_order(order: int) -> None:
 class CyclotomicElement:
     """An element of Z[q]/(Phi_m(q)), held unreduced in Z[q]/(q^m - 1)."""
 
-    __slots__ = ("order", "_terms", "_residue")
+    __slots__ = ("_m", "_t", "_r")
+
+    order = property(attrgetter("_m"))
+    _terms = property(attrgetter("_t"))
+    _residue = property(attrgetter("_r"))
 
     def __init__(self, order: int, polynomial: IntPolynomial):
-        _set_order(self, order)
-        _set_terms(self, eval_at_root(polynomial, order, 1)._terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CyclotomicElement is immutable")
+        self._m = order
+        self._t = eval_at_root(polynomial, order, 1)._t
 
     @classmethod
     def from_int(cls, order: int, value: int) -> "CyclotomicElement":
@@ -83,21 +88,21 @@ class CyclotomicElement:
     def residue(self) -> IntPolynomial:
         """The canonical representative mod Phi_m, of degree below phi(m).
 
-        The ``_residue`` slot stays empty until this first read fills it."""
-        residue = getattr(self, "_residue", None)
+        The ``_r`` slot stays empty until this first read fills it."""
+        residue = getattr(self, "_r", None)
         if residue is None:
-            terms = self._terms
+            terms = self._t
             top = max(terms, default=0)
             # phi(m) >= sqrt(m / 2), so 2 top^2 < m puts every exponent below
             # phi(m) without factoring m
-            if 2 * top * top < self.order or top < totient(self.order):
+            if 2 * top * top < self._m or top < totient(self._m):
                 # Already reduced: no table is built, whatever the order.
                 residue = IntPolynomial.from_terms(terms)
             else:
                 # One pass over the terms: q^e with e >= phi(m) is replaced
                 # by its tabulated residue.
-                degree = totient(self.order)
-                table = _power_residues(self.order)
+                degree = totient(self._m)
+                table = _power_residues(self._m)
                 coeffs = [0] * degree
                 for e, c in terms.items():
                     if e < degree:
@@ -106,31 +111,31 @@ class CyclotomicElement:
                         for i, x in table[e - degree]:
                             coeffs[i] += c * x
                 residue = IntPolynomial(coeffs)
-            _set_residue(self, residue)
+            self._r = residue
         return residue
 
     def _coerce(self, other) -> "CyclotomicElement":
         if isinstance(other, CyclotomicElement):
-            if other.order != self.order:
-                raise ValueError(f"mixed orders {self.order} and {other.order}")
+            if other._m != self._m:
+                raise ValueError(f"mixed orders {self._m} and {other._m}")
             return other
         if isinstance(other, int):
-            return CyclotomicElement.from_int(self.order, other)
+            return CyclotomicElement.from_int(self._m, other)
         return NotImplemented  # type: ignore[return-value]
 
     def _plus(self, other, sign: int):
-        if type(other) is not CyclotomicElement or other.order != self.order:
+        if type(other) is not CyclotomicElement or other._m != self._m:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        terms = dict(self._terms)
-        for e, c in other._terms.items():
+        terms = dict(self._t)
+        for e, c in other._t.items():
             total = terms.get(e, 0) + sign * c
             if total:
                 terms[e] = total
             else:
                 del terms[e]
-        return _element(self.order, terms)
+        return _element(self._m, terms)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -138,7 +143,7 @@ class CyclotomicElement:
     __radd__ = __add__
 
     def __neg__(self):
-        return _element(self.order, {e: -c for e, c in self._terms.items()})
+        return _element(self._m, {e: -c for e, c in self._t.items()})
 
     def __sub__(self, other):
         return self._plus(other, -1)
@@ -147,27 +152,30 @@ class CyclotomicElement:
         return (-self) + other
 
     def __mul__(self, other):
-        m = self.order
-        if type(other) is CyclotomicElement and other.order == m:
-            b = other._terms
+        m = self._m
+        if type(other) is CyclotomicElement and other._m == m:
+            b = other._t
             if b is _UNIT:
                 return self
-            a = self._terms
+            a = self._t
             if a is _UNIT:
                 return other
             if len(a) == 1 == len(b):
                 ((e, c),) = a.items()
                 ((f, x),) = b.items()
-                return _element(m, {(e + f) % m: c * x})
+                product = _new(CyclotomicElement)
+                product._m = m
+                product._t = {(e + f) % m: c * x}
+                return product
         elif isinstance(other, int):
             if not other:
                 return _element(m, {})
-            return _element(m, {e: c * other for e, c in self._terms.items()})
+            return _element(m, {e: c * other for e, c in self._t.items()})
         else:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        a, b = self._terms, other._terms
+        a, b = self._t, other._t
         if len(a) > len(b):
             a, b = b, a
         if len(a) == 1:
@@ -184,14 +192,26 @@ class CyclotomicElement:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        m = self.order
-        terms = self._terms
-        if len(terms) == 1 and exponent > 0:
-            ((e, c),) = terms.items()
-            return _element(m, {e * exponent % m: c**exponent})
-        if exponent < 0:
+        if not isinstance(exponent, int):
+            raise TypeError(f"the exponent {exponent!r} is not an int")
+        m = self._m
+        if exponent > 0:
+            terms = self._t
+            if len(terms) == 1:
+                if exponent == 1:
+                    return self
+                ((e, c),) = terms.items()
+                power = _new(CyclotomicElement)
+                power._m = m
+                power._t = {e * exponent % m: c**exponent}
+                return power
+        elif exponent < 0:
             raise ValueError("negative powers are not supported")
-        result = _element(m, _UNIT)
+        result = _new(CyclotomicElement)
+        result._m = m
+        result._t = _UNIT
+        if not exponent:
+            return result
         base = self
         while exponent:
             if exponent & 1:
@@ -206,10 +226,10 @@ class CyclotomicElement:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = CyclotomicElement.from_int(self.order, other)
+            other = CyclotomicElement.from_int(self._m, other)
         if not isinstance(other, CyclotomicElement):
             return False
-        if self.order == other.order:
+        if self._m == other._m:
             return self.residue == other.residue
         # Across orders only integers compare equal, as in __hash__.
         constants = self.residue.degree <= 0 and other.residue.degree <= 0
@@ -220,24 +240,18 @@ class CyclotomicElement:
         if residue.degree <= 0:
             # equal to an int, so hash like it
             return hash(residue.coefficient(0))
-        return hash((self.order, residue))
+        return hash((self._m, residue))
 
     def __repr__(self) -> str:
-        return f"({format_terms(self.residue.coeffs, f'z{self.order}')})"
-
-
-# The slot descriptors' setters skip the __setattr__ that makes elements immutable.
-_set_order = CyclotomicElement.order.__set__
-_set_terms = CyclotomicElement._terms.__set__
-_set_residue = CyclotomicElement._residue.__set__
+        return f"({format_terms(self.residue.coeffs, f'z{self._m}')})"
 
 
 def _element(order: int, terms: Mapping[int, int]) -> CyclotomicElement:
     """Wrap nonzero coefficients keyed by exponent mod ``order``, unchecked;
     the residue slot is left for :attr:`CyclotomicElement.residue` to fill."""
     element = _new(CyclotomicElement)
-    _set_order(element, order)
-    _set_terms(element, terms)
+    element._m = order
+    element._t = terms
     return element
 
 

@@ -105,13 +105,22 @@ def _minus_monomial_times(a: _Coeffs, c: int, k: int, b: _Coeffs) -> _Coeffs:
     return tuple(out)
 
 
-def _step_table(neighbours: list[list[int]]) -> list[list[Optional[list[int]]]]:
+class _StepTable(dict):
     """table[dw][du] is the neighbour list of the lowest descent in the mask dw
     that the mask du lacks, or None when du contains dw; bit i - 1 of a mask
-    stands for s_i, whose neighbour list is ``neighbours[i - 1]``."""
-    masks = range(1 << len(neighbours))
-    by_missing = [None, *(neighbours[(m & -m).bit_length() - 1] for m in masks[1:])]
-    return [[by_missing[dw & ~du] for du in masks] for dw in masks]
+    stands for s_i, whose neighbour list is ``neighbours[i - 1]``.  A row is
+    built on its first read, so a build makes only the rows of the masks its
+    columns have, not all 2^(n - 1)."""
+
+    def __init__(self, neighbours: list[list[int]]):
+        super().__init__()
+        self.masks = range(1 << len(neighbours))
+        self.by_missing = [None, *(neighbours[(m & -m).bit_length() - 1] for m in self.masks[1:])]
+
+    def __missing__(self, dw: int) -> list[Optional[list[int]]]:
+        by_missing = self.by_missing
+        row = self[dw] = [by_missing[dw & ~du] for du in self.masks]
+        return row
 
 
 def _coset_maxima(n: int, descents: frozenset[int]) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -174,7 +183,7 @@ class KLTable:
 
     The build fills each column w from the longest u down.  P_{u,w} is
     copied from P_{tu,w} or P_{ut,w} when a left or right descent t of w is
-    missing from u: ``_step_table`` gives, for the descent masks of w and u,
+    missing from u: ``_StepTable`` gives, for the descent masks of w and u,
     the neighbour list that takes u to tu or ut.  Where that neighbour is w,
     u is a coatom of w, P_{u,w} = 1 and mu(u, w) = 1; elsewhere on a copied
     pair mu(u, w) = 0.  The descent recursion runs only on the remaining u.
@@ -292,7 +301,7 @@ class KLTable:
         lowest = list(map(min, ids, *images)) if images else ids  # of each class
         # bit u of lower[w] is set iff u <= w; build-time only
         lower = list(map(int.from_bytes, np.packbits(leq.T, axis=1, bitorder="little"), repeat("little")))
-        lsteps_of, rsteps_of = _step_table(left), _step_table(right)
+        lsteps_of, rsteps_of = _StepTable(left), _StepTable(right)
         for w, pw in enumerate(self.perms):
             if w == 0:  # the shortest element of X
                 mu_lists[w] = ()

@@ -339,21 +339,45 @@ def _dihedral_fixed_counts(words: np.ndarray, shape: Partition, k: int) -> tuple
     set given by its sorted packed words.
 
     Evacuation and promotion are applied to the whole set, as two index
-    permutations E and P.  Before any count is read, the dihedral relations
-    are checked on the whole set: both E and E∘P must be involutions
-    (ε∘ε = id and ε∘∂∘ε = ∂⁻¹).  Since E is an involution, ε∘∂ fixes
-    element i exactly when P[i] = E[i].
+    permutations, and checked by :func:`_dihedral_certificate` before any
+    count is read.
     """
     evac = evacuation_permutation(words, shape, k)
     # The words passed evacuation's check.
     prom = _image_permutation(words, _promote_words(words, tuple(shape), k, 1), "promotion")
-    identity = np.arange(len(words))
+    return _dihedral_certificate(evac, prom, k)
+
+
+def _dihedral_certificate(evac: np.ndarray, prom: np.ndarray, k: int) -> tuple[int, int]:
+    """#Fix(E) and #Fix(E∘P) for an evacuation E and a promotion P of order
+    dividing k, given as index permutations of one set, after checking the
+    dihedral relations on the whole set.
+
+    E and E∘P must be involutions (ε∘ε = id and ε∘∂∘ε = ∂⁻¹), and P^k must
+    be the identity, by k gathers.  Since E is an involution, ε∘∂^d fixes
+    element i exactly when P^d[i] = E[i]; as a certificate, every reflection
+    ε∘∂^d must fix as many elements as its conjugacy class in the dihedral
+    group of order 2k: the class of ε for odd k, and for even k that of ε or
+    ε∘∂ by the parity of d.
+    """
+    identity = np.arange(len(evac))
     if (evac[evac] != identity).any():
         raise AssertionError("evacuation is not an involution on the set")
     reflection = evac[prom]
     if (reflection[reflection] != identity).any():
         raise AssertionError("evacuation does not conjugate promotion to its inverse")
-    return int(np.count_nonzero(evac == identity)), int(np.count_nonzero(prom == evac))
+    e, ej = int(np.count_nonzero(evac == identity)), int(np.count_nonzero(prom == evac))
+    classes = (e, ej) if k % 2 == 0 else (e, e)
+    power = identity  # P^d
+    for d in range(k):
+        count = int(np.count_nonzero(power == evac))
+        if count != classes[d % 2]:
+            raise AssertionError(f"evacuation after promotion^{d} fixes {count} elements, "
+                                 f"not the {classes[d % 2]} of its conjugacy class")
+        power = prom[power]
+    if (power != identity).any():
+        raise AssertionError(f"promotion to the power {k} is not the identity on the set")
+    return e, ej
 
 
 def dihedral_report(shape: Partition, bound: int, cap: Optional[int] = None) -> dict:

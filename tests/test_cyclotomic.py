@@ -1,5 +1,6 @@
 import operator
 import random
+import re
 from functools import cache
 from math import comb
 
@@ -469,6 +470,26 @@ class TestNegativePowers:
                 x**n
 
 
+class TestNonIntPowers:
+    """A non-int exponent is refused before any element or product is made."""
+
+    @pytest.mark.parametrize("x", [zeta(5, 2) * 3, zeta(5) + 1, zeta(5, 0) * 0, zeta(5, 0),
+                                   CyclotomicElement.from_int(5, 1)],
+                             ids=["monomial", "general", "zero", "one", "from-int-one"])
+    def test_non_int_powers_raise(self, x, monkeypatch):
+        from cyclosieve import cyclotomic
+
+        def forbidden(*args):
+            raise AssertionError("built an element")
+
+        monkeypatch.setattr(cyclotomic, "_new", forbidden)
+        monkeypatch.setattr(cyclotomic, "_element", forbidden)
+        monkeypatch.setattr(CyclotomicElement, "__mul__", forbidden)
+        for n in (2.0, 0.0, 1.5, "2", None):
+            with pytest.raises(TypeError, match=f"the exponent {re.escape(repr(n))} is not an int"):
+                x**n
+
+
 class TestPowerProducts:
     def test_squares_only_while_bits_remain(self, monkeypatch):
         """Square-and-multiply makes one product per set bit of n and one
@@ -489,3 +510,95 @@ class TestPowerProducts:
             counts.append(len(calls))
             assert power.residue == reduced(5, IntPolynomial([comb(n, i) for i in range(n + 1)]))
         assert counts == [1, 2, 3, 4]
+
+
+class TestSlotLayout:
+    """Elements keep their order, terms and residue in private slots behind
+    read-only properties: nothing can be assigned, a monomial's first power
+    is itself, a zeroth power is the shared 1 with no product, and hashing
+    and equality are those of the residue, however an element is made."""
+
+    @staticmethod
+    def polys(m):
+        rng = random.Random(m)
+        yield from (IntPolynomial(c) for c in ((), (1,), (-4,), (0, 3), (2, -1, 0, 4)))
+        yield from (IntPolynomial((0,) * e + (c,)) for e in range(m + 1) for c in (-2, 1))
+        yield IntPolynomial(range(-3, 2 * m))
+        yield IntPolynomial(rng.randint(-5, 5) for _ in range(m + 3))
+
+    @staticmethod
+    def expected_hash(m, residue):
+        """The hash of an element whose residue mod Phi_m is ``residue``."""
+        if residue.degree <= 0:
+            return hash(residue.coefficient(0))
+        return hash((m, residue))
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_nothing_can_be_assigned(self, m):
+        for p in self.polys(m):
+            x = CyclotomicElement(m, p)
+            for _ in range(2):  # before and after the residue is cached
+                for name, value in (("order", m + 1), ("residue", IntPolynomial((1,))),
+                                    ("_terms", {0: 2}), ("_residue", IntPolynomial((1,))),
+                                    ("coeffs", ()), ("extra", 1)):
+                    with pytest.raises(AttributeError):
+                        setattr(x, name, value)
+                assert x.order == m and x.residue == reduced(m, p)
+        assert not hasattr(zeta(m), "__dict__")
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_a_monomial_first_power_is_itself(self, m):
+        for e in range(m + 2):
+            for c in (-2, 1, 3):
+                x = CyclotomicElement(m, IntPolynomial((0,) * e + (c,)))
+                assert len(x._terms) == 1
+                assert x**1 is x
+            z = zeta(m, e)
+            assert z**1 is z
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_a_zeroth_power_is_the_shared_one_with_no_product(self, m, monkeypatch):
+        from cyclosieve import cyclotomic
+
+        calls = []
+        real_mul = CyclotomicElement.__mul__
+        monkeypatch.setattr(CyclotomicElement, "__mul__",
+                            lambda self, other: calls.append(1) or real_mul(self, other))
+        elements = [CyclotomicElement(m, p) for p in self.polys(m)]
+        elements += [zeta(m, 0), zeta(m, 1), CyclotomicElement.from_int(m, 0)]
+        for x in elements:
+            power = x**0
+            assert power._terms is cyclotomic._UNIT and power.order == m
+            assert power == 1 and hash(power) == hash(1)
+        assert not calls
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_every_route_hashes_and_compares_as_its_residue(self, m):
+        operands = []
+        for p in self.polys(m):
+            rp = reduced(m, p)
+            x = CyclotomicElement(m, p)
+            routes = [
+                x,
+                sum((zeta(m, e) * c for e, c in enumerate(p.coeffs)), CyclotomicElement.from_int(m, 0)),
+                -(-x), x * 1, 1 * x, x + 0, 0 + x, x - 0, 0 - (-x), x**1, x * zeta(m, 0),
+                zeta(m, 0) * x, x * zeta(m, 0) ** 0,
+            ]
+            if p.degree <= 0:
+                routes.append(CyclotomicElement.from_int(m, p.coefficient(0)))
+            if p == IntPolynomial((0,) * p.degree + (1,)):
+                routes.append(zeta(m, p.degree))
+            for y in routes:
+                assert y.order == m and y.residue == rp
+                assert y == x and x == y and hash(y) == self.expected_hash(m, rp)
+            operands.append((x, rp))
+        for x, rx in operands:
+            assert hash(-x) == self.expected_hash(m, reduced(m, -rx))
+            assert hash(x**2) == self.expected_hash(m, reduced(m, rx * rx))
+            assert hash(3 - x) == self.expected_hash(m, reduced(m, IntPolynomial((3,)) - rx))
+            for y, ry in operands[:6]:
+                for value, expected in ((x * y, rx * ry), (x + y, rx + ry), (x - y, rx - ry)):
+                    expected = reduced(m, expected)
+                    assert value.residue == expected
+                    assert hash(value) == self.expected_hash(m, expected)
+                    assert (value == x) == (expected == rx)

@@ -1,5 +1,6 @@
 import io
 import json
+import operator
 from itertools import combinations, permutations as itertools_permutations
 from math import factorial
 
@@ -992,3 +993,38 @@ class TestDump:
         if not as_json:
             print("pairs:", pairs, file=out)
         assert out.getvalue() == _reference_dump(table, as_json)
+
+
+class TestStepRows:
+    """The copy steps' table is filled row by row on first use."""
+
+    @staticmethod
+    def full_row(neighbours, dw):
+        """Entry du: the neighbour list of the lowest s_i in dw but not in du."""
+        return [next((neighbours[i] for i in range(len(neighbours)) if dw >> i & 1 and not du >> i & 1),
+                     None)
+                for du in range(1 << len(neighbours))]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_used_rows_match_the_full_table(self, n, monkeypatch):
+        built = []
+
+        class Recording(klcells._StepTable):
+            def __init__(self, neighbours):
+                super().__init__(neighbours)
+                built.append((neighbours, self))
+
+        monkeypatch.setattr(klcells, "_StepTable", Recording)
+        for size in range(n):
+            for descents in combinations(range(1, n), size):
+                built.clear()
+                table = KLTable(n, frozenset(descents))
+                (left, lrows), (right, rrows) = built
+                assert left is table._left and right is table._right
+                assert set(lrows) <= set(table._ldesc) and set(rrows) <= set(table._rdesc)
+                for neighbours, rows in built:
+                    for dw, row in rows.items():
+                        expected = self.full_row(neighbours, dw)
+                        assert len(row) == len(expected) and all(map(operator.is_, row, expected))
+                if n == 6 and not descents:
+                    assert 0 < len(lrows) < 1 << (n - 1)

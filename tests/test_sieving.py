@@ -17,7 +17,7 @@ from cyclosieve import (
 )
 from cyclosieve import sieving
 from cyclosieve.cyclotomic import as_integer, eval_at_root
-from cyclosieve.jeudetaquin import promotion_permutation
+from cyclosieve.jeudetaquin import evacuation_permutation, promotion_permutation
 from cyclosieve.qpolys import QProduct, q_hook_product
 from cyclosieve.sieving import (
     FiniteAction,
@@ -794,6 +794,37 @@ class TestDihedral:
         monkeypatch.setattr(sieving, "evacuation_permutation", broken)
         with pytest.raises(AssertionError):
             dihedral_report(Partition((2, 2)), 3)
+
+    def test_promotion_replaced_by_evacuation_raises_on_odd_bounds(self, monkeypatch):
+        """With evacuation's images as promotion's, both involution checks
+        pass: E∘E = id.  On an odd bound P^k = E is not the identity and the
+        reflection E∘P = id fixes every element, not as many as E; on an even
+        bound E and P = E make a true dihedral action, and nothing is raised."""
+
+        def evacuation_images(words, shape, k, times):
+            return words[evacuation_permutation(words, Partition(shape), k)]
+
+        monkeypatch.setattr(sieving, "_promote_words", evacuation_images)
+        for lam, k in ((Partition((2, 2)), 3), (Partition((2,)), 3), (Partition((2, 2, 2)), 5)):
+            with pytest.raises(AssertionError, match="conjugacy class|is not the identity"):
+                dihedral_report(lam, k)
+        assert not dihedral_report(Partition((2, 2)), 4)["verdict"]
+
+    def test_certificate_on_small_dihedral_actions(self):
+        """E = (1 2) and P = (0 1 2) satisfy both involution checks; P has
+        order 3, so the certificate holds for k = 3 and 6 and fails for k = 5
+        on P^k alone, since all reflections of D_3 fix one point.  E = id and
+        P = (0 1) pass for k = 2; for k = 3 the reflection E∘P, which fixes
+        no point, is in the class of E, which fixes two."""
+        evac, rotation = np.array([0, 2, 1]), np.array([1, 2, 0])
+        assert sieving._dihedral_certificate(evac, rotation, 3) == (1, 1)
+        assert sieving._dihedral_certificate(evac, rotation, 6) == (1, 1)
+        with pytest.raises(AssertionError, match="promotion to the power 5 is not the identity"):
+            sieving._dihedral_certificate(evac, rotation, 5)
+        identity, swap = np.array([0, 1]), np.array([1, 0])
+        assert sieving._dihedral_certificate(identity, swap, 2) == (2, 0)
+        with pytest.raises(AssertionError, match=r"promotion\^1 fixes 0 elements, not the 2"):
+            sieving._dihedral_certificate(identity, swap, 3)
 
     def test_predictions_match_signed_schur_evaluations(self):
         """Both CST predictions against (-1)^kappa s_shape at +/-1 arguments,
