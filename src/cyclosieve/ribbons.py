@@ -70,6 +70,8 @@ def count_ribbon_cst(shape: Partition, m: int, beta: Composition) -> int:
 
 def reduced_content(alpha: Composition, d: int) -> Optional[Composition]:
     """Divide every part multiplicity of alpha by d, or None if not divisible."""
+    if d < 1:
+        raise ValueError("the root order must be positive")
     mult: dict[int, int] = {}
     for part in alpha:
         if part:

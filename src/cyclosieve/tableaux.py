@@ -269,6 +269,8 @@ class Tableau:
         lengths = [len(row) for row in self.rows]
         if any(lengths[i] < lengths[i + 1] for i in range(len(lengths) - 1)) or 0 in lengths:
             raise ValueError(f"rows do not form a partition shape: {lengths}")
+        if self.rows and (low := min(map(min, self.rows))) < 1:
+            raise ValueError(f"entries must be positive integers, got {low}")
 
     @classmethod
     def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "Tableau":

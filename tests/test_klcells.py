@@ -954,16 +954,22 @@ def _r_polynomials(table):
     return [[cols[w][u] for w in range(size)] for u in range(size)]
 
 
+def _reference_columns(table) -> list[list[dict]]:
+    """The rows u < v of the dump as dicts, one list per v that has any."""
+    columns = [
+        [{"u": list(table.perms[u]), "v": list(table.perms[w]),
+          "coeffs": list(table._coeffs(u, w))}
+         for u in np.flatnonzero(table._leq[:, w]).tolist()
+         if u != w]
+        for w in range(len(table.perms))
+    ]
+    return [rows for rows in columns if rows]
+
+
 def _reference_dump(table, as_json: bool) -> str:
     """The dump as it was built before it was streamed: a list of dicts,
     then one ``json.dumps`` or one ``print`` per row."""
-    triples = [
-        {"u": list(table.perms[u]), "v": list(table.perms[w]),
-         "coeffs": list(table._coeffs(u, w))}
-        for w in range(len(table.perms))
-        for u in np.flatnonzero(table._leq[:, w]).tolist()
-        if u != w
-    ]
+    triples = [row for rows in _reference_columns(table) for row in rows]
     out = io.StringIO()
     if as_json:
         print(json.dumps({"n": table.n, "polynomials": triples}, sort_keys=True), file=out)
@@ -972,6 +978,12 @@ def _reference_dump(table, as_json: bool) -> str:
             print(entry["u"], entry["v"], entry["coeffs"], file=out)
         print("pairs:", len(triples), file=out)
     return out.getvalue()
+
+
+class _Writes(list):
+    """A stream that keeps every string written to it, one item per write."""
+
+    write = list.append
 
 
 class TestDump:
@@ -993,6 +1005,27 @@ class TestDump:
         if not as_json:
             print("pairs:", pairs, file=out)
         assert out.getvalue() == _reference_dump(table, as_json)
+
+    @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+    @pytest.mark.parametrize("n", range(7))
+    def test_one_write_per_column(self, n, as_json):
+        """The dump is streamed: one write per column that has rows, plus the
+        document's head and foot in JSON, and no write holds more than its
+        own column's rows (after the ", " that joins it to the one before)."""
+        table = kl_table(n)
+        writes = _Writes()
+        table.dump_triples(writes, as_json)
+        if as_json:
+            head, *writes, foot = writes
+            assert (head, foot) == (f'{{"n": {n}, "polynomials": [', "]}\n")
+            columns = [", ".join(json.dumps(row, sort_keys=True) for row in rows)
+                       for rows in _reference_columns(table)]
+        else:
+            columns = ["".join(f"{row['u']} {row['v']} {row['coeffs']}\n" for row in rows)
+                       for rows in _reference_columns(table)]
+        assert len(writes) == len(columns)
+        joiner = len(", ") if as_json else 0
+        assert all(len(w) <= len(rows) + joiner for w, rows in zip(writes, columns))
 
 
 class TestStepRows:

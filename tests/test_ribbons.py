@@ -295,6 +295,11 @@ class TestReducedContent:
     def test_zero_parts_ignored(self):
         assert reduced_content(Composition((1, 0, 1)), 2) == Composition((1,))
 
+    @pytest.mark.parametrize("d", [0, -1, -3])
+    def test_root_order_below_one_is_refused(self, d):
+        with pytest.raises(ValueError, match="the root order must be positive"):
+            reduced_content(Composition((2, 2)), d)
+
 
 class TestKFRootChecks:
     def test_22_dominoes(self):

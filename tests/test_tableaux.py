@@ -553,6 +553,12 @@ class TestTableauBasics:
         with pytest.raises(ValueError):
             t.content(2)
 
+    @pytest.mark.parametrize("rows", [[[0, 2]], [[-1]]])
+    def test_entries_below_one_are_refused(self, rows):
+        """Content would count them at negative indices."""
+        with pytest.raises(ValueError, match="positive"):
+            Tableau(rows)
+
     def test_immutability(self):
         t = Tableau([(1, 2)])
         with pytest.raises(AttributeError):
